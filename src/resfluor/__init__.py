@@ -36,7 +36,6 @@ from .guichardet import (
     integral_sum_kernel,
     jump_limit_check,
     oracle_davies_map,
-    oracle_probability,
 )
 from .linalg import (
     EXCITED_PROJ,

@@ -1,0 +1,6 @@
+"""``python -m resfluor``: the batch CLI."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -4,8 +4,9 @@ Subcommands: evolve, event-prob, trajectories, waiting-time, renewal-stats,
 verify.  All numeric output uses 17 significant digits, CSV for arrays and
 JSON for reports, and every file carries a tool-version/config-hash stamp,
 so identical config + seed reproduce byte-identical files at any thread
-count.  Exit codes: 0 success, 1 validation or usage error, 2 failed
-verification.
+count.  ``trajectories.csv`` also records its trajectory count in a
+``# n_traj=N`` line, which ``renewal-stats`` requires.  Exit codes: 0
+success, 1 validation or usage error, 2 failed verification.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ def _stamp(cfg: RunConfig) -> str:
     return f"{TOOL_VERSION} config={config_hash(cfg)}"
 
 
-def _write_csv(path: Path, header: list[str], rows, cfg: RunConfig):
-    lines = [f"# {_stamp(cfg)}", ",".join(header)]
+def _write_csv(path: Path, header: list[str], rows, cfg: RunConfig, comments=()):
+    lines = [f"# {_stamp(cfg)}", *(f"# {c}" for c in comments), ",".join(header)]
     for row in rows:
         lines.append(
             ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
@@ -135,7 +136,7 @@ def _cmd_event_prob(args) -> int:
     results = []
     for entry in payload:
         ev = event_from_json(json.dumps(entry))
-        p = event_probability(m, rho0, ev, n_max=cfg.n_max, quad_order=cfg.quad_order)
+        p = event_probability(m, rho0, ev, n_max=cfg.n_max)
         results.append(p)
         print(format_float(p))
     if args.out is not None:
@@ -194,6 +195,7 @@ def _cmd_trajectories(args) -> int:
         ["trajectory_index", "jump_index", "time", "channel"],
         _traj_rows(trajs),
         cfg,
+        comments=[f"n_traj={n}"],
     )
     counts = np.array([len(t.records) for t in trajs], dtype=int)
     hist = np.bincount(counts) if len(counts) else np.array([], dtype=int)
@@ -246,19 +248,27 @@ def _cmd_waiting_time(args) -> int:
 
 
 def read_trajectory_csv(path: Path) -> list[np.ndarray]:
-    """Side-click time arrays per trajectory from the documented CSV format."""
+    """Side-click time arrays per trajectory from the documented CSV format.
+
+    The trajectory count comes from the file's ``# n_traj=N`` line, so
+    trajectories without a side click are kept as empty arrays.
+    """
+    n = None
     per: dict[int, list[float]] = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
+            if line.startswith("# n_traj="):
+                n = int(line.removeprefix("# n_traj="))
             if not line or line.startswith("#") or line.startswith("trajectory_index"):
                 continue
             idx_s, _jump, t_s, channel = line.split(",")
             if channel == "side":
                 per.setdefault(int(idx_s), []).append(float(t_s))
-    if not per:
-        return []
-    n = max(per) + 1
+    if n is None:
+        raise ValueError(f"{path} has no '# n_traj=N' line")
+    if per and not 0 <= min(per) <= max(per) < n:
+        raise ValueError(f"{path} has trajectory indices outside [0, {n})")
     return [np.array(sorted(per.get(i, []))) for i in range(n)]
 
 
@@ -342,3 +352,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -4,7 +4,8 @@ Complex scalars serialize as two-element [re, im] arrays; plain numbers are
 accepted on input for convenience.  Unknown keys are rejected by name, and
 every value has a default, so a config file only needs to state what it
 changes.  The canonical serialization prints floats with 17 significant
-digits, making hash and round-trip exact.
+digits, making hash and round-trip exact.  The hash leaves out ``threads``,
+which changes how a run executes but not what it writes.
 """
 
 from __future__ import annotations
@@ -107,10 +108,7 @@ class RunConfig:
         }
 
     def to_json(self) -> str:
-        def default(o):
-            raise TypeError(o)
-
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -142,5 +140,12 @@ class RunConfig:
         return cls.from_dict(data)
 
 
+def _canonical(data: dict) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(cfg.to_json().encode()).hexdigest()[:16]
+    """Hash of every key that can change an output; ``threads`` cannot."""
+    data = cfg.to_dict()
+    del data["threads"]
+    return hashlib.sha256(_canonical(data).encode()).hexdigest()[:16]

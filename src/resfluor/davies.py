@@ -1,68 +1,57 @@
-"""Counting maps for cylinder events, by integrating trajectory words.
+"""Counting maps for cylinder events, as blocks of one lattice exponential.
 
 For an event prescribing exact photon counts in windows, the conditioned
-(unnormalized, Heisenberg-picture) evolution is an integral of "words"
+(unnormalized, Heisenberg-picture) evolution is the sum over jump orders,
+integrated over the ordered jump times, of the words
 
     E(d_1) J_(c_1) E(d_2) J_(c_2) ... J_(c_n) E(d_{n+1})
 
-over the ordered jump times, where the J's are the channel jump
-superoperators and E is the appropriate no-further-jump semigroup for the
-stretch in between.  The horizon is cut into segments at all window edges;
-within a segment each channel is either pinned to an exact count or free:
+where the J's are the channel jump superoperators and E is the no-count
+semigroup exp(d L0).  Such sums are blocks of a single matrix exponential
+(Van Loan, IEEE TAC 23, 395 (1978); the tilted-generator form of full
+counting statistics): index the counts seen so far by a lattice site, put L0
+on the diagonal blocks and J_c on the blocks that raise channel c's count,
+and the (0, n) block of exp(t A) is the map for exactly n counts.
 
-* both free       -> the unconditioned semigroup (all jump orders resummed)
-* one channel free -> that channel's jumps are resummed into the stretch
-                      evolution (Z-type semigroup); the pinned channel's
-                      jumps are integrated explicitly
-* both pinned     -> explicit jumps of both channels, summed over their
-                      relative orderings (shuffles)
+The horizon is cut into segments at all window edges.  Within a segment a
+channel is pinned (inside one of its windows: its jumps raise its count,
+capped at the window's count), silent (outside its windows, exactly zero
+outside: no jumps), or free (outside its windows, unconstrained).  At each
+window end the block row is projected onto the window's count and that
+channel's count restarts at 0.
 
-``expansion="resum"`` (the default) uses exactly this scheme.  With
-``expansion="dyson"`` free stretches are instead expanded explicitly into
-extra jumps up to the configured total-count cap, against the no-count
-semigroup; this is the finite Dyson sum that the resummed semigroups encode
-in closed form, kept as a separately computable route so the two can be
-compared.
-
-Simplex integrals use iterated Gauss-Legendre in inter-arrival coordinates;
-the returned error estimate is the distance between the full-order and a
-lower-order evaluation of the same assembly.
+``expansion="resum"`` (the default) puts a free channel's jumps on the
+diagonal, which sums them to all orders.  ``expansion="dyson"`` lets them
+raise one extra-count axis shared by both channels and capped at the
+total-count cap less the pinned counts: the truncated Dyson sum, evaluated
+exactly, kept as a separately computable route so the two can be compared.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+from scipy.linalg import expm
 
-from .events import Event, ChannelEvent
-from .linalg import vec
-from .model import (
-    Model,
-    forward_jump,
-    master_generator,
-    no_forward_count_generator,
-    no_jump_generator,
-    no_side_count_generator,
-    side_jump,
-)
-from .quadrature import simplex_nodes
-from .semigroup import SemigroupCache
+from .events import Event
+from .model import Model, forward_jump, no_jump_generator, side_jump
 
 __all__ = ["DaviesResult", "davies_map", "event_probability", "dyson_truncation_tail"]
-
-_FREE = -1  # per-segment count marker for an unconstrained channel
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
 class DaviesResult:
-    """A computed counting map plus its quadrature error estimate."""
+    """A computed counting map.
+
+    ``quad_error`` stays for callers that add it to their tolerances; the
+    lattice exponential involves no quadrature, so it is always 0.0.
+    """
 
     matrix: np.ndarray
-    quad_error: float
+    quad_error: float = 0.0
 
     def __call__(self, A) -> np.ndarray:
         from .linalg import apply_superop
@@ -70,174 +59,37 @@ class DaviesResult:
         return apply_superop(self.matrix, A)
 
 
-def _segment_edges(e: Event) -> list[tuple[float, float]]:
-    edges = {0.0, float(e.horizon)}
+def _segments(e: Event) -> list[tuple[float, float, int | None, int | None]]:
+    """(start, end, forward window, side window) per segment; None outside windows."""
+    cuts = {0.0, float(e.horizon)}
     for ch in (e.forward, e.side):
         for w in ch.windows:
-            edges.add(float(w.a))
-            edges.add(float(w.b))
-    cuts = sorted(edges)
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1e-15]
-
-
-def _channel_status(ch: ChannelEvent, segments) -> list[int | None]:
-    """Window index owning each segment, or None for outside-window segments."""
+            cuts.update((float(w.a), float(w.b)))
+    cuts = sorted(cuts)
     out = []
-    for a, b in segments:
+    for a, b in zip(cuts, cuts[1:]):
         mid = 0.5 * (a + b)
-        idx = None
-        for i, w in enumerate(ch.windows):
-            if w.a <= mid < w.b:
-                idx = i
-                break
-        out.append(idx)
+        owners = [
+            next((i for i, w in enumerate(ch.windows) if w.a <= mid < w.b), None)
+            for ch in (e.forward, e.side)
+        ]
+        out.append((a, b, *owners))
     return out
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _raise(shape, axis: int, cap: int) -> np.ndarray:
+    """Lattice map raising ``axis`` by one, from counts below ``cap`` only."""
+    factors = [np.eye(n) for n in shape]
+    factors[axis] = np.diag((np.arange(1, shape[axis]) <= cap).astype(float), k=1)
+    return reduce(np.kron, factors)
 
 
-def _channel_assignments(ch: ChannelEvent, segments):
-    """Yield per-segment counts (int, or _FREE outside a free channel)."""
-    status = _channel_status(ch, segments)
-    outside_val = _FREE if ch.free else 0
-    per_window_segments = [
-        [k for k, s in enumerate(status) if s == i] for i in range(len(ch.windows))
-    ]
-    window_splits = [
-        list(_compositions(w.count, len(segs)))
-        for w, segs in zip(ch.windows, per_window_segments)
-    ]
-    for split_choice in itertools.product(*window_splits):
-        counts = [outside_val if s is None else 0 for s in status]
-        for segs, split in zip(per_window_segments, split_choice):
-            for k, c in zip(segs, split):
-                counts[k] = c
-        yield counts
-
-
-def _shuffles(n_f: int, n_s: int):
-    """All time-ordered channel words with n_f forward and n_s side letters."""
-    n = n_f + n_s
-    for fpos in itertools.combinations(range(n), n_f):
-        word = ["s"] * n
-        for p in fpos:
-            word[p] = "f"
-        yield tuple(word)
-
-
-class _Calculator:
-    """Caches the model's semigroups and jump matrices for one davies_map call."""
-
-    def __init__(self, m: Model, quad_order: int):
-        self.order = quad_order
-        self.J = {"f": forward_jump(m), "s": side_jump(m)}
-        self.J["fs"] = self.J["f"] + self.J["s"]
-        self.evo = {
-            "Y": SemigroupCache(no_jump_generator(m)),
-            "Zf": SemigroupCache(no_side_count_generator(m)),  # forward free
-            "Zs": SemigroupCache(no_forward_count_generator(m)),  # side free
-            "T": SemigroupCache(master_generator(m)),
-        }
-
-    def word_integral(self, evo_key: str, jump_keys, delta: float, order=None) -> np.ndarray:
-        """Integral of E(d_1) J_1 E(d_2) ... J_n E(d_{n+1}) over the ordered simplex."""
-        evo = self.evo[evo_key]
-        n = len(jump_keys)
-        if n == 0:
-            return evo.at(float(delta))
-        _, gaps, weights = simplex_nodes(n, float(delta), order or self.order)
-        total = np.zeros((4, 4), dtype=complex)
-        for start in range(0, gaps.shape[0], _CHUNK):
-            g = gaps[start : start + _CHUNK]
-            w = weights[start : start + _CHUNK]
-            acc = evo.at(g[:, 0])
-            for i, jk in enumerate(jump_keys):
-                acc = acc @ self.J[jk]
-                acc = acc @ evo.at(g[:, i + 1])
-            total = total + np.einsum("b,bij->ij", w, acc)
-        return total
-
-    def segment_block(self, spec, delta: float, order=None) -> np.ndarray:
-        """Superoperator for one segment given its (kind, payload) spec."""
-        kind = spec[0]
-        if kind == "T":
-            return self.evo["T"].at(float(delta))
-        if kind == "Zf":  # forward free, side pinned to k jumps
-            return self.word_integral("Zf", ("s",) * spec[1], delta, order)
-        if kind == "Zs":  # side free, forward pinned to k jumps
-            return self.word_integral("Zs", ("f",) * spec[1], delta, order)
-        if kind == "merged":  # both free, expanded: combined jump word
-            return self.word_integral("Y", ("fs",) * spec[1], delta, order)
-        if kind == "words":  # both pinned: explicit shuffle sum
-            n_f, n_s = spec[1], spec[2]
-            out = np.zeros((4, 4), dtype=complex)
-            for word in _shuffles(n_f, n_s):
-                out = out + self.word_integral("Y", word, delta, order)
-            return out
-        raise AssertionError(f"unknown segment kind {kind!r}")
-
-
-def _resum_specs(counts_f, counts_s, segments):
-    """Per-segment (kind, ...) specs for the resummed expansion."""
-    specs = []
-    for k, _seg in enumerate(segments):
-        cf, cs = counts_f[k], counts_s[k]
-        if cf == _FREE and cs == _FREE:
-            specs.append(("T",))
-        elif cf == _FREE:
-            specs.append(("Zf", cs))
-        elif cs == _FREE:
-            specs.append(("Zs", cf))
-        else:
-            specs.append(("words", cf, cs))
-    return specs
-
-
-def _dyson_specs(counts_f, counts_s, segments, budget: int):
-    """Expand free stretches into explicit extra jumps within a total budget.
-
-    Yields lists of per-segment specs.  A segment where both channels are
-    free takes a single merged slot (combined jump J_f + J_s); a segment
-    where only one channel is free takes per-channel extra counts shuffled
-    against the pinned channel's jumps.
-    """
-    slots = []  # (segment index, kind)
-    for k in range(len(segments)):
-        cf, cs = counts_f[k], counts_s[k]
-        if cf == _FREE and cs == _FREE:
-            slots.append((k, "merged"))
-        elif cf == _FREE:
-            slots.append((k, "extra_f"))
-        elif cs == _FREE:
-            slots.append((k, "extra_s"))
-    for total in range(budget + 1):
-        for extra in _compositions(total, len(slots)):
-            specs = []
-            extra_by_seg = {}
-            for (k, kind), n in zip(slots, extra):
-                extra_by_seg[k] = (kind, n)
-            for k in range(len(segments)):
-                cf, cs = counts_f[k], counts_s[k]
-                if k in extra_by_seg:
-                    kind, n = extra_by_seg[k]
-                    if kind == "merged":
-                        specs.append(("merged", n))
-                    elif kind == "extra_f":
-                        specs.append(("words", n, cs))
-                    else:
-                        specs.append(("words", cf, n))
-                else:
-                    specs.append(("words", cf, cs))
-            yield specs
+def _restart(row: np.ndarray, shape, axis: int, count: int) -> np.ndarray:
+    """Keep the blocks with ``count`` on ``axis`` and move them to index 0."""
+    r = np.moveaxis(row.reshape(4, *shape, 4), axis + 1, 0)
+    out = np.zeros_like(r)
+    out[0] = r[count]
+    return np.moveaxis(out, 0, axis + 1).reshape(row.shape)
 
 
 def dyson_truncation_tail(m: Model, horizon: float, n_cap: int) -> float:
@@ -267,10 +119,9 @@ def davies_map(
 ) -> DaviesResult:
     """Heisenberg-picture counting map for a cylinder event.
 
-    Returns the 4x4 superoperator together with a quadrature error estimate
-    (difference against a lower-order evaluation of the same assembly).
-    Raises if the event pins more than ``n_max`` photons, or on overlapping
-    windows (caught at event construction).
+    ``n_max`` caps the total count: an event pinning more photons raises,
+    and the Dyson route truncates there.  ``quad_order`` is accepted and
+    ignored; the map is computed exactly, so ``quad_error`` is 0.0.
     """
     if e.total_count > n_max:
         raise ValueError(
@@ -278,36 +129,27 @@ def davies_map(
         )
     if expansion not in ("resum", "dyson"):
         raise ValueError(f"unknown expansion {expansion!r}")
-    segments = _segment_edges(e)
-    calc = _Calculator(m, quad_order)
-    if not segments:
-        return DaviesResult(np.eye(4, dtype=complex), 0.0)
+    channels = (e.forward, e.side)
+    jumps = (forward_jump(m), side_jump(m))
+    extra = n_max - e.total_count if expansion == "dyson" else 0
+    shape = tuple(max((w.count for w in ch.windows), default=0) + 1 for ch in channels)
+    shape += (extra + 1 if e.forward.free or e.side.free else 1,)
+    eye = np.eye(math.prod(shape))
+    base = np.kron(eye, no_jump_generator(m))
 
-    budget = n_max - e.total_count
-    low_order = max(4, quad_order // 2)
-
-    def assemble(order):
-        total = np.zeros((4, 4), dtype=complex)
-        for counts_f in _channel_assignments(e.forward, segments):
-            for counts_s in _channel_assignments(e.side, segments):
-                if expansion == "resum":
-                    spec_lists = [_resum_specs(counts_f, counts_s, segments)]
-                else:
-                    spec_lists = _dyson_specs(counts_f, counts_s, segments, budget)
-                for specs in spec_lists:
-                    block = np.eye(4, dtype=complex)
-                    for spec, (a, b) in zip(specs, segments):
-                        block = block @ calc.segment_block(spec, b - a, order)
-                    total = total + block
-        return total
-
-    full = assemble(quad_order)
-    if e.total_count == 0 and expansion == "resum":
-        # every stretch is a plain semigroup exponential; no quadrature ran
-        err = 0.0
-    else:
-        err = float(np.linalg.norm(full - assemble(low_order)))
-    return DaviesResult(full, err)
+    row = np.kron(np.eye(1, len(eye)), np.eye(4, dtype=complex))
+    for a, b, *owners in _segments(e):
+        A = base.copy()
+        for axis, (ch, owner, J) in enumerate(zip(channels, owners, jumps)):
+            if owner is not None:
+                A += np.kron(_raise(shape, axis, ch.windows[owner].count), J)
+            elif ch.free:
+                A += np.kron(eye if expansion == "resum" else _raise(shape, 2, extra), J)
+        row = row @ expm((b - a) * A)
+        for axis, (ch, owner) in enumerate(zip(channels, owners)):
+            if owner is not None and b == ch.windows[owner].b:
+                row = _restart(row, shape, axis, ch.windows[owner].count)
+    return DaviesResult(row.reshape(4, *shape, 4)[:, 0, 0].sum(axis=1))
 
 
 def event_probability(
@@ -315,14 +157,13 @@ def event_probability(
     rho,
     e: Event,
     n_max: int = 6,
-    quad_order: int = 24,
     tol: float = 1e-8,
 ) -> float:
     """P[rho sees the event] = Tr(rho * map(I)); must land in [-tol, 1 + tol]."""
     from .linalg import I2, require_density_matrix
 
     rho = require_density_matrix(rho)
-    res = davies_map(m, e, n_max=n_max, quad_order=quad_order)
+    res = davies_map(m, e, n_max=n_max)
     p = float(np.real(np.trace(rho @ res(I2))))
     if p < -tol or p > 1.0 + tol:
         raise ArithmeticError(f"computed event probability {p} falls outside [0, 1]")

@@ -138,13 +138,9 @@ def shift_event(e: Event, dt: float, horizon: float) -> Event:
     )
 
 
-def _concat_channel(early: ChannelEvent, late: ChannelEvent, split: float, horizon: float) -> ChannelEvent:
+def _concat_channel(early: ChannelEvent, late: ChannelEvent) -> ChannelEvent:
     if early.outside != late.outside:
         raise ValueError("cannot concatenate channels with different outside policies")
-    if early.outside == OUTSIDE_ZERO:
-        # exactness must cover each part's full stretch, which it does by
-        # construction: early constrains [0, split), late [split, horizon)
-        pass
     return ChannelEvent(windows=early.windows + late.windows, outside=early.outside)
 
 
@@ -158,8 +154,8 @@ def concat_events(early: Event, late: Event) -> Event:
     horizon = s + late.horizon
     late_shifted = shift_event(late, s, horizon)
     return Event(
-        forward=_concat_channel(early.forward, late_shifted.forward, s, horizon),
-        side=_concat_channel(early.side, late_shifted.side, s, horizon),
+        forward=_concat_channel(early.forward, late_shifted.forward),
+        side=_concat_channel(early.side, late_shifted.side),
         horizon=horizon,
     )
 

@@ -18,13 +18,16 @@ integral-sum action to
 and because two adjacent absorption letters annihilate (V^dag is nilpotent),
 each gap between consecutive kept emission times holds at most one tau
 point, whose placement integral is one-dimensional.  Those one-dimensional
-integrals are done with the same Gauss-Legendre rule the counting maps use.
+integrals are done with a Gauss-Legendre rule.
 
 The oracle counting map then integrates amp^dag A amp over the event's
 photon configurations sector by sector (explicitly truncated at the total
-photon cap) and multiplies by the coherent normalization e^{-t|z|^2}.  None
-of this shares code paths with the analytic semigroup/jump construction, so
-agreement between the two pipelines checks the formulas, not the integrator.
+photon cap, with Gauss-Legendre rules on the ordered time simplices) and
+multiplies by the coherent normalization e^{-t|z|^2}.  The event is cut into
+segments and its counts spread over them by this module's own enumeration.
+None of this shares code paths with the analytic semigroup/jump
+construction, so agreement between the two pipelines checks the formulas,
+not the integrator.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .davies import _channel_assignments, _compositions, _segment_edges, _FREE, _shuffles
-from .events import Event
-from .linalg import I2
+from .events import ChannelEvent, Event
 from .model import Model, forward_jump, side_jump
 from .quadrature import effective_order, gauss_legendre_01, simplex_nodes
 
@@ -47,10 +48,10 @@ __all__ = [
     "driven_amplitude",
     "OracleResult",
     "oracle_davies_map",
-    "oracle_probability",
     "jump_limit_check",
 ]
 
+_FREE = -1  # per-segment count marker for an unconstrained channel
 _CHUNK = 1 << 16
 # sector integrals cap their per-axis order under this node budget; the
 # integrands are entire, so moderate orders already sit far below the
@@ -267,6 +268,70 @@ def _coherent_tail(lam: float, n_cap: int) -> float:
     return float(max(0.0, 1.0 - cdf))
 
 
+def _segment_edges(e: Event) -> list[tuple[float, float]]:
+    edges = {0.0, float(e.horizon)}
+    for ch in (e.forward, e.side):
+        for w in ch.windows:
+            edges.add(float(w.a))
+            edges.add(float(w.b))
+    cuts = sorted(edges)
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1e-15]
+
+
+def _channel_status(ch: ChannelEvent, segments) -> list[int | None]:
+    """Window index owning each segment, or None for outside-window segments."""
+    out = []
+    for a, b in segments:
+        mid = 0.5 * (a + b)
+        idx = None
+        for i, w in enumerate(ch.windows):
+            if w.a <= mid < w.b:
+                idx = i
+                break
+        out.append(idx)
+    return out
+
+
+def _compositions(total: int, parts: int):
+    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _channel_assignments(ch: ChannelEvent, segments):
+    """Yield per-segment counts (int, or _FREE outside a free channel)."""
+    status = _channel_status(ch, segments)
+    outside_val = _FREE if ch.free else 0
+    per_window_segments = [
+        [k for k, s in enumerate(status) if s == i] for i in range(len(ch.windows))
+    ]
+    window_splits = [
+        list(_compositions(w.count, len(segs)))
+        for w, segs in zip(ch.windows, per_window_segments)
+    ]
+    for split_choice in itertools.product(*window_splits):
+        counts = [outside_val if s is None else 0 for s in status]
+        for segs, split in zip(per_window_segments, split_choice):
+            for k, c in zip(segs, split):
+                counts[k] = c
+        yield counts
+
+
+def _shuffles(n_f: int, n_s: int):
+    """All time-ordered channel words with n_f forward and n_s side letters."""
+    n = n_f + n_s
+    for fpos in itertools.combinations(range(n), n_f):
+        word = ["s"] * n
+        for p in fpos:
+            word[p] = "f"
+        yield tuple(word)
+
+
 def _explicit_assignments(e: Event, segments, n_max: int):
     """Per-segment (k_f, k_s) exact counts, free stretches expanded to the cap."""
     for counts_f in _channel_assignments(e.forward, segments):
@@ -362,12 +427,6 @@ def _ad_batch(amp: np.ndarray) -> np.ndarray:
     at = amp.transpose(0, 2, 1)
     ad = amp.conj().transpose(0, 2, 1)
     return np.einsum("bij,bkl->bikjl", at, ad).reshape(amp.shape[0], 4, 4)
-
-
-def oracle_probability(m: Model, rho, e: Event, **kwargs) -> float:
-    """Tr(rho * oracle_map(I)), for cross-checking event probabilities."""
-    res = oracle_davies_map(m, e, **kwargs)
-    return float(np.real(np.trace(np.asarray(rho, dtype=complex) @ res(I2))))
 
 
 def jump_limit_check(m: Model, t_list, n_max: int = 4, quad_order: int = 24) -> dict:

@@ -82,11 +82,6 @@ class Model:
         for name in ("V", "V_f", "V_s", "P"):
             getattr(self, name).setflags(write=False)
 
-    @property
-    def driven(self) -> bool:
-        """Whether the laser amplitude is nonzero (renewal limits need this)."""
-        return abs(self.z) > 0.0
-
 
 def build_model(kappa_f, kappa_s, z) -> Model:
     """Construct a :class:`Model`, renormalizing the channel amplitudes.

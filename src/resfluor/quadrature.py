@@ -1,12 +1,13 @@
 """Gauss-Legendre rules on intervals and on ordered time simplices.
 
-The counting-map integrals are over ordered jump times
-0 < v_1 < ... < v_n < T.  We map the unit cube onto that simplex with the
+The kernel oracle (:mod:`resfluor.guichardet`) integrates over ordered
+photon times 0 < v_1 < ... < v_n < T; the verify battery's brute-force
+amplitude uses the interval rule.  We map the unit cube onto that simplex with the
 triangular substitution v_k = T * u_k * u_{k+1} * ... * u_n (Jacobian
 T^n * prod_k u_{k+1}^1 ... ), tensor a 1D Gauss-Legendre rule over the cube,
 and hand back the inter-arrival gaps d_1 = v_1, d_k = v_k - v_{k-1},
 d_{n+1} = T - v_n alongside the weights.  Integrands here are products of
-matrix exponentials, so the rule converges spectrally.
+exponentials in the times, so the rule converges spectrally.
 
 For dimensions above four the per-axis order is capped so the node count
 stays below a fixed budget; the integrands are entire, so the capped orders

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .linalg import I2, require_density_matrix, vec
 from .model import Model, no_side_count_generator, side_jump
@@ -191,7 +190,7 @@ def theoretical_cdf(m: Model, rho, which: str, x) -> np.ndarray:
 
     The 'later' CDF integrates z; the 'first' CDF integrates the actual X_1
     density |kappa_s|^2 * z_first.  Monotone, 0 at 0, and tending to 1 for a
-    driven atom.
+    driven atom; roundoff of the eigen antiderivative is clipped to [0, 1].
     """
     rho = require_density_matrix(rho)
     tools = _ZTools(m)
@@ -206,6 +205,7 @@ def theoretical_cdf(m: Model, rho, which: str, x) -> np.ndarray:
         vals = tools.ks2 * tools.component_integral(xs, vec(m.P), vec(rho))
     else:
         raise ValueError("which must be 'first' or 'later'")
+    vals = np.clip(vals, 0.0, 1.0)
     return vals if np.ndim(x) else float(vals[0])
 
 
@@ -248,6 +248,8 @@ def renewal_test(
     side-click times).  Infinite or missing intervals are excluded from the
     CDF comparisons and show up only through the sample sizes.
     """
+    from scipy import stats  # only here: it dominates the package's import time
+
     rho = require_density_matrix(rho)
     inter = _side_inter_arrivals(trajs)
     x1 = np.array([xs[0] for xs in inter if len(xs) >= 1])

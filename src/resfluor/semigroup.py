@@ -1,42 +1,21 @@
 """Fast batched evaluation of exp(x*G) for a fixed 4x4 generator.
 
-The counting-map quadratures evaluate one and the same semigroup at very many
-times, so we eigendecompose the generator once and evaluate
-U diag(e^{lambda x}) U^{-1} in a single einsum.  If the generator is too
-close to defective for that to be trustworthy, a batched
-scaling-and-squaring fallback is used instead; both paths are exercised by
-the test suite against the plain series exponential.  At x = 0 both paths
-return the identity exactly (Z_0 = Id), so exact-zero endpoints such as the
-antibunching zero of the side-click density stay exactly zero.
+The trajectory sampler and the renewal densities evaluate one and the same
+semigroup at very many times, so we eigendecompose the generator once and
+evaluate U diag(e^{lambda x}) U^{-1} in a single einsum.  If the generator is
+too close to defective for that to be trustworthy, ``scipy.linalg.expm`` is
+applied to the whole stack instead; both paths are checked by the test suite
+against ``expm`` point by point.  At x = 0 both paths return the identity
+exactly (Z_0 = Id), so exact-zero endpoints such as the antibunching zero of
+the side-click density stay exactly zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .linalg import superop_exp
+from scipy.linalg import expm
 
 __all__ = ["SemigroupCache"]
-
-
-def _batch_expm(G: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring of x*G for an array of x >= 0, vectorized."""
-    xs = np.asarray(xs, dtype=float)
-    d = G.shape[0]
-    xmax = float(np.max(xs, initial=0.0))
-    norm = np.linalg.norm(G, 2) * xmax
-    s = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    M = (xs[:, None, None] / 2**s) * G
-    out = np.broadcast_to(np.eye(d, dtype=complex), M.shape).copy()
-    term = out.copy()
-    for k in range(1, 60):
-        term = term @ M / k
-        out = out + term
-        if np.abs(term).max() <= 1e-16 * max(1.0, np.abs(out).max()):
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
 
 
 class SemigroupCache:
@@ -73,14 +52,6 @@ class SemigroupCache:
             ph = np.exp(np.outer(xs, self.lam))
             out = np.einsum("ij,bj,jk->bik", self.U, ph, self.Uinv)
         else:
-            out = _batch_expm(self.G, xs)
+            out = expm(xs[:, None, None] * self.G)
         out[xs == 0.0] = np.eye(self.G.shape[0])
         return out[0] if scalar else out
-
-    def at_checked(self, x: float) -> np.ndarray:
-        """Scalar evaluation cross-checked against the series exponential."""
-        fast = self.at(float(x))
-        ref = superop_exp(self.G, float(x)) if self.G.shape == (4, 4) else None
-        if ref is not None and np.linalg.norm(fast - ref) > 1e-9 * max(1.0, np.linalg.norm(ref)):
-            return ref
-        return fast

@@ -206,7 +206,7 @@ def run_battery(cfg: RunConfig) -> dict:
     t1 = 0.075
     ev1 = Event(forward=free_channel(), side=exact_count(0.0, t1, 1), horizon=t1)
     ora = oracle_davies_map(m, ev1, n_max=n_max)
-    dav = davies_map(m, ev1, n_max=cfg.n_max, quad_order=cfg.quad_order)
+    dav = davies_map(m, ev1, n_max=cfg.n_max)
     checks.append(
         _check(
             "one-side-photon-cross",
@@ -267,7 +267,7 @@ def run_battery(cfg: RunConfig) -> dict:
     # Dyson route against the exponential, explicitly truncated
     t3, cap = 0.15, min(cfg.n_max, 6)
     evf3 = Event(forward=free_channel(), side=free_channel(), horizon=t3)
-    dy = davies_map(m, evf3, n_max=cap, quad_order=cfg.quad_order, expansion="dyson")
+    dy = davies_map(m, evf3, n_max=cap, expansion="dyson")
     tail = dyson_truncation_tail(m, t3, cap)
     checks.append(
         _check(

@@ -1,0 +1,106 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import resfluor
+from resfluor.cli import run
+from resfluor.events import Event, event_to_json, exact_count, free_channel
+
+SMALL = {"grid_stop": 2.0, "grid_num": 11, "n_traj": 40, "horizon": 5.0}
+
+
+def _config(tmp_path, **overrides) -> Path:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**SMALL, **overrides}))
+    return path
+
+
+def _trajectories(cfg, out, *extra) -> Path:
+    assert run(["trajectories", "--config", str(cfg), "--out", str(out), *extra]) == 0
+    return out / "trajectories.csv"
+
+
+def test_every_subcommand_writes_its_files(tmp_path):
+    cfg = _config(tmp_path)
+    events = tmp_path / "events.json"
+    ev = Event(forward=free_channel(), side=exact_count(0.0, 0.5, 1), horizon=0.5)
+    events.write_text("[" + event_to_json(ev) + "]")
+    traj = _trajectories(cfg, tmp_path / "traj")
+    assert (tmp_path / "traj" / "summary.json").is_file()
+    runs = {
+        "evolve": (["evolve"], ["evolve.csv"]),
+        "event-prob": (["event-prob", "--events", str(events)], ["event_prob.json"]),
+        "waiting-time": (["waiting-time"], ["waiting.csv"]),
+        "renewal-stats": (
+            ["renewal-stats", "--traj", str(traj)],
+            ["renewal_report.json", "waiting.csv"],
+        ),
+    }
+    for name, (argv, files) in runs.items():
+        out = tmp_path / name
+        assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 0, name
+        for f in files:
+            assert (out / f).stat().st_size > 0, (name, f)
+    probs = json.loads((tmp_path / "event-prob" / "event_prob.json").read_text())
+    assert 0.0 < float(probs["probabilities"][0]) < 1.0
+
+
+def test_bad_input_exits_one(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run(["evolve", "--config", str(bad), "--out", str(tmp_path / "a")]) == 1
+    assert run(["evolve", "--out", str(tmp_path / "b"), "--no-such-flag"]) == 1
+    unknown_key = _config(tmp_path, no_such_key=1)
+    assert run(["evolve", "--config", str(unknown_key), "--out", str(tmp_path / "c")]) == 1
+
+
+def test_trajectories_identical_across_thread_counts(tmp_path):
+    cfg = _config(tmp_path)
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        _trajectories(cfg, out, "--threads", threads)
+        files[threads] = [(out / f).read_bytes() for f in ("trajectories.csv", "summary.json")]
+    assert files["1"] == files["2"]
+
+
+@pytest.mark.parametrize("horizon, n_traj", [(3.0, 400), (0.01, 5)])
+def test_renewal_stats_counts_every_trajectory(tmp_path, horizon, n_traj):
+    # trajectories without a side click, last ones included, still count
+    cfg = _config(tmp_path, horizon=horizon, n_traj=n_traj)
+    traj = _trajectories(cfg, tmp_path / "traj")
+    out = tmp_path / "renewal"
+    assert run(["renewal-stats", "--config", str(cfg), "--traj", str(traj), "--out", str(out)]) == 0
+    report = json.loads((out / "renewal_report.json").read_text())
+    assert report["n_traj"] == n_traj
+    for tail in report["counts_tail"].values():
+        assert all(0.0 <= float(v) <= 1.0 for v in tail.values())
+
+
+def test_renewal_stats_rejects_csv_without_count(tmp_path):
+    cfg = _config(tmp_path)
+    traj = _trajectories(cfg, tmp_path / "traj")
+    lines = [l for l in traj.read_text().splitlines() if not l.startswith("# n_traj=")]
+    stripped = tmp_path / "stripped.csv"
+    stripped.write_text("\n".join(lines) + "\n")
+    argv = ["renewal-stats", "--config", str(cfg), "--traj", str(stripped)]
+    assert run([*argv, "--out", str(tmp_path / "renewal")]) == 1
+
+
+def test_module_entry_point(tmp_path):
+    cfg = _config(tmp_path)
+    src = str(Path(resfluor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "resfluor", "evolve", "--config", str(cfg), "--out", str(tmp_path / "o")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "o" / "evolve.csv").stat().st_size > 0

@@ -109,6 +109,16 @@ def test_theoretical_cdf_properties(sym_model):
         theoretical_cdf(sym_model, g, "nope", 1.0)
 
 
+def test_theoretical_cdf_never_exceeds_one(sym_model):
+    # far in the tail the eigen antiderivative rounds to 1 + O(1e-15); a CDF
+    # fed to the KS test and the decile binning must stay inside [0, 1]
+    for rho in (ground_state(), excited_state()):
+        for which in ("later", "first"):
+            F = theoretical_cdf(sym_model, rho, which, np.array([0.0, 1e3, 1e6]))
+            assert np.all((0.0 <= F) & (F <= 1.0))
+            assert theoretical_cdf(sym_model, rho, which, 1e6) <= 1.0
+
+
 def test_theoretical_cdf_against_adaptive_quadrature(sym_model):
     g = ground_state()
 

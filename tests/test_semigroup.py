@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from resfluor.semigroup import SemigroupCache, _batch_expm
+from resfluor.semigroup import SemigroupCache
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -30,16 +30,6 @@ def test_defective_generator_falls_back():
         assert np.linalg.norm(out[k] - expm(x * G)) < 1e-12
 
 
-def test_batch_expm_direct():
-    rng = np.random.default_rng(17)
-    G = rng.normal(size=(4, 4))
-    xs = np.array([0.0, 0.3, 1.7, 4.0])
-    out = _batch_expm(G, xs)
-    for k, x in enumerate(xs):
-        ref = expm(x * G)
-        assert np.linalg.norm(out[k] - ref) < 1e-11 * max(1.0, np.linalg.norm(ref))
-
-
 def test_scalar_argument_shape():
     G = np.diag([-1.0, -2.0, -3.0, -4.0]).astype(complex)
     sg = SemigroupCache(G)
@@ -65,4 +55,3 @@ def test_identity_exact_at_zero():
         assert np.array_equal(out[0], np.eye(4))
         assert np.array_equal(out[2], np.eye(4))
         assert not np.array_equal(out[1], np.eye(4))
-    assert np.array_equal(_batch_expm(G_jordan, xs)[0], np.eye(4))
