@@ -34,6 +34,7 @@ from .guichardet import (
     OracleResult,
     driven_amplitude,
     integral_sum_kernel,
+    integral_sum_kernel_batch,
     jump_limit_check,
     oracle_davies_map,
 )

@@ -107,8 +107,8 @@ def _cmd_evolve(args) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for t in cfg.grid():
-        T = master_map(m, float(t))
+    grid = cfg.grid()
+    for t, T in zip(grid, master_map(m, grid)):
         rho_t = apply_superop(T.conj().T, rho0)  # Schroedinger dual
         TP = apply_superop(T, EXCITED_PROJ)
         row = [float(t)]

@@ -3,9 +3,12 @@
 The reversible atom-field evolution has an explicit integral-sum kernel: for
 four disjoint finite sets of times (forward/side emissions sigma_f, sigma_s
 and forward/side absorptions tau_f, tau_s) the kernel is an alternating
-product of no-decay exponentials exp(-(dt/2) V^dag V) and channel letters
-(V_f, V_s for emissions; -V_f^dag, -V_s^dag for absorptions), read from the
-latest time leftward, and it vanishes unless all times lie in [0, t].
+product of free evolutions D(dt) = exp(-(dt/2) V^dag V) = diag(e^(-dt/2), 1)
+and channel letters (V_f, V_s for emissions; -V_f^dag, -V_s^dag for
+absorptions), read from the latest time leftward, and it vanishes unless all
+times lie in [0, t].  :func:`integral_sum_kernel_batch` evaluates it at many
+argument tuples that share one letter order; :func:`integral_sum_kernel` is
+its one-tuple form.
 
 Evaluating the evolution on the driven coherent vector (laser of amplitude z
 on the forward channel, vacuum on the side channel) collapses the
@@ -17,8 +20,10 @@ integral-sum action to
 
 and because two adjacent absorption letters annihilate (V^dag is nilpotent),
 each gap between consecutive kept emission times holds at most one tau
-point, whose placement integral is one-dimensional.  Those one-dimensional
-integrals are done with a Gauss-Legendre rule.
+point, whose placement integral is one-dimensional.  Since D is diagonal,
+that integral has a closed form, derived from the kernel in
+:func:`_bridged`.  Batches of 2x2 matrices are multiplied entrywise over
+the batch.
 
 The oracle counting map then integrates amp^dag A amp over the event's
 photon configurations sector by sector (explicitly truncated at the total
@@ -33,18 +38,21 @@ not the integrator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .events import ChannelEvent, Event
 from .model import Model, forward_jump, side_jump
-from .quadrature import effective_order, gauss_legendre_01, simplex_nodes
+from .quadrature import simplex_nodes
 
 __all__ = [
     "GuichardetPoint",
     "KernelArgs",
     "integral_sum_kernel",
+    "integral_sum_kernel_batch",
     "driven_amplitude",
     "OracleResult",
     "oracle_davies_map",
@@ -104,33 +112,117 @@ class KernelArgs:
             raise ValueError("kernel argument sets must be pairwise disjoint")
 
 
-def _no_decay_factor(dt):
-    """exp(-(dt/2) V^dag V) = diag(e^(-dt/2), 1)."""
-    out = np.zeros(np.shape(dt) + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(-np.asarray(dt) / 2.0)
-    out[..., 1, 1] = 1.0
+# Batched 2x2 matrices are held entrywise as (m00, m01, m10, m11); each entry
+# is a scalar or a (B,) array, and None marks a structural zero.  The kernel's
+# letters and gap factors are diagonal or single-entry, so skipping the zeros
+# leaves about two of the eight scalar products per matrix product.
+
+
+def _entries(M) -> tuple:
+    """A constant 2x2 matrix in entrywise form."""
+    return tuple(None if v == 0 else complex(v) for v in np.asarray(M).ravel())
+
+
+def _dot(x1, y1, x2, y2):
+    """x1*y1 + x2*y2 with None as zero."""
+    p = None if x1 is None or y1 is None else x1 * y1
+    q = None if x2 is None or y2 is None else x2 * y2
+    if p is None:
+        return q
+    return p if q is None else p + q
+
+
+def _mul(a, b) -> tuple:
+    """Matrix product of two entrywise 2x2 batches."""
+    return (
+        _dot(a[0], b[0], a[1], b[2]),
+        _dot(a[0], b[1], a[1], b[3]),
+        _dot(a[2], b[0], a[3], b[2]),
+        _dot(a[2], b[1], a[3], b[3]),
+    )
+
+
+def _dense(a, B: int) -> np.ndarray:
+    """Entrywise batch as a (4, B) complex array, rows m00, m01, m10, m11."""
+    out = np.zeros((4, B), dtype=complex)
+    for k, v in enumerate(a):
+        if v is not None:
+            out[k] = v
     return out
+
+
+def _free(x) -> tuple:
+    """exp(-(x/2) V^dag V) = D(x) = diag(e^(-x/2), 1)."""
+    return (np.exp(-np.asarray(x) / 2.0), None, None, 1.0)
+
+
+def _bridged(X: tuple, length) -> tuple:
+    """One letter X integrated across a gap: int_a^b D(b-u) X D(u-a) du.
+
+    D is diagonal with D_00(x) = e^(-x/2) and D_11(x) = 1, so entry (i, j) is
+    X_ij times phi_ij(L) = int_0^L D_ii(L-v) D_jj(v) dv with L = b - a:
+    phi_00 = L e^(-L/2) (the two decays multiply to e^(-L/2) for every v),
+    phi_11 = L, and phi_01 = phi_10 = int_0^L e^(-v/2) dv = -2 expm1(-L/2).
+    expm1 keeps full relative accuracy on gaps far shorter than one.
+    """
+    length = np.asarray(length, dtype=float)
+    edge = -2.0 * np.expm1(-length / 2.0)
+    phi = (length * np.exp(-length / 2.0), edge, edge, length)
+    return tuple(None if x is None else x * p for x, p in zip(X, phi))
+
+
+def _letter_table(m: Model) -> dict[str, tuple]:
+    return {
+        "sigma_f": _entries(m.V_f),
+        "sigma_s": _entries(m.V_s),
+        "tau_f": _entries(-m.V_f.conj().T),
+        "tau_s": _entries(-m.V_s.conj().T),
+    }
+
+
+def integral_sum_kernel_batch(m: Model, t: float, times, letters) -> np.ndarray:
+    """The kernel at B argument tuples that share one letter order.
+
+    ``letters`` names the set each time column belongs to ('sigma_f',
+    'sigma_s', 'tau_f' or 'tau_s'), and every row of ``times`` (shape (B, n))
+    is strictly increasing, so the columns are in time order.  Rows with a
+    time outside [0, t] give zero (the kernel's indicator).  Returns a
+    (B, 2, 2) stack.
+    """
+    table = _letter_table(m)
+    letters = tuple(letters)
+    if any(name not in table for name in letters):
+        raise ValueError(f"letters must be among {sorted(table)}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 2 or times.shape[1] != len(letters):
+        raise ValueError(
+            f"times must have shape (B, {len(letters)}), got {times.shape}"
+        )
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if np.any(np.diff(times, axis=1) <= 0):
+        raise ValueError("each row of times must be strictly increasing")
+    B = times.shape[0]
+    out = (1.0, None, None, 1.0)
+    prev = 0.0
+    for k, name in enumerate(letters):
+        out = _mul(table[name], _mul(_free(times[:, k] - prev), out))
+        prev = times[:, k]
+    out = _dense(_mul(_free(t - prev), out), B)
+    inside = np.all((times >= 0.0) & (times <= t), axis=1)
+    out = np.where(inside, out, 0.0)
+    return out.T.reshape(B, 2, 2)
 
 
 def integral_sum_kernel(m: Model, t: float, args: KernelArgs) -> np.ndarray:
     """Direct evaluation of the kernel at one argument tuple."""
-    letters = []
-    for pt, mat in (
-        (args.sigma_f, m.V_f),
-        (args.sigma_s, m.V_s),
-        (args.tau_f, -m.V_f.conj().T),
-        (args.tau_s, -m.V_s.conj().T),
-    ):
-        letters.extend((x, mat) for x in pt.times)
-    letters.sort(key=lambda p: p[0])
-    if any(x < 0.0 or x > t for x, _ in letters):
-        return np.zeros((2, 2), dtype=complex)
-    out = np.eye(2, dtype=complex)
-    prev = 0.0
-    for x, mat in letters:
-        out = mat @ _no_decay_factor(x - prev)[()] @ out
-        prev = x
-    return _no_decay_factor(t - prev)[()] @ out
+    letters = sorted(
+        (x, name)
+        for name in ("sigma_f", "sigma_s", "tau_f", "tau_s")
+        for x in getattr(args, name).times
+    )
+    times = np.array([[x for x, _ in letters]], dtype=float)
+    return integral_sum_kernel_batch(m, t, times, [name for _, name in letters])[0]
 
 
 def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels, m_tau: int) -> np.ndarray:
@@ -138,80 +230,54 @@ def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels, m_tau: int) 
 
     ``times`` has shape (B, n) with rows sorted increasingly; ``labels`` is a
     length-n tuple of 'f'/'s' channel tags shared by the whole batch.
-    Returns a (B, 2, 2) stack.
+    Returns a (4, B) array of the entries m00, m01, m10, m11.
     """
-    B, n = times.shape
+    B = times.shape[0]
     z = m.z
-    letter = {"f": m.V_f, "s": m.V_s}
-    absorb = -m.V_f.conj().T
-    q = effective_order(24, 1)
-    gx, gw = gauss_legendre_01(q)
+    table = _letter_table(m)
+    letter = {"f": table["sigma_f"], "s": table["sigma_s"]}
+    absorb = table["tau_f"]
+
+    # gap factors depend only on the pair of fixed times bounding the gap
+    # (None for the horizon ends), so every kept-emission mask shares them
+    gaps: dict[tuple, tuple] = {}
+
+    def gap(lo, hi, with_tau):
+        key = (lo, hi, with_tau)
+        if key not in gaps:
+            a = 0.0 if lo is None else times[:, lo]
+            b = t if hi is None else times[:, hi]
+            gaps[key] = _bridged(absorb, b - a) if with_tau else _free(b - a)
+        return gaps[key]
 
     f_slots = [i for i, lab in enumerate(labels) if lab == "f"]
-
-    out = np.zeros((B, 2, 2), dtype=complex)
+    out = np.zeros((4, B), dtype=complex)
     for kept_mask in itertools.product((True, False), repeat=len(f_slots)):
         dropped = sum(1 for k in kept_mask if not k)
         if z == 0 and dropped > 0:
             continue
         kept_f = {slot for slot, k in zip(f_slots, kept_mask) if k}
         fixed = [i for i, lab in enumerate(labels) if lab == "s" or i in kept_f]
-        mfix = len(fixed)
-        # gap g = 0..mfix spans (previous fixed time, next fixed time), the
-        # horizon ends closing the first and last gaps
-        lows = [np.zeros(B) if g == 0 else times[:, fixed[g - 1]] for g in range(mfix + 1)]
-        highs = [np.full(B, t) if g == mfix else times[:, fixed[g]] for g in range(mfix + 1)]
-
-        def plain_gap(g):
-            return _no_decay_factor(highs[g] - lows[g])
-
-        def bridged_gap(g):
-            # one absorption letter integrated across the gap:
-            # integral over u of D(b-u) @ absorb @ D(u-a); D is diagonal with
-            # entries (e^(-x/2), 1), so accumulate the diagonals as scalars
-            a, b = lows[g], highs[g]
-            length = b - a
-            u = a[:, None] + length[:, None] * gx[None, :]
-            dl = np.empty((B, q, 2))
-            dl[:, :, 0] = np.exp(-(b[:, None] - u) / 2.0)
-            dl[:, :, 1] = 1.0
-            dr = np.empty((B, q, 2))
-            dr[:, :, 0] = np.exp(-(u - a[:, None]) / 2.0)
-            dr[:, :, 1] = 1.0
-            pair = np.einsum("q,bqi,bqj->bij", gw, dl, dr) * length[:, None, None]
-            return pair * absorb[None, :, :]
-
-        # only tau patterns covering every interior gap survive: two emission
-        # letters with nothing but an exponential in between annihilate, so
-        # the free choices are the two end gaps
-        free_slots = sorted(set([0, mfix]))
-        base_tau = [False] * (mfix + 1)
-        for g in range(1, mfix):
-            base_tau[g] = True
-        n_interior = sum(base_tau)
-
-        cache: dict[tuple[int, bool], np.ndarray] = {}
-
-        def gap_factor(g, with_tau):
-            key = (g, with_tau)
-            if key not in cache:
-                cache[key] = bridged_gap(g) if with_tau else plain_gap(g)
-            return cache[key]
-
-        for ends in itertools.product((False, True), repeat=len(free_slots)):
-            tau_gaps = list(base_tau)
-            for g, flag in zip(free_slots, ends):
-                tau_gaps[g] = tau_gaps[g] or flag
-            n_tau = sum(tau_gaps)
-            if n_tau > m_tau:
-                continue
-            if z == 0 and n_tau > 0:
-                continue
-            word = gap_factor(mfix, tau_gaps[mfix])
-            for g in range(mfix - 1, -1, -1):
-                word = word @ letter[labels[fixed[g]]]
-                word = word @ gap_factor(g, tau_gaps[g])
-            out += z ** (dropped + n_tau) * word
+        # gap g = 0..len(fixed) spans (fixed[g-1], fixed[g]), the horizon ends
+        # closing the first and last gaps.  Two emission letters with nothing
+        # but an exponential in between annihilate, so every interior gap
+        # holds one absorption and only the end gaps are free to hold none.
+        bounds = [None, *fixed, None]
+        n_interior = max(len(fixed) - 1, 0)
+        if fixed:
+            core = letter[labels[fixed[0]]]
+            for g in range(1, len(fixed)):
+                core = _mul(gap(bounds[g], bounds[g + 1], True), core)
+                core = _mul(letter[labels[fixed[g]]], core)
+        for tau_left in (False, True):
+            for tau_right in (False, True) if fixed else (False,):
+                n_tau = n_interior + tau_left + tau_right
+                if n_tau > m_tau or (z == 0 and n_tau > 0):
+                    continue
+                word = gap(None, bounds[1], tau_left)
+                if fixed:
+                    word = _mul(gap(bounds[-2], None, tau_right), _mul(core, word))
+                out += z ** (dropped + n_tau) * _dense(word, B)
     return out
 
 
@@ -232,7 +298,7 @@ def driven_amplitude(m: Model, t: float, omega_f, omega_s, m_tau: int = 6) -> np
         raise ValueError("forward and side times must be disjoint")
     labels = tuple(lab for _, lab in merged)
     times = np.array([[x for x, _ in merged]], dtype=float)
-    return _amplitude_batch(m, float(t), times, labels, m_tau)[0]
+    return _amplitude_batch(m, float(t), times, labels, m_tau)[:, 0].reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -244,12 +310,15 @@ class OracleResult:
     scatters additional photons on top of the laser ones, so this
     estimator undercounts; ``tail_bound`` repeats the computation at the
     bounded interaction rate 2|z|^2 + 1 and is the number tolerances
-    should use.
+    should use.  ``diagnostics`` holds deterministic work counts: the
+    number of photon sectors integrated and the quadrature nodes summed
+    over them.
     """
 
     matrix: np.ndarray
     truncation_error: float
     tail_bound: float = 0.0
+    diagnostics: Mapping[str, int] = field(default_factory=dict)
 
     def __call__(self, A) -> np.ndarray:
         from .linalg import apply_superop
@@ -377,22 +446,32 @@ def oracle_davies_map(
     t = float(e.horizon)
     segments = _segment_edges(e)
     total = np.zeros((4, 4), dtype=complex)
+    sectors = nodes = 0
     for kf, ks in _explicit_assignments(e, segments, n_max):
         for seg_words in itertools.product(
             *[list(_shuffles(kf[i], ks[i])) for i in range(len(segments))]
         ):
             labels = tuple(lab for word in seg_words for lab in word)
-            total += _sector_integral(m, t, segments, seg_words, labels, quad_order, m_tau)
+            part, n_nodes = _sector_integral(
+                m, t, segments, seg_words, labels, quad_order, m_tau
+            )
+            total += part
+            sectors += 1
+            nodes += n_nodes
     total *= np.exp(-t * abs(m.z) ** 2)
     return OracleResult(
         total,
         _coherent_tail(t * abs(m.z) ** 2, n_max),
         _coherent_tail(t * (2.0 * abs(m.z) ** 2 + 1.0), n_max),
+        MappingProxyType({"sectors": sectors, "nodes": nodes}),
     )
 
 
 def _sector_integral(m, t, segments, seg_words, labels, quad_order, m_tau):
-    """Tensor the per-segment simplex rules and integrate Ad[amp] over them."""
+    """Tensor the per-segment simplex rules and integrate Ad[amp] over them.
+
+    Returns the 4x4 integral and the number of quadrature nodes.
+    """
     ndim_total = len(labels)
     per_seg = []
     for (a, b), word in zip(segments, seg_words):
@@ -404,12 +483,13 @@ def _sector_integral(m, t, segments, seg_words, labels, quad_order, m_tau):
         per_seg.append((times + a, w))
     if not per_seg:
         amp = _amplitude_batch(m, t, np.zeros((1, 0)), (), m_tau)
-        return _ad_batch(amp)[0]
+        return _ad_sum(np.ones(1), amp), 1
 
     sizes = [p[0].shape[0] for p in per_seg]
+    n_nodes = int(np.prod(sizes))
     out = np.zeros((4, 4), dtype=complex)
-    for flat_start in range(0, int(np.prod(sizes)), _CHUNK):
-        flat = np.arange(flat_start, min(flat_start + _CHUNK, int(np.prod(sizes))))
+    for flat_start in range(0, n_nodes, _CHUNK):
+        flat = np.arange(flat_start, min(flat_start + _CHUNK, n_nodes))
         idx = np.unravel_index(flat, sizes)
         times = np.concatenate(
             [per_seg[k][0][idx[k]] for k in range(len(per_seg))], axis=1
@@ -417,16 +497,19 @@ def _sector_integral(m, t, segments, seg_words, labels, quad_order, m_tau):
         weights = np.ones(len(flat))
         for k in range(len(per_seg)):
             weights = weights * per_seg[k][1][idx[k]]
-        amp = _amplitude_batch(m, t, times, labels, m_tau)
-        out += np.einsum("b,bij->ij", weights, _ad_batch(amp))
-    return out
+        out += _ad_sum(weights, _amplitude_batch(m, t, times, labels, m_tau))
+    return out, n_nodes
 
 
-def _ad_batch(amp: np.ndarray) -> np.ndarray:
-    """Ad[amp] = kron(amp^T, amp^dag) for a (B, 2, 2) stack."""
-    at = amp.transpose(0, 2, 1)
-    ad = amp.conj().transpose(0, 2, 1)
-    return np.einsum("bij,bkl->bikjl", at, ad).reshape(amp.shape[0], 4, 4)
+def _ad_sum(w: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """sum_b w_b Ad[amp_b] for amplitudes given entrywise as a (4, B) array.
+
+    Ad[M] = kron(M^T, M^dag) has entry [2i+k, 2j+l] = M_ji conj(M_lk), so
+    the sum is the weighted Gram matrix G[p, q] = sum_b w_b M_p conj(M_q) of
+    the entries p = 2j+i, q = 2l+k, with its indices regrouped.
+    """
+    gram = (amp * w) @ amp.conj().T
+    return gram.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
 
 
 def jump_limit_check(m: Model, t_list, n_max: int = 4, quad_order: int = 24) -> dict:

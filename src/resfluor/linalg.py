@@ -80,19 +80,24 @@ def mat_exp(M, t: float = 1.0) -> np.ndarray:
     return expm(t * M)
 
 
-def superop_exp(G, t: float) -> np.ndarray:
+def superop_exp(G, t) -> np.ndarray:
     """exp(t*G) for a superoperator generator G, t >= 0.
 
-    Only forward semigroups are exposed here; a negative t raises.
+    ``t`` is a scalar, giving a 4x4 matrix, or a 1-D array of times, giving
+    a (len(t), 4, 4) stack from one stacked ``expm`` call.  Only forward
+    semigroups are exposed here; a negative time raises.
     """
     G = np.asarray(G, dtype=complex)
     if G.shape != (4, 4):
         raise ValueError(f"expected a 4x4 superoperator, got shape {G.shape}")
-    if not np.isfinite(t):
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"expected a scalar or 1-D array of times, got shape {ts.shape}")
+    if not np.all(np.isfinite(ts)):
         raise ValueError("superop_exp requires finite t")
-    if t < 0:
+    if np.any(ts < 0):
         raise ValueError("superop_exp requires t >= 0 (forward semigroup)")
-    return expm(t * G)
+    return expm(ts[..., None, None] * G)
 
 
 def ad_map(M) -> np.ndarray:

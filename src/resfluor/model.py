@@ -188,9 +188,12 @@ def master_generator(m: Model) -> np.ndarray:
     return no_jump_generator(m) + forward_jump(m) + side_jump(m)
 
 
-def master_map(m: Model, t: float) -> np.ndarray:
-    """T_t = exp(t (L0 + J_f + J_s)); requires t >= 0."""
-    if t < 0:
+def master_map(m: Model, t) -> np.ndarray:
+    """T_t = exp(t (L0 + J_f + J_s)); requires t >= 0.
+
+    A 1-D array of times gives the (len(t), 4, 4) stack of maps.
+    """
+    if np.any(np.asarray(t) < 0):
         raise ValueError("master_map requires t >= 0")
     return superop_exp(master_generator(m), t)
 

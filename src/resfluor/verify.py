@@ -23,10 +23,8 @@ from .config import RunConfig, format_float
 from .davies import davies_map, dyson_truncation_tail
 from .events import Event, exact_count, free_channel, zero_photons, concat_events
 from .guichardet import (
-    GuichardetPoint,
-    KernelArgs,
     driven_amplitude,
-    integral_sum_kernel,
+    integral_sum_kernel_batch,
     jump_limit_check,
     oracle_davies_map,
 )
@@ -84,13 +82,17 @@ def reference_side_amplitude(m, t: float, s: float) -> np.ndarray:
 
 
 def amplitude_by_region_quadrature(m, t: float, omega_f, omega_s, order: int = 48) -> np.ndarray:
-    """Brute-force driven amplitude: explicit kernel calls, region by region.
+    """Brute-force driven amplitude: the kernel integrated region by region.
 
-    Independent of the bridged fast path: enumerates kept forward emissions
-    and up to two absorption times, splits the absorption domain at the
-    emission times so every region is smooth, and integrates with a tensor
-    Gauss-Legendre rule.  Only supports one emission (either channel), which
-    is all the battery needs.
+    Independent of the oracle's closed-form gap integrals: it enumerates the
+    kept forward emissions and up to two absorption times, splits the
+    absorption domain at the emission times so every region is smooth, and
+    integrates the kernel (:func:`integral_sum_kernel_batch`) over each
+    choice of distinct regions with a tensor Gauss-Legendre rule of
+    ``order`` nodes per absorption.  The absorptions of one choice sit in
+    distinct regions, so the time order of all letters is fixed and the
+    whole tensor grid is one kernel batch.  Only supports one emission
+    (either channel), which is all the battery needs.
     """
     omega_f = tuple(float(x) for x in omega_f)
     omega_s = tuple(float(x) for x in omega_s)
@@ -100,40 +102,31 @@ def amplitude_by_region_quadrature(m, t: float, omega_f, omega_s, order: int = 4
     z = m.z
 
     def tau_integral(sigma_f, sigma_s, n):
-        fixed = sorted(sigma_f + sigma_s)
-        cuts = [0.0] + fixed + [t]
-        regions = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 0]
-        if n == 0:
-            return integral_sum_kernel(
-                m,
-                t,
-                KernelArgs(
-                    sigma_f=GuichardetPoint(sigma_f), sigma_s=GuichardetPoint(sigma_s)
-                ),
-            )
+        fixed = sorted([(x, "sigma_f") for x in sigma_f] + [(x, "sigma_s") for x in sigma_s])
+        cuts = [0.0] + [x for x, _ in fixed] + [t]
+        # region r lies between fixed letters r - 1 and r; empty ones are dropped
+        regions = [r for r in range(len(cuts) - 1) if cuts[r + 1] - cuts[r] > 0]
         acc = np.zeros((2, 2), dtype=complex)
-        for combo in itertools.combinations_with_replacement(range(len(regions)), n):
-            # tensor rule over the chosen regions; a repeated region would be
-            # an ordered sub-simplex, but those all vanish (two adjacent
-            # absorptions annihilate), so skip them
-            if len(set(combo)) < n:
-                continue
-            node_axes = []
-            for r in combo:
-                a, b = regions[r]
-                node_axes.append((a + (b - a) * gx, (b - a) * gw))
-            for picks in itertools.product(*[range(order)] * n):
-                taus = tuple(node_axes[k][0][picks[k]] for k in range(n))
-                w = np.prod([node_axes[k][1][picks[k]] for k in range(n)])
-                acc += w * integral_sum_kernel(
-                    m,
-                    t,
-                    KernelArgs(
-                        sigma_f=GuichardetPoint(sigma_f),
-                        sigma_s=GuichardetPoint(sigma_s),
-                        tau_f=GuichardetPoint(tuple(sorted(taus))),
-                    ),
-                )
+        # a repeated region would be an ordered sub-simplex, but those all
+        # vanish (two adjacent absorptions annihilate), so take distinct ones
+        for combo in itertools.combinations(regions, n):
+            axes = [(cuts[r] + (cuts[r + 1] - cuts[r]) * gx, (cuts[r + 1] - cuts[r]) * gw)
+                    for r in combo]
+            nodes = [g.ravel() for g in np.meshgrid(*[x for x, _ in axes], indexing="ij")]
+            weights = np.ones(1)
+            for g in np.meshgrid(*[w for _, w in axes], indexing="ij"):
+                weights = weights * g.ravel()
+            columns, letters = [], []
+            for r in range(len(fixed) + 1):
+                if r in combo:
+                    columns.append(nodes[combo.index(r)])
+                    letters.append("tau_f")
+                if r < len(fixed):
+                    columns.append(np.full(weights.shape, fixed[r][0]))
+                    letters.append(fixed[r][1])
+            times = np.stack(columns, axis=1) if columns else np.zeros((1, 0))
+            kernel = integral_sum_kernel_batch(m, t, times, letters)
+            acc += np.tensordot(weights, kernel, axes=1)
         return acc
 
     total = np.zeros((2, 2), dtype=complex)

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import resfluor
+import resfluor.cli
 from resfluor.cli import run
+from resfluor.model import master_map
 from resfluor.events import Event, event_to_json, exact_count, free_channel
 
 SMALL = {"grid_stop": 2.0, "grid_num": 11, "n_traj": 40, "horizon": 5.0}
@@ -104,3 +107,65 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "evolve.csv").stat().st_size > 0
+
+
+def test_evolve_matches_per_point_maps(tmp_path, monkeypatch):
+    # one stacked exponential over the grid writes the same bytes as one
+    # master_map call per grid point
+    cfg = _config(tmp_path, grid_num=201)
+    assert run(["evolve", "--config", str(cfg), "--out", str(tmp_path / "stacked")]) == 0
+    monkeypatch.setattr(
+        resfluor.cli,
+        "master_map",
+        lambda m, grid: np.stack([master_map(m, float(t)) for t in grid]),
+    )
+    assert run(["evolve", "--config", str(cfg), "--out", str(tmp_path / "points")]) == 0
+    stacked = (tmp_path / "stacked" / "evolve.csv").read_bytes()
+    assert stacked == (tmp_path / "points" / "evolve.csv").read_bytes()
+
+
+def test_verify_passes_every_check(verify_outcome):
+    code, report = verify_outcome
+    assert code == 0
+    assert report["all_pass"]
+    assert [row["name"] for row in report["checks"]] == [
+        "ideality-zero-count",
+        "dilation-undriven",
+        "one-side-photon-cross",
+        "jump-limit-forward",
+        "jump-limit-side",
+        "composition-cocycle",
+        "isometry-truncation",
+        "dyson-vs-exponential",
+        "zero-count-davies",
+        "amplitude-one-forward",
+        "amplitude-one-side",
+    ]
+    for row in report["checks"]:
+        assert row["pass"], row["name"]
+        if "status" in row:
+            # amplitude rows: the pass is the brute-force agreement, and the
+            # distance to the textbook form is reported, not gated
+            assert row["brute_force_distance"] <= 1e-10, row["name"]
+            assert row["status"] in ("reproduced", "discrepancy-reported")
+        else:
+            assert row["distance"] <= row["tolerance"], row["name"]
+
+
+def test_verify_failing_battery_exits_two(tmp_path, monkeypatch):
+    failing = {
+        "name": "forced-failure",
+        "analytic_hash": "0",
+        "oracle_hash": "1",
+        "distance": 1.0,
+        "tolerance": 0.0,
+        "pass": False,
+        "note": "",
+    }
+    monkeypatch.setattr(
+        resfluor.cli, "run_battery", lambda cfg: {"checks": [failing], "all_pass": False}
+    )
+    cfg = _config(tmp_path)
+    assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert report["all_pass"] is False

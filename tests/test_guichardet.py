@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_model
 
 from resfluor.davies import davies_map
 from resfluor.events import Event, exact_count, free_channel, zero_photons, concat_events
@@ -8,6 +9,7 @@ from resfluor.guichardet import (
     KernelArgs,
     driven_amplitude,
     integral_sum_kernel,
+    integral_sum_kernel_batch,
     jump_limit_check,
     oracle_davies_map,
 )
@@ -113,6 +115,91 @@ def test_kernel_adjacent_emissions_annihilate(sym_model):
     assert np.all(out2 == 0)
 
 
+def kernel_by_products(m, t, times, letters):
+    """The kernel as a plain product of 2x2 matrices, earliest letter rightmost."""
+    mats = {
+        "sigma_f": m.V_f,
+        "sigma_s": m.V_s,
+        "tau_f": -m.V_f.conj().T,
+        "tau_s": -m.V_s.conj().T,
+    }
+
+    def free(x):
+        return np.diag([np.exp(-x / 2), 1.0])
+
+    out, prev = np.eye(2), 0.0
+    for x, name in zip(times, letters):
+        out = mats[name] @ free(x - prev) @ out
+        prev = x
+    return free(t - prev) @ out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_batch_matches_scalar_kernel(seed):
+    rng = np.random.default_rng(seed)
+    m = random_model(rng)
+    t = rng.uniform(0.5, 3.0)
+    n = seed % 5
+    # emissions and absorptions alternate (adjacent equal kinds annihilate),
+    # each on a random channel
+    first = rng.integers(0, 2)
+    letters = [("sigma_", "tau_")[(first + k) % 2] + "fs"[rng.integers(0, 2)] for k in range(n)]
+    times = np.sort(rng.uniform(0.0, t, size=(40, n)), axis=1)
+    if n:
+        times[-1, -1] = t + 0.5  # outside [0, t]: the indicator zeroes the row
+    batch = integral_sum_kernel_batch(m, t, times, letters)
+    assert batch.shape == (40, 2, 2)
+    for row, k_row in zip(times, batch):
+        args = KernelArgs(
+            **{
+                name: GuichardetPoint(tuple(x for x, lab in zip(row, letters) if lab == name))
+                for name in ("sigma_f", "sigma_s", "tau_f", "tau_s")
+            }
+        )
+        scalar = integral_sum_kernel(m, t, args)
+        assert frobenius_dist(k_row, scalar) <= 1e-15
+        if row.size and row[-1] > t:
+            assert np.all(k_row == 0)
+        else:
+            assert np.abs(k_row).max() > 0
+            assert frobenius_dist(k_row, kernel_by_products(m, t, row, letters)) <= 1e-14
+
+
+def test_kernel_batch_validation(sym_model):
+    with pytest.raises(ValueError):
+        integral_sum_kernel_batch(sym_model, 1.0, [[0.5, 0.2]], ["sigma_f", "tau_f"])
+    with pytest.raises(ValueError):
+        integral_sum_kernel_batch(sym_model, 1.0, [[0.2, 0.2]], ["sigma_f", "tau_f"])
+    with pytest.raises(ValueError):
+        integral_sum_kernel_batch(sym_model, 1.0, [[0.2]], ["sigma_f", "tau_f"])
+    with pytest.raises(ValueError):
+        integral_sum_kernel_batch(sym_model, 1.0, [[0.2]], ["omega"])
+
+
+@pytest.mark.parametrize(
+    "omega_f, omega_s",
+    [((), (1e-9,)), ((), (1.0 - 1e-9,)), ((1e-9,), ()), ((1.0 - 1e-9,), ())],
+)
+def test_amplitude_short_gaps_keep_relative_accuracy(sym_model, omega_f, omega_s):
+    # an emission 1e-9 from an end leaves a gap of length L = 1e-9 whose
+    # bridged integral 2(1 - e^(-L/2)) sets amplitude entries of size ~1e-10;
+    # forming it as e^(-L/2) - 1 instead of expm1 costs them ~1e-7 relative
+    t = 1.0
+    for m in (sym_model, random_model(np.random.default_rng(11))):
+        fast = driven_amplitude(m, t, omega_f, omega_s)
+        brute = amplitude_by_region_quadrature(m, t, omega_f, omega_s)
+        assert np.all(np.abs(fast - brute) <= 1e-12 * np.abs(brute))
+
+
+def test_amplitude_long_horizon_against_brute_force(sym_model):
+    t = 20.0
+    for m in (sym_model, random_model(np.random.default_rng(12))):
+        for omega_f, omega_s in (((), ()), ((7.0,), ()), ((), (13.0,))):
+            fast = driven_amplitude(m, t, omega_f, omega_s)
+            brute = amplitude_by_region_quadrature(m, t, omega_f, omega_s)
+            assert frobenius_dist(fast, brute) <= 1e-12 * np.linalg.norm(brute)
+
+
 def test_amplitude_empty_scales_to_no_jump_operator(sym_model):
     t = 1.0
     amp = driven_amplitude(sym_model, t, [], [])
@@ -196,6 +283,22 @@ def test_oracle_probability_and_truncation_fields(sym_model):
     assert res.tail_bound > res.truncation_error
     # isometry up to the reported (rate-bound) tail
     assert frobenius_dist(apply_superop(res.matrix, I2), I2) <= res.tail_bound + 1e-9
+
+
+def test_oracle_diagnostics_count_sectors_and_nodes(sym_model):
+    t = 0.2
+    ev = Event(forward=zero_photons(), side=exact_count(0.0, t, 1), horizon=t)
+    # one sector (a single side emission) on a 1-D rule of quad_order nodes
+    res = oracle_davies_map(sym_model, ev, n_max=1, quad_order=12)
+    assert dict(res.diagnostics) == {"sectors": 1, "nodes": 12}
+    again = oracle_davies_map(sym_model, ev, n_max=1, quad_order=12)
+    assert again.diagnostics == res.diagnostics
+    assert np.array_equal(again.matrix, res.matrix)
+    # free forward channel, cap 2: sectors "s", "fs" and "sf", with 12 and
+    # 12^2 nodes
+    ev2 = Event(forward=free_channel(), side=exact_count(0.0, t, 1), horizon=t)
+    res2 = oracle_davies_map(sym_model, ev2, n_max=2, quad_order=12)
+    assert dict(res2.diagnostics) == {"sectors": 3, "nodes": 12 + 2 * 144}
 
 
 def test_oracle_capacity_error(sym_model):

@@ -74,6 +74,19 @@ def test_superop_exp_vs_scipy():
     assert frobenius_dist(superop_exp(G, 0.8), expm(0.8 * G)) < 1e-12
 
 
+def test_superop_exp_stacked_times():
+    rng = np.random.default_rng(8)
+    G = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    ts = np.array([0.0, 0.3, 1.7, 12.0])
+    stack = superop_exp(G, ts)
+    assert stack.shape == (4, 4, 4)
+    for t, S in zip(ts, stack):
+        assert np.array_equal(S, superop_exp(G, float(t)))
+    for bad in ([0.1, -0.1], [0.1, np.nan], [[0.1, 0.2]]):
+        with pytest.raises(ValueError):
+            superop_exp(G, np.array(bad))
+
+
 def test_ad_map_examples():
     A = np.array([[1.0, 2.0j], [0.5, -1.0]])
     assert frobenius_dist(apply_superop(ad_map(I2), A), A) == 0.0
