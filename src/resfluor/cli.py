@@ -22,7 +22,7 @@ import numpy as np
 from .config import RunConfig, TOOL_VERSION, config_hash, format_float
 from .davies import event_probability
 from .events import event_from_json
-from .linalg import EXCITED_PROJ, apply_superop, vec
+from .linalg import EXCITED_PROJ, vec
 from .model import master_map
 from .renewal import renewal_test, theoretical_cdf, waiting_densities
 from .trajectories import Trajectory, sample_batch
@@ -106,18 +106,18 @@ def _cmd_evolve(args) -> int:
     rho0 = cfg.rho0()
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
     grid = cfg.grid()
-    for t, T in zip(grid, master_map(m, grid)):
-        rho_t = apply_superop(T.conj().T, rho0)  # Schroedinger dual
-        TP = apply_superop(T, EXCITED_PROJ)
-        row = [float(t)]
-        for v in rho_t.ravel():
-            row += [float(v.real), float(v.imag)]
-        for v in TP.ravel():
-            row += [float(v.real), float(v.imag)]
-        row.append(float(np.real(np.trace(rho0 @ TP))))
-        rows.append(row)
+    T = master_map(m, grid)
+    n = len(grid)
+    # column-stacked images, read back as 2x2 matrices in row-major order
+    rho_t = (T.conj().transpose(0, 2, 1) @ vec(rho0)).reshape(n, 2, 2).transpose(0, 2, 1)
+    TP = (T @ vec(EXCITED_PROJ)).reshape(n, 2, 2).transpose(0, 2, 1)
+    pop = np.real(np.trace(rho0 @ TP, axis1=1, axis2=2))
+
+    def re_im(stack):
+        return np.stack([stack.real, stack.imag], axis=-1).reshape(n, 8)
+
+    rows = np.column_stack([grid, re_im(rho_t), re_im(TP), pop]).tolist()
     header = ["t"]
     header += [f"rho_{i}{j}_{p}" for i in (1, 2) for j in (1, 2) for p in ("re", "im")]
     header += [f"heis_proj_{i}{j}_{p}" for i in (1, 2) for j in (1, 2) for p in ("re", "im")]

@@ -32,12 +32,21 @@ def _to_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _from_pair(v, key: str) -> complex:
+def _from_pair(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(float(v[0]), float(v[1]))
-    raise ValueError(f"config key {key!r} must be a number or an [re, im] pair")
+    raise ValueError(v)
+
+
+# key groups, converter and what a value must be, for from_dict's messages
+_CONVERSIONS = (
+    (("kappa_f", "kappa_s", "z"), _from_pair, "a number or an [re, im] pair"),
+    (("n_max", "quad_order", "master_seed", "n_traj", "grid_num", "threads"), int,
+     "an integer"),
+    (("horizon", "grid_start", "grid_stop"), float, "a number"),
+)
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,6 @@ class RunConfig:
     z: complex = 1.0
     n_max: int = 6
     quad_order: int = 24
-    m_tau: int = 6
     master_seed: int = 20250809
     n_traj: int = 10000
     horizon: float = 50.0
@@ -67,7 +75,7 @@ class RunConfig:
             raise ValueError(
                 "config key 'initial_state' must be ground, excited or mixed"
             )
-        for key in ("n_max", "quad_order", "m_tau", "n_traj", "grid_num", "threads"):
+        for key in ("n_max", "quad_order", "n_traj", "grid_num", "threads"):
             if getattr(self, key) < 0:
                 raise ValueError(f"config key {key!r} must be >= 0")
         if self.horizon < 0:
@@ -95,7 +103,6 @@ class RunConfig:
             "z": _to_pair(self.z),
             "n_max": self.n_max,
             "quad_order": self.quad_order,
-            "m_tau": self.m_tau,
             "master_seed": self.master_seed,
             "n_traj": self.n_traj,
             "horizon": self.horizon,
@@ -117,16 +124,15 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config key {unknown[0]!r}")
         kwargs = dict(data)
-        for key in ("kappa_f", "kappa_s", "z"):
-            if key in kwargs:
-                kwargs[key] = _from_pair(kwargs[key], key)
-        for key in ("n_max", "quad_order", "m_tau", "master_seed", "n_traj",
-                    "grid_num", "threads"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        for key in ("horizon", "grid_start", "grid_stop"):
-            if key in kwargs:
-                kwargs[key] = float(kwargs[key])
+        for keys, convert, what in _CONVERSIONS:
+            for key in keys:
+                if key in kwargs:
+                    try:
+                        kwargs[key] = convert(kwargs[key])
+                    except (TypeError, ValueError) as exc:
+                        raise ValueError(
+                            f"config key {key!r} must be {what}, got {kwargs[key]!r}"
+                        ) from exc
         return cls(**kwargs)
 
     @classmethod

@@ -179,17 +179,20 @@ def event_to_json(e: Event) -> str:
 
 
 def event_from_json(text: str) -> Event:
+    """Parse the schema of :func:`event_to_json`; malformed input raises ValueError."""
     payload = json.loads(text)
     try:
         horizon = float(payload["horizon"])
         channels = {}
         for name in ("forward", "side"):
             ch = payload["channels"][name]
-            windows = tuple(
-                Window(float(rec["window"][0]), float(rec["window"][1]), int(rec["count"]))
-                for rec in ch["windows"]
-            )
-            channels[name] = ChannelEvent(windows=windows, outside=ch["outside"])
+            windows = []
+            for rec in ch["windows"]:
+                a, b = rec["window"]
+                windows.append(Window(float(a), float(b), int(rec["count"])))
+            channels[name] = ChannelEvent(windows=tuple(windows), outside=ch["outside"])
     except KeyError as exc:
         raise ValueError(f"event JSON missing key: {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed event JSON ({exc})") from exc
     return Event(forward=channels["forward"], side=channels["side"], horizon=horizon)

@@ -225,7 +225,7 @@ def integral_sum_kernel(m: Model, t: float, args: KernelArgs) -> np.ndarray:
     return integral_sum_kernel_batch(m, t, times, [name for _, name in letters])[0]
 
 
-def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels, m_tau: int) -> np.ndarray:
+def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels) -> np.ndarray:
     """Driven-coherent-vector amplitudes for a batch of photon configurations.
 
     ``times`` has shape (B, n) with rows sorted increasingly; ``labels`` is a
@@ -272,7 +272,7 @@ def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels, m_tau: int) 
         for tau_left in (False, True):
             for tau_right in (False, True) if fixed else (False,):
                 n_tau = n_interior + tau_left + tau_right
-                if n_tau > m_tau or (z == 0 and n_tau > 0):
+                if z == 0 and n_tau > 0:
                     continue
                 word = gap(None, bounds[1], tau_left)
                 if fixed:
@@ -281,7 +281,7 @@ def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels, m_tau: int) 
     return out
 
 
-def driven_amplitude(m: Model, t: float, omega_f, omega_s, m_tau: int = 6) -> np.ndarray:
+def driven_amplitude(m: Model, t: float, omega_f, omega_s) -> np.ndarray:
     """Amplitude matrix of the driven evolution at one Guichardet point pair.
 
     ``omega_f`` / ``omega_s`` are iterables of emission times.  Times outside
@@ -298,7 +298,7 @@ def driven_amplitude(m: Model, t: float, omega_f, omega_s, m_tau: int = 6) -> np
         raise ValueError("forward and side times must be disjoint")
     labels = tuple(lab for _, lab in merged)
     times = np.array([[x for x, _ in merged]], dtype=float)
-    return _amplitude_batch(m, float(t), times, labels, m_tau)[:, 0].reshape(2, 2)
+    return _amplitude_batch(m, float(t), times, labels)[:, 0].reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -430,7 +430,6 @@ def oracle_davies_map(
     m: Model,
     e: Event,
     n_max: int = 4,
-    m_tau: int = 6,
     quad_order: int = 24,
 ) -> OracleResult:
     """Counting map computed from kernel amplitudes, sector by sector.
@@ -452,9 +451,7 @@ def oracle_davies_map(
             *[list(_shuffles(kf[i], ks[i])) for i in range(len(segments))]
         ):
             labels = tuple(lab for word in seg_words for lab in word)
-            part, n_nodes = _sector_integral(
-                m, t, segments, seg_words, labels, quad_order, m_tau
-            )
+            part, n_nodes = _sector_integral(m, t, segments, seg_words, labels, quad_order)
             total += part
             sectors += 1
             nodes += n_nodes
@@ -467,7 +464,7 @@ def oracle_davies_map(
     )
 
 
-def _sector_integral(m, t, segments, seg_words, labels, quad_order, m_tau):
+def _sector_integral(m, t, segments, seg_words, labels, quad_order):
     """Tensor the per-segment simplex rules and integrate Ad[amp] over them.
 
     Returns the 4x4 integral and the number of quadrature nodes.
@@ -482,7 +479,7 @@ def _sector_integral(m, t, segments, seg_words, labels, quad_order, m_tau):
         times, _, w = simplex_nodes(ndim, b - a, order)
         per_seg.append((times + a, w))
     if not per_seg:
-        amp = _amplitude_batch(m, t, np.zeros((1, 0)), (), m_tau)
+        amp = _amplitude_batch(m, t, np.zeros((1, 0)), ())
         return _ad_sum(np.ones(1), amp), 1
 
     sizes = [p[0].shape[0] for p in per_seg]
@@ -497,7 +494,7 @@ def _sector_integral(m, t, segments, seg_words, labels, quad_order, m_tau):
         weights = np.ones(len(flat))
         for k in range(len(per_seg)):
             weights = weights * per_seg[k][1][idx[k]]
-        out += _ad_sum(weights, _amplitude_batch(m, t, times, labels, m_tau))
+        out += _ad_sum(weights, _amplitude_batch(m, t, times, labels))
     return out, n_nodes
 
 

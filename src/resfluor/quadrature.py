@@ -7,11 +7,8 @@ triangular substitution v_k = T * u_k * u_{k+1} * ... * u_n (Jacobian
 T^n * prod_k u_{k+1}^1 ... ), tensor a 1D Gauss-Legendre rule over the cube,
 and hand back the inter-arrival gaps d_1 = v_1, d_k = v_k - v_{k-1},
 d_{n+1} = T - v_n alongside the weights.  Integrands here are products of
-exponentials in the times, so the rule converges spectrally.
-
-For dimensions above four the per-axis order is capped so the node count
-stays below a fixed budget; the integrands are entire, so the capped orders
-retain far more accuracy than the package's tolerances use.
+exponentials in the times, so the rule converges spectrally.  The caller
+picks the per-axis order; the oracle caps it by its own node budget.
 """
 
 from __future__ import annotations
@@ -19,9 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["gauss_legendre_01", "simplex_nodes", "effective_order", "NODE_BUDGET"]
-
-NODE_BUDGET = 300_000
+__all__ = ["gauss_legendre_01", "simplex_nodes"]
 
 _cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -36,14 +31,6 @@ def gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _cache[order]
 
 
-def effective_order(order: int, ndim: int) -> int:
-    """Per-axis order, capped so order**ndim stays below the node budget."""
-    if ndim <= 0:
-        return order
-    cap = max(4, int(NODE_BUDGET ** (1.0 / ndim)))
-    return min(order, cap)
-
-
 def simplex_nodes(ndim: int, length: float, order: int):
     """Quadrature for the ordered simplex 0 < v_1 < ... < v_ndim < length.
 
@@ -51,6 +38,7 @@ def simplex_nodes(ndim: int, length: float, order: int):
     (nnodes, ndim) holding the ordered v's, ``gaps`` has shape
     (nnodes, ndim + 1) holding inter-arrival coordinates (first gap from 0,
     last gap up to ``length``), and ``weights`` sums to length**ndim / ndim!.
+    The rule has ``order`` nodes per axis, order**ndim in all.
     """
     if ndim < 0:
         raise ValueError("ndim must be >= 0")
@@ -60,8 +48,7 @@ def simplex_nodes(ndim: int, length: float, order: int):
             np.full((1, 1), float(length)),
             np.ones(1),
         )
-    q = effective_order(order, ndim)
-    x, w = gauss_legendre_01(q)
+    x, w = gauss_legendre_01(order)
     grids = np.meshgrid(*([x] * ndim), indexing="ij")
     wgrids = np.meshgrid(*([w] * ndim), indexing="ij")
     u = np.stack([g.ravel() for g in grids], axis=1)  # (B, ndim)

@@ -12,7 +12,10 @@ In terms of the between-clicks semigroup Z_x the theoretical densities are
                                                 sampling density of X_1 is
                                                 |kappa_s|^2 * z_first(x)
 
-z(0) = 0 with zero slope: side photons arrive antibunched.
+z(0) = 0 with zero slope: side photons arrive antibunched.  Each density is
+a scalar component of Z_x and each CDF its exact integral, evaluated by
+:class:`resfluor.semigroup.SemigroupCache`, which also covers drives where
+the generator of Z has no eigenbasis.
 
 ``renewal_test`` runs the statistical battery on sampled trajectories:
 Kolmogorov-Smirnov for X_1 (first-interval law) and X_2, X_3 (stationary
@@ -45,7 +48,7 @@ __all__ = [
 ]
 
 MIN_KS_SAMPLES = 1000
-_E22 = 3  # index of the (2,2) entry under column stacking
+_E22 = vec(np.diag([0.0, 1.0]))  # picks the (2,2) entry of a column-stacked matrix
 
 
 @dataclass(frozen=True)
@@ -58,55 +61,15 @@ class WaitingDensities:
     z_last: np.ndarray
 
 
+def _z_semigroup(m: Model) -> SemigroupCache:
+    """Z_x, the between-side-clicks semigroup (forward channel traced out)."""
+    return SemigroupCache(no_side_count_generator(m))
+
+
 def _clamp_roundoff(arr: np.ndarray) -> np.ndarray:
     """Set negative roundoff within 1e-12 of zero to 0, in place."""
     arr[(arr < 0.0) & (arr > -1e-12)] = 0.0
     return arr
-
-
-class _ZTools:
-    """Eigen-form evaluation of Z_x and exact antiderivatives of its entries."""
-
-    def __init__(self, m: Model):
-        self.m = m
-        self.ks2 = abs(m.kappa_s) ** 2
-        self.sg = SemigroupCache(no_side_count_generator(m))
-
-    def component(self, x, target_vec, weight_vec) -> np.ndarray:
-        """weight^dag Z_x target for an array of x."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        mats = self.sg.at(xs)
-        return np.real(np.conj(weight_vec) @ (mats @ target_vec).T)
-
-    def component_integral(self, x, target_vec, weight_vec) -> np.ndarray:
-        """Exact integral from 0 to x of the same component.
-
-        Uses the eigenexpansion antiderivative (e^(lambda x) - 1)/lambda; a
-        near-defective generator falls back to adaptive quadrature.
-        """
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.sg._diagonalizable:
-            lam = self.sg.lam
-            c = (np.conj(weight_vec) @ self.sg.U) * (self.sg.Uinv @ target_vec)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                prim = np.where(
-                    np.abs(lam)[None, :] > 1e-14,
-                    (np.exp(np.outer(xs, lam)) - 1.0) / lam[None, :],
-                    xs[:, None],
-                )
-            return np.real(prim @ c)
-        from scipy.integrate import quad
-
-        out = np.empty(xs.shape)
-        for k, xv in enumerate(xs):
-            out[k] = quad(
-                lambda s: float(self.component(s, target_vec, weight_vec)[0]),
-                0.0,
-                xv,
-                epsabs=1e-12,
-                epsrel=1e-12,
-            )[0]
-        return out
 
 
 def waiting_densities(m: Model, rho, grid) -> WaitingDensities:
@@ -117,13 +80,12 @@ def waiting_densities(m: Model, rho, grid) -> WaitingDensities:
     zero is clamped to keep the tabulated densities nonnegative.
     """
     rho = require_density_matrix(rho)
-    tools = _ZTools(m)
+    sg = _z_semigroup(m)
+    ks2 = abs(m.kappa_s) ** 2
     grid = np.asarray(grid, dtype=float)
-    e22 = np.zeros(4)
-    e22[_E22] = 1.0
-    z_vals = tools.ks2 * tools.component(grid, vec(m.P), e22)
-    z_last = tools.ks2 * tools.component(grid, vec(I2), e22)
-    z_first = tools.component(grid, vec(m.P), vec(rho))
+    z_vals = ks2 * sg.component(_E22, vec(m.P))(grid)
+    z_last = ks2 * sg.component(_E22, vec(I2))(grid)
+    z_first = sg.component(vec(rho), vec(m.P))(grid)
     _clamp_roundoff(z_vals)
     _clamp_roundoff(z_first)
     return WaitingDensities(grid=grid, z=z_vals, z_first=z_first, z_last=z_last)
@@ -136,9 +98,8 @@ def first_click_hazard(m: Model, rho, x) -> np.ndarray:
     |kappa_s|^2 * z_first(x) identically, which the tests assert.
     """
     rho = require_density_matrix(rho)
-    tools = _ZTools(m)
-    gen_on_id = no_side_count_generator(m) @ vec(I2)
-    return -tools.component(x, gen_on_id, vec(rho))
+    sg = _z_semigroup(m)
+    return -sg.component(vec(rho), sg.G @ vec(I2))(x)
 
 
 def factorized_probability(m: Model, rho, inter_arrivals) -> float:
@@ -158,25 +119,24 @@ def factorized_probability(m: Model, rho, inter_arrivals) -> float:
     if any(x < 0 for x in xs):
         raise ValueError("inter-arrival times must be >= 0")
     rho = require_density_matrix(rho)
-    tools = _ZTools(m)
-    e22 = np.zeros(4)
-    e22[_E22] = 1.0
+    sg = _z_semigroup(m)
+    ks2 = abs(m.kappa_s) ** 2
 
-    def factor(x, target_vec, weight_vec) -> float:
-        return float(_clamp_roundoff(tools.component(x, target_vec, weight_vec))[0])
+    def factor(x, weight_vec, target_vec) -> float:
+        return float(_clamp_roundoff(sg.component(weight_vec, target_vec)(x))[0])
 
     if len(xs) == 1:
-        product = factor(xs[0], vec(I2), vec(rho))
+        product = factor(xs[0], vec(rho), vec(I2))
     else:
-        product = factor(xs[0], vec(m.P), vec(rho))
+        product = factor(xs[0], vec(rho), vec(m.P))
         for x in xs[1:-1]:
-            product *= tools.ks2 * factor(x, vec(m.P), e22)
-        product *= tools.ks2 * factor(xs[-1], vec(I2), e22)
+            product *= ks2 * factor(x, _E22, vec(m.P))
+        product *= ks2 * factor(xs[-1], _E22, vec(I2))
 
     Js = side_jump(m)
-    word = tools.sg.at(xs[-1]) @ vec(I2)
+    word = sg.at(xs[-1]) @ vec(I2)
     for x in reversed(xs[:-1]):
-        word = tools.sg.at(x) @ (Js @ word)
+        word = sg.at(x) @ (Js @ word)
     trace_form = float(np.real(vec(rho).conj() @ word))
     if abs(product - trace_form) > 1e-10 * max(1.0, abs(trace_form)):
         raise ArithmeticError(
@@ -189,23 +149,16 @@ def theoretical_cdf(m: Model, rho, which: str, x) -> np.ndarray:
     """CDF of an inter-arrival time: 'first' for X_1, 'later' for X_i, i >= 2.
 
     The 'later' CDF integrates z; the 'first' CDF integrates the actual X_1
-    density |kappa_s|^2 * z_first.  Monotone, 0 at 0, and tending to 1 for a
-    driven atom; roundoff of the eigen antiderivative is clipped to [0, 1].
+    density |kappa_s|^2 * z_first, both exactly (see
+    :meth:`resfluor.semigroup.Component.integral`).  Monotone, 0 at 0, and
+    tending to 1 for a driven atom; roundoff is clipped to [0, 1].
     """
     rho = require_density_matrix(rho)
-    tools = _ZTools(m)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < 0):
-        raise ValueError("cdf argument must be >= 0")
-    e22 = np.zeros(4)
-    e22[_E22] = 1.0
-    if which == "later":
-        vals = tools.ks2 * tools.component_integral(xs, vec(m.P), e22)
-    elif which == "first":
-        vals = tools.ks2 * tools.component_integral(xs, vec(m.P), vec(rho))
-    else:
+    weights = {"later": _E22, "first": vec(rho)}
+    if which not in weights:
         raise ValueError("which must be 'first' or 'later'")
-    vals = np.clip(vals, 0.0, 1.0)
+    F = _z_semigroup(m).component(weights[which], vec(m.P)).integral(x)
+    vals = np.clip(abs(m.kappa_s) ** 2 * F, 0.0, 1.0)
     return vals if np.ndim(x) else float(vals[0])
 
 

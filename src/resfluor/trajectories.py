@@ -12,12 +12,14 @@ Two observation schemes are supported:
   (zI + V_f or V_s) is applied.
 
 Waiting times are sampled by inverting the no-click survival probability
-with bracketed bisection (absolute tolerance 1e-10); the survival function
-is an explicit 4x4 semigroup, so each evaluation is a four-term exponential
-sum.  Every trajectory owns a counter-based random stream
-Philox(key=(master_seed, trajectory_index)), making each trajectory a pure
-function of its seed pair: batches are bit-reproducible at any parallelism
-level and across runs.
+S(x) = Tr(rho E_x(I)), a scalar component of a 4x4 semigroup (see
+:mod:`resfluor.semigroup`).  S is nonincreasing, so a row crosses its uniform
+u within the cap iff S(cap) < u; those rows bisect [0, cap] for a fixed
+number of steps, which brings the bracket below 1e-10.  Each row's result
+depends on its own state and uniform only.  Every trajectory owns a
+counter-based random stream Philox(key=(master_seed, trajectory_index)),
+making each trajectory a pure function of its seed pair: batches are
+bit-reproducible at any parallelism level and across runs.
 
 Uniform-draw discipline (fixed so streams are portable): one uniform per
 waiting-time attempt, and in two-channel mode one further uniform per
@@ -26,19 +28,13 @@ realized click for the channel choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import I2, require_density_matrix, vec
-from .model import (
-    Model,
-    forward_jump,
-    no_jump_generator,
-    no_side_count_generator,
-    side_jump,
-)
-from .semigroup import SemigroupCache
+from .model import Model, no_jump_generator, no_side_count_generator, side_jump
+from .semigroup import Component, SemigroupCache
 
 __all__ = [
     "SeedSpec",
@@ -106,7 +102,7 @@ class Trajectory:
 
 
 def waiting_time_cap(m: Model) -> float:
-    """Bracketing cap for survival inversion: 50 * (1 + 1/|kappa_s|^2)."""
+    """Search cap for survival inversion: 50 * (1 + 1/|kappa_s|^2)."""
     ks2 = abs(m.kappa_s) ** 2
     if ks2 == 0.0:
         return np.inf
@@ -114,45 +110,18 @@ def waiting_time_cap(m: Model) -> float:
 
 
 class _ModeOps:
-    """Survival coefficients, dual evolution and jumps for one observation mode."""
+    """Survival, dual evolution and jumps for one observation mode."""
 
     def __init__(self, m: Model, mode: str):
         if mode not in ("side-only", "two-channel"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.m = m
-        self.mode = mode
         gen = no_side_count_generator(m) if mode == "side-only" else no_jump_generator(m)
         self.sg = SemigroupCache(gen)
-        self.vec_id = vec(I2)
-        # Heisenberg jump maps, used for click-rate decomposition
-        self.J = {FORWARD: forward_jump(m), SIDE: side_jump(m)}
         self.jump_mats = {FORWARD: m.z * I2 + m.V_f, SIDE: m.V_s}
 
-    def survival_coeffs(self, rhos: np.ndarray) -> np.ndarray:
-        """Coefficients c with S(x) = Re sum_i c_i e^(lambda_i x), batched.
-
-        Requires the semigroup eigendecomposition; the sampler falls back to
-        direct evaluation through :meth:`survival` otherwise.
-        """
-        if not self.sg._diagonalizable:
-            raise NotImplementedError("generator too close to defective")
-        vecs = _batch_vec(rhos)
-        left = vecs.conj() @ self.sg.U
-        right = self.sg.Uinv @ self.vec_id
-        return left * right[None, :]
-
-    def survival_from_coeffs(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        ph = np.exp(np.asarray(x, dtype=float)[:, None] * self.sg.lam[None, :])
-        return np.real(np.einsum("bi,bi->b", coeffs, ph))
-
-    def survival(self, rho: np.ndarray, x) -> np.ndarray | float:
-        scalar = np.isscalar(x)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xs < 0):
-            raise ValueError("survival requires x >= 0")
-        mats = self.sg.at(xs)  # (B,4,4)
-        vals = np.real(vec(rho).conj() @ (mats @ self.vec_id).T)
-        return float(vals[0]) if scalar else vals
+    def survival(self, rhos: np.ndarray) -> Component:
+        """x -> Tr(rho_b E_x(I)) for each state of a (B,2,2) stack."""
+        return self.sg.component(_batch_vec(rhos), vec(I2))
 
     def dual_evolve(self, rhos: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Unnormalized Schroedinger evolution of a (B,2,2) stack over gaps xs."""
@@ -171,75 +140,42 @@ def survival(m: Model, rho, x, mode: str = "side-only") -> float:
     equal to 1 at x = 0.
     """
     rho = require_density_matrix(rho)
-    return _ModeOps(m, mode).survival(rho, float(x))
+    return float(_ModeOps(m, mode).survival(rho[None])(float(x))[0])
 
 
-def _invert_survival(ops: _ModeOps, coeffs: np.ndarray, u: np.ndarray, cap: float) -> np.ndarray:
-    """Solve S(x) = u per row by bracket doubling plus bisection.
+def _invert_survival(S: Component, u: np.ndarray, cap: float) -> np.ndarray:
+    """Solve S_b(x) = u_b per row by bisection on [0, cap].
 
-    Rows whose survival never drops to u within the cap come back as +inf,
-    unless the survival at the cap is already below 1e-12, in which case the
-    click is placed at the cap (bias far below Monte Carlo resolution).
+    S_b falls from S_b(0) = 1, so row b crosses u_b within the cap iff
+    S_b(cap) < u_b.  Every row bisects for the same fixed number of steps,
+    which leaves each result within 1e-10 of its root and independent of the
+    rest of the batch.  Rows that never cross come back as +inf, unless the
+    survival at the cap is already below 1e-12, in which case the click is
+    placed at the cap (bias far below Monte Carlo resolution).
     """
-    B = coeffs.shape[0]
-    out = np.full(B, np.nan)
-    step0 = 1.0 / (1.0 + abs(ops.m.z) ** 2)
     hardcap = cap if np.isfinite(cap) else 1e6
-
-    lo = np.zeros(B)
-    hi = np.full(B, min(step0, hardcap))
-    seeking = np.ones(B, dtype=bool)
-    bracketed = np.zeros(B, dtype=bool)
-    for _ in range(200):
-        rows = np.flatnonzero(seeking)
-        if rows.size == 0:
-            break
-        s_hi = ops.survival_from_coeffs(coeffs[rows], hi[rows])
-        crossed = s_hi < u[rows]
-        found = rows[crossed]
-        bracketed[found] = True
-        seeking[found] = False
-        stuck = rows[~crossed]
-        at_cap = stuck[hi[stuck] >= hardcap]
-        if at_cap.size:
-            s_cap = s_hi[~crossed][hi[stuck] >= hardcap]
-            clicks = s_cap < 1e-12
-            out[at_cap[clicks]] = hardcap
-            out[at_cap[~clicks]] = np.inf
-            seeking[at_cap] = False
-        grow = stuck[hi[stuck] < hardcap]
-        lo[grow] = hi[grow]
-        hi[grow] = np.minimum(hi[grow] * 2.0, hardcap)
-    rows = np.flatnonzero(bracketed)
-    if rows.size:
-        a, b = lo[rows].copy(), hi[rows].copy()
-        c, uu = coeffs[rows], u[rows]
-        for _ in range(200):
-            # rows refine independently: a row freezes once its own bracket
-            # converges, so results do not depend on batch composition
-            todo = (b - a) > _BISECT_TOL
-            if not todo.any():
-                break
-            mid = 0.5 * (a + b)
-            below = ops.survival_from_coeffs(c, mid) < uu
-            b = np.where(todo & below, mid, b)
-            a = np.where(todo & ~below, mid, a)
-        out[rows] = 0.5 * (a + b)
-    return out
+    s_cap = S(np.full(u.shape, hardcap))
+    lo, hi = np.zeros(u.shape), np.full(u.shape, hardcap)
+    for _ in range(int(np.ceil(np.log2(hardcap / _BISECT_TOL)))):
+        mid = 0.5 * (lo + hi)
+        below = S(mid) < u
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    stuck = np.where(s_cap < 1e-12, hardcap, np.inf)
+    return np.where(s_cap < u, 0.5 * (lo + hi), stuck)
 
 
 def sample_waiting_time(m: Model, rho, u: float, mode: str = "side-only") -> float:
     """Inverse-transform waiting time: the x with survival(x) = u.
 
     ``u`` must lie in (0, 1).  Returns ``inf`` when the survival never
-    reaches u within the bracketing cap (undriven corners).
+    reaches u within :func:`waiting_time_cap` (undriven corners).
     """
     if not (0.0 < u < 1.0):
         raise ValueError("u must lie strictly between 0 and 1")
     rho = require_density_matrix(rho)
-    ops = _ModeOps(m, mode)
-    coeffs = ops.survival_coeffs(rho[None, :, :])
-    return float(_invert_survival(ops, coeffs, np.array([u]), waiting_time_cap(m))[0])
+    S = _ModeOps(m, mode).survival(rho[None])
+    return float(_invert_survival(S, np.array([u]), waiting_time_cap(m))[0])
 
 
 def apply_side_jump(m: Model, rho) -> np.ndarray:
@@ -346,8 +282,7 @@ def sample_batch(
     while active.any():
         rows = np.flatnonzero(active)
         u = tape.draw(rows)
-        coeffs = ops.survival_coeffs(states[rows])
-        waits = _invert_survival(ops, coeffs, u, cap)
+        waits = _invert_survival(ops.survival(states[rows]), u, cap)
         t_new = clock[rows] + waits
         jumped = t_new < horizon
         # the ones that outlast the horizon freeze now
@@ -451,7 +386,7 @@ def trajectory_density_audit(m: Model, rho0, traj: Trajectory) -> dict:
         un = ops.dual_evolve(rho[None], np.array([float(x)]))[0]
         rho = m.V @ (un / np.real(np.trace(un))) @ m.V.conj().T
         rho = rho / np.real(np.trace(rho))
-    stepwise *= ops.survival(rho, float(xs[-1]))
+    stepwise *= float(ops.survival(rho[None])(float(xs[-1]))[0])
 
     # word = Z_{x1} J_s Z_{x2} ... J_s Z_{x_last} applied to the identity
     Js = side_jump(m)

@@ -163,6 +163,9 @@ def run_battery(cfg: RunConfig) -> dict:
     n_max = min(cfg.n_max, 4)  # oracle sectors get expensive beyond this
     checks = []
 
+    def oracle(model, event):
+        return oracle_davies_map(model, event, n_max=n_max, quad_order=cfg.quad_order)
+
     # no-count map: oracle event {(0,0)} against Ad[B_t]
     t = 0.8
     ev0 = Event(forward=zero_photons(), side=zero_photons(), horizon=t)
@@ -170,7 +173,7 @@ def run_battery(cfg: RunConfig) -> dict:
         _check(
             "ideality-zero-count",
             no_count_map(m, t),
-            oracle_davies_map(m, ev0, n_max=n_max).matrix,
+            oracle(m, ev0).matrix,
             1e-9,
         )
     )
@@ -180,7 +183,7 @@ def run_battery(cfg: RunConfig) -> dict:
     worst = 0.0
     for tt in (0.25, 0.5, 1.0):
         evf = Event(forward=free_channel(), side=free_channel(), horizon=tt)
-        om = oracle_davies_map(m0, evf, n_max=n_max).matrix
+        om = oracle(m0, evf).matrix
         worst = max(worst, frobenius_dist(om, superop_exp(lindblad_generator(m0), tt)))
     checks.append(
         {
@@ -198,7 +201,7 @@ def run_battery(cfg: RunConfig) -> dict:
     # oracle's sector truncation sits below the tolerance
     t1 = 0.075
     ev1 = Event(forward=free_channel(), side=exact_count(0.0, t1, 1), horizon=t1)
-    ora = oracle_davies_map(m, ev1, n_max=n_max)
+    ora = oracle(m, ev1)
     dav = davies_map(m, ev1, n_max=cfg.n_max)
     checks.append(
         _check(
@@ -230,16 +233,16 @@ def run_battery(cfg: RunConfig) -> dict:
     # composition law with both factors from the oracle
     E = Event(forward=zero_photons(), side=exact_count(0.1, 0.3, 1), horizon=0.4)
     F = Event(forward=exact_count(0.05, 0.2, 1), side=zero_photons(), horizon=0.3)
-    oE = oracle_davies_map(m, E, n_max=n_max).matrix
-    oF = oracle_davies_map(m, F, n_max=n_max).matrix
+    oE = oracle(m, E).matrix
+    oF = oracle(m, F).matrix
     comb = concat_events(F, E)
-    oC = oracle_davies_map(m, comb, n_max=n_max).matrix
+    oC = oracle(m, comb).matrix
     checks.append(_check("composition-cocycle", oF @ oE, oC, 1e-7))
 
     # truncated isometry: full-space oracle map on the identity
     t2 = 0.3
     evf = Event(forward=free_channel(), side=free_channel(), horizon=t2)
-    full = oracle_davies_map(m, evf, n_max=n_max)
+    full = oracle(m, evf)
     dist = frobenius_dist(apply_superop(full.matrix, I2), I2)
     tol = full.tail_bound + 1e-9
     checks.append(
@@ -289,7 +292,7 @@ def run_battery(cfg: RunConfig) -> dict:
         ("amplitude-one-forward", ((sk,), ()), reference_forward_amplitude(m, tk, sk)),
         ("amplitude-one-side", ((), (sk,)), reference_side_amplitude(m, tk, sk)),
     ):
-        amp = driven_amplitude(m, tk, *omega, m_tau=cfg.m_tau)
+        amp = driven_amplitude(m, tk, *omega)
         brute = amplitude_by_region_quadrature(m, tk, *omega)
         self_dist = frobenius_dist(amp, brute)
         ref_dist = frobenius_dist(amp, ref)

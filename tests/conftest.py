@@ -23,6 +23,16 @@ def undriven_model():
     return build_model(SQ2, SQ2, 0.0)
 
 
+# At this drive the no-side-count generator of the symmetric atom is
+# defective (an exceptional point), so Z_x has no eigenbasis
+Z_STAR = 0.21731460011728337
+
+
+@pytest.fixture(scope="session")
+def exceptional_model():
+    return build_model(SQ2, SQ2, Z_STAR)
+
+
 def random_model(rng, z_scale=1.2):
     a = rng.uniform(0.05, 0.95)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))

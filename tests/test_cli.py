@@ -61,6 +61,64 @@ def test_bad_input_exits_one(tmp_path):
     assert run(["evolve", "--config", str(unknown_key), "--out", str(tmp_path / "c")]) == 1
 
 
+@pytest.mark.parametrize(
+    "events, config",
+    [
+        ([5], {}),
+        ([{"horizon": 1.0, "channels": []}], {}),
+        (
+            [{
+                "horizon": 1.0,
+                "channels": {
+                    "forward": {"outside": "free", "windows": []},
+                    "side": {"outside": "zero", "windows": [
+                        {"channel": "side", "window": [0.1], "count": 1}]},
+                },
+            }],
+            {},
+        ),
+        ([], {"n_traj": None}),
+    ],
+    ids=["event-not-object", "channels-list", "window-one-end", "null-n-traj"],
+)
+def test_malformed_input_exits_one_with_message(tmp_path, capsys, events, config):
+    cfg = _config(tmp_path, **config)
+    path = tmp_path / "events.json"
+    path.write_text(json.dumps(events))
+    assert run(["event-prob", "--config", str(cfg), "--events", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_trajectories_at_exceptional_drive(tmp_path):
+    # the no-side-count generator has no eigenbasis at this drive
+    from conftest import Z_STAR
+
+    cfg = _config(tmp_path, z=Z_STAR, n_traj=20)
+    traj = _trajectories(cfg, tmp_path / "traj")
+    assert traj.read_text().count(",side") > 0
+
+
+def test_battery_passes_quad_order_to_every_oracle_call(monkeypatch):
+    import resfluor.guichardet
+    import resfluor.verify
+    from resfluor.config import RunConfig
+
+    seen = []
+    real = resfluor.guichardet.oracle_davies_map
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("quad_order"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(resfluor.verify, "oracle_davies_map", spy)
+    monkeypatch.setattr(resfluor.guichardet, "oracle_davies_map", spy)
+    resfluor.verify.run_battery(RunConfig(quad_order=12))
+    # seven call sites (one in a loop over three horizons) plus the two
+    # calls inside the jump-limit check
+    assert seen == [12] * 11
+
+
 def test_trajectories_identical_across_thread_counts(tmp_path):
     cfg = _config(tmp_path)
     files = {}

@@ -215,6 +215,25 @@ def test_amplitude_closed_forms(sym_model):
     assert frobenius_dist(aside, exact_side_amplitude(sym_model, t, s)) < 1e-13
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_amplitude_cocycle_across_a_split(seed):
+    # amp_t(omega) = amp_{t-s}(omega_late - s) amp_s(omega_early): the
+    # amplitude is a finite sum, so this holds to roundoff however many
+    # emissions there are (a cap on absorption insertions broke it at >= 6)
+    rng = np.random.default_rng(900 + seed)
+    m = random_model(rng)
+    t, s = 2.0, 0.9
+    for n_early, n_late, side in ((3, 3, None), (3, 4, None), (2, 3, "early"), (2, 3, "late")):
+        f_early = np.sort(rng.uniform(0.0, s, n_early))
+        f_late = np.sort(rng.uniform(s, t, n_late))
+        s_early = [rng.uniform(0.0, s)] if side == "early" else []
+        s_late = [rng.uniform(s, t)] if side == "late" else []
+        whole = driven_amplitude(m, t, [*f_early, *f_late], s_early + s_late)
+        early = driven_amplitude(m, s, f_early, s_early)
+        late = driven_amplitude(m, t - s, f_late - s, np.array(s_late) - s)
+        assert np.abs(whole - late @ early).max() < 1e-14, (n_early, n_late, side)
+
+
 def test_amplitude_undriven_side_photon():
     m0 = build_model(SQ2, SQ2, 0.0)
     t, s = 1.0, 0.3

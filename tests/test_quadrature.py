@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from resfluor.quadrature import effective_order, gauss_legendre_01, simplex_nodes
+from resfluor.quadrature import gauss_legendre_01, simplex_nodes
 
 
 def test_gauss_legendre_01_integrates_polynomials():
@@ -36,9 +36,3 @@ def test_simplex_exponential_integral():
     exact = T - 1.0 + np.exp(-T)
     assert val == pytest.approx(exact, rel=1e-13)
 
-
-def test_effective_order_caps_high_dimensions():
-    assert effective_order(24, 1) == 24
-    assert effective_order(24, 3) == 24
-    assert effective_order(24, 6) < 24
-    assert effective_order(24, 8) >= 4

@@ -228,3 +228,23 @@ def test_renewal_battery_underpowered(sym_model):
     assert rep.underpowered
     assert rep.passed == {}
     assert rep.n_later < MIN_KS_SAMPLES
+
+
+def test_cdf_and_densities_at_exceptional_drive(exceptional_model):
+    # Z_x has no eigenbasis here; the CDFs must still integrate the densities
+    m = exceptional_model
+    rho = np.diag([0.3, 0.7]).astype(complex)
+    xs = np.array([0.5, 2.0, 7.0])
+    densities = {
+        "later": lambda s: waiting_densities(m, rho, np.array([s])).z[0],
+        "first": lambda s: first_click_hazard(m, rho, s)[0],
+    }
+    for which, density in densities.items():
+        F = theoretical_cdf(m, rho, which, xs)
+        for x, Fx in zip(xs, F):
+            ref = quad(density, 0.0, x, epsabs=1e-13, epsrel=1e-12)[0]
+            assert Fx == pytest.approx(ref, rel=1e-10, abs=1e-13), which
+    hz = first_click_hazard(m, rho, xs)
+    assert np.allclose(hz, abs(m.kappa_s) ** 2 * waiting_densities(m, rho, xs).z_first,
+                       atol=1e-13)
+    assert factorized_probability(m, rho, [0.7, 1.2, 0.4]) > 0.0

@@ -55,3 +55,47 @@ def test_identity_exact_at_zero():
         assert np.array_equal(out[0], np.eye(4))
         assert np.array_equal(out[2], np.eye(4))
         assert not np.array_equal(out[1], np.eye(4))
+
+
+def _generators():
+    rng = np.random.default_rng(31)
+    jordan = -0.5 * np.eye(4, dtype=complex)
+    jordan[0, 1] = jordan[1, 2] = jordan[2, 3] = 1.0
+    return {
+        "random": rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) - 2 * np.eye(4),
+        "zero-eigenvalue": np.diag([0.0, -1.0, -0.5 + 2j, -0.5 - 2j]).astype(complex),
+        "jordan": jordan,
+    }
+
+
+@pytest.mark.parametrize("name", ["random", "zero-eigenvalue", "jordan"])
+def test_component_value_and_integral(name):
+    from scipy.integrate import quad
+
+    G = _generators()[name]
+    sg = SemigroupCache(G)
+    assert sg._diagonalizable is (name != "jordan")
+    rng = np.random.default_rng(32)
+    W = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    t = rng.normal(size=4) + 1j * rng.normal(size=4)
+    xs = np.array([0.0, 0.3, 1.7])
+
+    def exact(b, x):
+        return float(np.real(W[b].conj() @ expm(x * G) @ t))
+
+    f = sg.component(W, t)
+    vals = f(xs)
+    # Z_0 = Id exactly: orthogonal weight and target give exactly zero
+    e = np.eye(4)
+    assert sg.component(e[0], e[1])(0.0)[0] == 0.0
+    assert sg.component(e[0], e[1]).integral(0.0)[0] == 0.0
+    for b, x in enumerate(xs):
+        assert vals[b] == pytest.approx(exact(b, x), rel=1e-12, abs=1e-12)
+        ref = quad(lambda s: exact(b, s), 0.0, x, epsabs=1e-13, epsrel=1e-13)[0]
+        assert f.integral(xs)[b] == pytest.approx(ref, rel=1e-11, abs=1e-13)
+    # one row evaluated at many arguments
+    one = sg.component(W[1], t)
+    assert one(xs).shape == (3,)
+    assert one(xs)[1] == pytest.approx(vals[1], rel=1e-14)
+    with pytest.raises(ValueError):
+        f.integral(np.array([0.1, -0.1, 0.2]))

@@ -189,3 +189,17 @@ def test_conditioning_consistency_split_resume(sym_model):
 def test_initial_state_stack_validation(sym_model):
     with pytest.raises(ValueError):
         sample_batch(sym_model, np.zeros((3, 2, 2)), 1.0, 1, 4)
+
+
+def test_sampler_at_exceptional_drive(exceptional_model):
+    # no eigenbasis: survival, inversion and sampling run through expm
+    m = exceptional_model
+    assert not _ModeOps(m, "side-only").sg._diagonalizable
+    for u in (0.9, 0.5, 0.12):
+        x = sample_waiting_time(m, maximally_mixed(), u)
+        assert survival(m, maximally_mixed(), x) == pytest.approx(u, abs=1e-9)
+    g = ground_state()
+    whole = sample_batch(m, g, 8.0, 5, 12)
+    parts = sample_batch(m, g, 8.0, 5, 5) + sample_batch(m, g, 8.0, 5, 7, first_index=5)
+    assert [t.records for t in whole] == [t.records for t in parts]
+    assert sum(len(t.records) for t in whole) > 0
