@@ -35,7 +35,6 @@ from .guichardet import (
     driven_amplitude,
     integral_sum_kernel,
     integral_sum_kernel_batch,
-    jump_limit_check,
     oracle_davies_map,
 )
 from .linalg import (
@@ -61,13 +60,13 @@ from .model import (
     bounded_rate_check,
     build_model,
     drive_commutator_form,
+    emission_amplitude,
     forward_jump,
     interaction_rate_constant,
     lindblad_generator,
     master_generator,
     master_map,
     no_count_map,
-    no_forward_count_generator,
     no_jump_generator,
     no_jump_matrix_generator,
     no_jump_operator,

@@ -315,10 +315,9 @@ def _cmd_verify(args) -> int:
     report = run_battery(cfg)
     for c in report["checks"]:
         flag = "pass" if c["pass"] else "FAIL"
-        extra = f" [{c['status']}]" if "status" in c else ""
         print(
             f"{flag}  {c['name']}: distance {c['distance']:.3e} "
-            f"(tolerance {c['tolerance']:.3e}){extra}"
+            f"(tolerance {c['tolerance']:.3e})"
         )
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)

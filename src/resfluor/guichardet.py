@@ -31,8 +31,10 @@ photon cap, with Gauss-Legendre rules on the ordered time simplices) and
 multiplies by the coherent normalization e^{-t|z|^2}.  The event is cut into
 segments and its counts spread over them by this module's own enumeration.
 None of this shares code paths with the analytic semigroup/jump
-construction, so agreement between the two pipelines checks the formulas,
-not the integrator.
+construction -- from :mod:`resfluor.model` it takes only the ``Model``
+container -- so agreement between the two pipelines checks the formulas,
+not the integrator.  Comparing the two routes is the job of
+:mod:`resfluor.verify`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .events import ChannelEvent, Event
-from .model import Model, forward_jump, side_jump
+from .model import Model
 from .quadrature import simplex_nodes
 
 __all__ = [
@@ -56,7 +58,6 @@ __all__ = [
     "driven_amplitude",
     "OracleResult",
     "oracle_davies_map",
-    "jump_limit_check",
 ]
 
 _FREE = -1  # per-segment count marker for an unconstrained channel
@@ -507,41 +508,3 @@ def _ad_sum(w: np.ndarray, amp: np.ndarray) -> np.ndarray:
     """
     gram = (amp * w) @ amp.conj().T
     return gram.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
-
-
-def jump_limit_check(m: Model, t_list, n_max: int = 4, quad_order: int = 24) -> dict:
-    """Difference quotients of one-photon counting maps against the jump maps.
-
-    For each t, computes (1/t) * oracle map of "exactly one photon in [0, t)
-    in this channel, none in the other" and reports its distance to the
-    corresponding jump superoperator.  The distance should shrink linearly
-    in t; entries with an empty window are flagged and carry no data.
-    """
-    from .events import exact_count, zero_photons
-
-    report = {"forward": [], "side": []}
-    targets = {"forward": forward_jump(m), "side": side_jump(m)}
-    for t in t_list:
-        if t <= 0:
-            for channel in ("forward", "side"):
-                report[channel].append({"t": float(t), "no_data": True})
-            continue
-        for channel in ("forward", "side"):
-            one = exact_count(0.0, t, 1)
-            ev = Event(
-                forward=one if channel == "forward" else zero_photons(),
-                side=one if channel == "side" else zero_photons(),
-                horizon=t,
-            )
-            est = oracle_davies_map(m, ev, n_max=n_max, quad_order=quad_order).matrix / t
-            dist = float(np.linalg.norm(est - targets[channel]))
-            report[channel].append(
-                {"t": float(t), "distance": dist, "ratio": dist / t, "no_data": False}
-            )
-    for channel in ("forward", "side"):
-        rows = [r for r in report[channel] if not r["no_data"]]
-        rows.sort(key=lambda r: r["t"], reverse=True)
-        report[channel + "_distance_decreasing"] = all(
-            a["distance"] >= b["distance"] - 1e-12 for a, b in zip(rows, rows[1:])
-        )
-    return report

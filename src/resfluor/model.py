@@ -10,6 +10,7 @@ time.  This module builds every generator and semigroup used elsewhere:
 * ``no_jump_operator``     -- the 2x2 contraction B_t with Y_t(A) = B_t^dag A B_t
 * ``no_count_map``         -- Y_t, conditioned on zero counts in both channels
 * ``forward_jump`` / ``side_jump`` -- the jump superoperators
+* ``emission_amplitude`` -- the driven amplitude of a photon record
 * ``no_side_count_map``    -- Z_t = exp(t(L0 + J_f)), forward channel unobserved
 * ``master_generator`` / ``master_map`` -- unconditioned driven evolution
 
@@ -35,9 +36,9 @@ __all__ = [
     "no_count_map",
     "forward_jump",
     "side_jump",
+    "emission_amplitude",
     "no_side_count_generator",
     "no_side_count_map",
-    "no_forward_count_generator",
     "master_generator",
     "master_map",
     "drive_commutator_form",
@@ -157,6 +158,27 @@ def side_jump(m: Model) -> np.ndarray:
     return ad_map(m.V_s)
 
 
+def emission_amplitude(m: Model, t: float, omega_f, omega_s) -> np.ndarray:
+    """Driven amplitude of emissions at times omega_f, omega_s in [0, t].
+
+    With the emissions ordered s_1 < ... < s_n it is
+    e^{t|z|^2/2} B_{t-s_n} C_n ... C_1 B_{s_1}, where C = zI + V_f for a
+    forward photon and V_s for a side photon; the prefactor cancels the
+    coherent weight e^{-t|z|^2/2} inside B_t.  The kernel oracle's
+    ``driven_amplitude`` computes the same matrix by an independent route.
+    A time outside [0, t] raises ValueError through :func:`no_jump_operator`.
+    """
+    record = sorted(
+        [(float(x), m.z * I2 + m.V_f) for x in omega_f] + [(float(x), m.V_s) for x in omega_s],
+        key=lambda p: p[0],
+    )
+    amp, prev = I2, 0.0
+    for x, C in record:
+        amp = C @ no_jump_operator(m, x - prev) @ amp
+        prev = x
+    return np.exp(t * abs(m.z) ** 2 / 2) * no_jump_operator(m, t - prev) @ amp
+
+
 def no_side_count_generator(m: Model) -> np.ndarray:
     """Generator L0 + J_f of the evolution between side-channel detections."""
     return no_jump_generator(m) + forward_jump(m)
@@ -171,11 +193,6 @@ def no_side_count_map(m: Model, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError("no_side_count_map requires t >= 0")
     return superop_exp(no_side_count_generator(m), t)
-
-
-def no_forward_count_generator(m: Model) -> np.ndarray:
-    """Generator L0 + J_s: side channel unobserved, no forward counts."""
-    return no_jump_generator(m) + side_jump(m)
 
 
 def master_generator(m: Model) -> np.ndarray:

@@ -180,14 +180,6 @@ class RenewalReport:
     passed: dict = field(default_factory=dict)
 
 
-def _side_inter_arrivals(trajs) -> list[np.ndarray]:
-    out = []
-    for t in trajs:
-        ts = t.times("side") if isinstance(t, Trajectory) else np.asarray(t, dtype=float)
-        out.append(np.diff(np.concatenate([[0.0], ts])) if len(ts) else np.array([]))
-    return out
-
-
 def renewal_test(
     trajs,
     m: Model,
@@ -204,7 +196,11 @@ def renewal_test(
     from scipy import stats  # only here: it dominates the package's import time
 
     rho = require_density_matrix(rho)
-    inter = _side_inter_arrivals(trajs)
+    side = [
+        tr.times("side") if isinstance(tr, Trajectory) else np.asarray(tr, dtype=float)
+        for tr in trajs
+    ]
+    inter = [np.diff(ts, prepend=0.0) for ts in side]
     x1 = np.array([xs[0] for xs in inter if len(xs) >= 1])
     x2 = np.array([xs[1] for xs in inter if len(xs) >= 2])
     x3 = np.array([xs[2] for xs in inter if len(xs) >= 3])
@@ -234,11 +230,11 @@ def renewal_test(
 
     counts_tail = {}
     if tail_times:
+        # per-trajectory side-click counts up to each tail time, one bincount each
+        owner = np.repeat(np.arange(len(side)), [len(ts) for ts in side])
+        every = np.concatenate([np.zeros(0), *side])
         click_counts = {
-            t: np.array(
-                [np.sum(np.asarray([x for x in (tr.times("side") if isinstance(tr, Trajectory) else tr)]) <= t) for tr in trajs]
-            )
-            for t in tail_times
+            t: np.bincount(owner[every <= t], minlength=len(side)) for t in tail_times
         }
         for n in (0, 1, 2):
             counts_tail[n] = {

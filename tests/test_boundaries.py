@@ -38,3 +38,14 @@ def test_oracle_shares_no_code_with_the_analytic_pipeline():
         assert not any(
             name == banned or name.endswith("." + banned) for name in imported
         ), banned
+
+
+def test_oracle_takes_only_the_model_container_from_model():
+    # importing the analytic jump maps would let the oracle grade itself
+    from_model = {
+        alias.name
+        for node in ast.walk(_tree(SRC / "guichardet.py"))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "model"
+        for alias in node.names
+    }
+    assert from_model == {"Model"}

@@ -10,6 +10,7 @@ import pytest
 import resfluor
 import resfluor.cli
 from resfluor.cli import run
+from resfluor.config import format_float
 from resfluor.model import master_map
 from resfluor.events import Event, event_to_json, exact_count, free_channel
 
@@ -112,10 +113,9 @@ def test_battery_passes_quad_order_to_every_oracle_call(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(resfluor.verify, "oracle_davies_map", spy)
-    monkeypatch.setattr(resfluor.guichardet, "oracle_davies_map", spy)
     resfluor.verify.run_battery(RunConfig(quad_order=12))
-    # seven call sites (one in a loop over three horizons) plus the two
-    # calls inside the jump-limit check
+    # eight call sites, one in a loop over three horizons and one in a loop
+    # over the two jump-limit channels
     assert seen == [12] * 11
 
 
@@ -140,6 +140,30 @@ def test_renewal_stats_counts_every_trajectory(tmp_path, horizon, n_traj):
     assert report["n_traj"] == n_traj
     for tail in report["counts_tail"].values():
         assert all(0.0 <= float(v) <= 1.0 for v in tail.values())
+
+
+def test_renewal_stats_counts_tail_matches_a_direct_count(tmp_path):
+    # P[N_t <= n] in the report agrees digit for digit with counting each
+    # trajectory's side clicks straight from the sampled CSV
+    horizon, n_traj = 20.0, 300
+    cfg = _config(tmp_path, horizon=horizon, n_traj=n_traj)
+    traj = _trajectories(cfg, tmp_path / "traj")
+    out = tmp_path / "renewal"
+    assert run(["renewal-stats", "--config", str(cfg), "--traj", str(traj), "--out", str(out)]) == 0
+    report = json.loads((out / "renewal_report.json").read_text())
+    side = [[] for _ in range(n_traj)]
+    for line in traj.read_text().splitlines():
+        if line and not line.startswith(("#", "trajectory_index")):
+            idx, _jump, t, channel = line.split(",")
+            if channel == "side":
+                side[int(idx)].append(float(t))
+    expected = {}
+    for n in (0, 1, 2):
+        expected[str(n)] = {}
+        for t in (horizon * f for f in (0.2, 0.5, 1.0)):
+            below = [sum(x <= t for x in clicks) <= n for clicks in side]
+            expected[str(n)][format_float(t)] = format_float(float(np.mean(below)))
+    assert report["counts_tail"] == expected
 
 
 def test_renewal_stats_rejects_csv_without_count(tmp_path):
@@ -197,17 +221,13 @@ def test_verify_passes_every_check(verify_outcome):
         "dyson-vs-exponential",
         "zero-count-davies",
         "amplitude-one-forward",
+        "amplitude-brute-forward",
         "amplitude-one-side",
+        "amplitude-brute-side",
     ]
     for row in report["checks"]:
         assert row["pass"], row["name"]
-        if "status" in row:
-            # amplitude rows: the pass is the brute-force agreement, and the
-            # distance to the textbook form is reported, not gated
-            assert row["brute_force_distance"] <= 1e-10, row["name"]
-            assert row["status"] in ("reproduced", "discrepancy-reported")
-        else:
-            assert row["distance"] <= row["tolerance"], row["name"]
+        assert row["pass"] == (row["distance"] <= row["tolerance"]), row["name"]
 
 
 def test_verify_failing_battery_exits_two(tmp_path, monkeypatch):
