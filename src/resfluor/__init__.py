@@ -92,7 +92,6 @@ from .trajectories import (
     sample_trajectory,
     sample_waiting_time,
     survival,
-    trajectory_density_audit,
 )
 from .verify import run_battery
 

@@ -86,13 +86,15 @@ def _stamp(cfg: RunConfig) -> str:
     return f"{TOOL_VERSION} config={config_hash(cfg)}"
 
 
-def _write_csv(path: Path, header: list[str], rows, cfg: RunConfig, comments=()):
+def _write_csv(path: Path, header: list[str], fmt: str, rows, cfg: RunConfig, comments=()):
+    """Write the stamp, comment lines, header, and each row as ``fmt % row``."""
     lines = [f"# {_stamp(cfg)}", *(f"# {c}" for c in comments), ",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
-        )
+    lines += [fmt % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _float_format(header: list[str]) -> str:
+    return ",".join(["%.17g"] * len(header))
 
 
 def _write_json(path: Path, payload: dict, cfg: RunConfig):
@@ -122,7 +124,7 @@ def _cmd_evolve(args) -> int:
     header += [f"rho_{i}{j}_{p}" for i in (1, 2) for j in (1, 2) for p in ("re", "im")]
     header += [f"heis_proj_{i}{j}_{p}" for i in (1, 2) for j in (1, 2) for p in ("re", "im")]
     header += ["excited_population"]
-    _write_csv(out / "evolve.csv", header, rows, cfg)
+    _write_csv(out / "evolve.csv", header, _float_format(header), rows, cfg)
     return 0
 
 
@@ -193,6 +195,7 @@ def _cmd_trajectories(args) -> int:
     _write_csv(
         out / "trajectories.csv",
         ["trajectory_index", "jump_index", "time", "channel"],
+        "%d,%d,%.17g,%s",
         _traj_rows(trajs),
         cfg,
         comments=[f"n_traj={n}"],
@@ -217,33 +220,22 @@ def _cmd_trajectories(args) -> int:
     return 0
 
 
-def _waiting_rows(cfg: RunConfig):
+def _write_waiting(path: Path, cfg: RunConfig):
     m = cfg.model()
     rho0 = cfg.rho0()
     grid = cfg.grid()
     dens = waiting_densities(m, rho0, grid)
     f_later = theoretical_cdf(m, rho0, "later", grid)
     f_first = theoretical_cdf(m, rho0, "first", grid)
-    for k, x in enumerate(grid):
-        yield (
-            float(x),
-            float(dens.z[k]),
-            float(dens.z_first[k]),
-            float(dens.z_last[k]),
-            float(f_later[k]),
-            float(f_first[k]),
-        )
+    rows = np.column_stack([grid, dens.z, dens.z_first, dens.z_last, f_later, f_first])
+    header = ["x", "z", "z_first", "z_last", "F_later", "F_first"]
+    _write_csv(path, header, _float_format(header), rows.tolist(), cfg)
 
 
 def _cmd_waiting_time(args) -> int:
     cfg = _load_config(args.config, {"threads": args.threads})
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        args.out / "waiting.csv",
-        ["x", "z", "z_first", "z_last", "F_later", "F_first"],
-        _waiting_rows(cfg),
-        cfg,
-    )
+    _write_waiting(args.out / "waiting.csv", cfg)
     return 0
 
 
@@ -301,12 +293,7 @@ def _cmd_renewal_stats(args) -> int:
         },
         cfg,
     )
-    _write_csv(
-        args.out / "waiting.csv",
-        ["x", "z", "z_first", "z_last", "F_later", "F_first"],
-        _waiting_rows(cfg),
-        cfg,
-    )
+    _write_waiting(args.out / "waiting.csv", cfg)
     return 0
 
 

@@ -78,6 +78,9 @@ class RunConfig:
         for key in ("n_max", "quad_order", "n_traj", "grid_num", "threads"):
             if getattr(self, key) < 0:
                 raise ValueError(f"config key {key!r} must be >= 0")
+        for key in ("kappa_f", "kappa_s", "z", "horizon", "grid_start", "grid_stop"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"config key {key!r} must be finite")
         if self.horizon < 0:
             raise ValueError("config key 'horizon' must be >= 0")
 

@@ -61,12 +61,17 @@ class Model:
     kappa_f: complex
     kappa_s: complex
     z: complex
-    V: np.ndarray = field(default_factory=lambda: LOWER.copy(), repr=False)
+    V: np.ndarray = field(init=False, repr=False)
     V_f: np.ndarray = field(init=False, repr=False)
     V_s: np.ndarray = field(init=False, repr=False)
-    P: np.ndarray = field(default_factory=lambda: EXCITED_PROJ.copy(), repr=False)
+    P: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.kappa_f, self.kappa_s, self.z])):
+            raise ValueError(
+                "channel and drive amplitudes must be finite; got "
+                f"kappa_f={self.kappa_f!r}, kappa_s={self.kappa_s!r}, z={self.z!r}"
+            )
         norm2 = abs(self.kappa_f) ** 2 + abs(self.kappa_s) ** 2
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise ValueError(
@@ -78,6 +83,8 @@ class Model:
         object.__setattr__(self, "kappa_f", complex(self.kappa_f) * scale)
         object.__setattr__(self, "kappa_s", complex(self.kappa_s) * scale)
         object.__setattr__(self, "z", complex(self.z))
+        object.__setattr__(self, "V", LOWER.copy())
+        object.__setattr__(self, "P", EXCITED_PROJ.copy())
         object.__setattr__(self, "V_f", self.kappa_f * self.V)
         object.__setattr__(self, "V_s", self.kappa_s * self.V)
         for name in ("V", "V_f", "V_s", "P"):

@@ -1,15 +1,19 @@
 """Monte Carlo sampling of photon-detection records.
 
-Two observation schemes are supported:
+A trajectory alternates two steps: click-free evolution up to the next
+detection, then the jump of the detected channel.  The two observation
+schemes run the same steps and differ only in which channels are observed:
 
 * ``side-only``: only the side detector is read out.  Between detections the
   conditional state evolves by the Schroedinger dual of Z_t (forward channel
-  traced out, no side count), and each side click projects the atom to the
-  ground state exactly.
+  traced out, no side count); a click applies V_s.
 * ``two-channel``: both detectors are read out.  Between clicks the state
-  evolves by the dual of the no-count map Ad[B_t]; at a click the channel is
-  drawn from the two instantaneous rates and the corresponding jump matrix
-  (zI + V_f or V_s) is applied.
+  evolves by the dual of the no-count map Ad[B_t]; a click draws its channel
+  from the two rates and applies zI + V_f or V_s.
+
+``_ModeOps`` owns both steps for a (B, 2, 2) stack of states.  A jump divides
+the real and imaginary parts of C rho C^dag by its real trace, so after a
+side click, in either scheme, the state is the ground state exactly.
 
 Waiting times are sampled by inverting the no-click survival probability
 S(x) = Tr(rho E_x(I)), a scalar component of a 4x4 semigroup (see
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import I2, require_density_matrix, vec
-from .model import Model, no_jump_generator, no_side_count_generator, side_jump
+from .model import Model, no_jump_generator, no_side_count_generator
 from .semigroup import Component, SemigroupCache
 
 __all__ = [
@@ -45,7 +49,6 @@ __all__ = [
     "evolve_no_jump",
     "sample_trajectory",
     "sample_batch",
-    "trajectory_density_audit",
     "waiting_time_cap",
 ]
 
@@ -53,7 +56,7 @@ SIDE = "side"
 FORWARD = "forward"
 
 _BISECT_TOL = 1e-10
-_JUMP_POP_TOL = 1e-14
+_JUMP_RATE_TOL = 1e-14
 _BLOCK = 64
 
 
@@ -94,12 +97,6 @@ class Trajectory:
             [t for t, c in self.records if channel is None or c == channel]
         )
 
-    def inter_arrivals(self, channel: str | None = None) -> np.ndarray:
-        ts = self.times(channel)
-        if len(ts) == 0:
-            return ts
-        return np.diff(np.concatenate([[0.0], ts]))
-
 
 def waiting_time_cap(m: Model) -> float:
     """Search cap for survival inversion: 50 * (1 + 1/|kappa_s|^2)."""
@@ -110,26 +107,54 @@ def waiting_time_cap(m: Model) -> float:
 
 
 class _ModeOps:
-    """Survival, dual evolution and jumps for one observation mode."""
+    """Survival, click-free evolution and jumps for one observation mode.
+
+    The only code that evolves, jumps or renormalises a conditional state.
+    ``channels`` lists the observed channels, the side channel last;
+    ``jumps`` stacks their jump matrices C_c and ``rate_ops`` their C_c^dag C_c.
+    """
 
     def __init__(self, m: Model, mode: str):
-        if mode not in ("side-only", "two-channel"):
+        if mode == "side-only":
+            gen, channels, jumps = no_side_count_generator(m), [SIDE], [m.V_s]
+        elif mode == "two-channel":
+            gen, channels = no_jump_generator(m), [FORWARD, SIDE]
+            jumps = [m.z * I2 + m.V_f, m.V_s]
+        else:
             raise ValueError(f"unknown mode {mode!r}")
-        gen = no_side_count_generator(m) if mode == "side-only" else no_jump_generator(m)
         self.sg = SemigroupCache(gen)
-        self.jump_mats = {FORWARD: m.z * I2 + m.V_f, SIDE: m.V_s}
+        self.channels = np.array(channels)
+        self.jumps = np.stack(jumps)
+        self.rate_ops = np.stack([C.conj().T @ C for C in jumps])
 
     def survival(self, rhos: np.ndarray) -> Component:
         """x -> Tr(rho_b E_x(I)) for each state of a (B,2,2) stack."""
         return self.sg.component(_batch_vec(rhos), vec(I2))
 
-    def dual_evolve(self, rhos: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Unnormalized Schroedinger evolution of a (B,2,2) stack over gaps xs."""
+    def evolve(self, rhos: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Click-free Schroedinger evolution over gaps xs, renormalised."""
         duals = self.sg.at(xs).conj().transpose(0, 2, 1)
-        out = np.einsum("bij,bj->bi", duals, _batch_vec(rhos))
-        out_m = _batch_devec(out)
+        out = _batch_devec(np.einsum("bij,bj->bi", duals, _batch_vec(rhos)))
         # defend Hermiticity against roundoff
-        return 0.5 * (out_m + out_m.conj().transpose(0, 2, 1))
+        out = 0.5 * (out + out.conj().transpose(0, 2, 1))
+        trs = np.real(np.einsum("bii->b", out))
+        if np.any(trs <= 0):
+            raise ArithmeticError("click-free evolution annihilated the state")
+        return out / trs[:, None, None]
+
+    def jump(self, rhos: np.ndarray, pick: np.ndarray) -> np.ndarray:
+        """C rho C^dag / Tr for each row's channel index ``pick``, renormalised.
+
+        Real and imaginary parts are divided by the real trace separately, so
+        an entry equal to the trace becomes exactly 1.
+        """
+        C = self.jumps[pick]
+        un = C @ rhos @ C.conj().transpose(0, 2, 1)
+        trs = np.real(np.einsum("bii->b", un))
+        if np.any(trs <= _JUMP_RATE_TOL):
+            raise ArithmeticError("click drawn from a state with no rate in its channel")
+        post = (un.view(float) / trs[:, None, None]).view(complex)
+        return 0.5 * (post + post.conj().transpose(0, 2, 1))
 
 
 def survival(m: Model, rho, x, mode: str = "side-only") -> float:
@@ -179,18 +204,17 @@ def sample_waiting_time(m: Model, rho, u: float, mode: str = "side-only") -> flo
 
 
 def apply_side_jump(m: Model, rho) -> np.ndarray:
-    """State after a side click: V rho V^dag / Tr(rho V^dag V) = ground, exactly.
+    """State after a side click: V_s rho V_s^dag / Tr(rho V_s^dag V_s) = ground, exactly.
 
-    Raises when the excited population is below threshold; the sampler never
+    Raises when the side-click rate is below threshold; the sampler never
     requests a jump from a de-excited state, so hitting this signals an
     inconsistency upstream.
     """
     rho = require_density_matrix(rho)
-    pop = float(np.real(np.trace(rho @ m.P)))
-    if pop <= _JUMP_POP_TOL:
-        raise ValueError("side jump requested from a de-excited state")
-    post = m.V @ rho @ m.V.conj().T / pop
-    return 0.5 * (post + post.conj().T)
+    try:
+        return _ModeOps(m, "side-only").jump(rho[None], np.array([0]))[0]
+    except ArithmeticError as exc:
+        raise ValueError("side jump requested from a de-excited state") from exc
 
 
 def evolve_no_jump(m: Model, rho, x: float, mode: str = "side-only") -> np.ndarray:
@@ -202,12 +226,7 @@ def evolve_no_jump(m: Model, rho, x: float, mode: str = "side-only") -> np.ndarr
     if x < 0:
         raise ValueError("evolve_no_jump requires x >= 0")
     rho = require_density_matrix(rho)
-    ops = _ModeOps(m, mode)
-    un = ops.dual_evolve(rho[None, :, :], np.array([float(x)]))[0]
-    tr = float(np.real(np.trace(un)))
-    if tr <= 0:
-        raise ArithmeticError("no-jump evolution annihilated the state")
-    return un / tr
+    return _ModeOps(m, mode).evolve(rho[None], np.array([float(x)]))[0]
 
 
 def _stream(master_seed: int, index: int) -> np.random.Generator:
@@ -256,8 +275,8 @@ def sample_batch(
     also be a stack of n_traj initial states (one per trajectory), which is
     how a batch resumes from previously computed conditional states.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    if not 0.0 <= horizon < np.inf:
+        raise ValueError("horizon must be finite and >= 0")
     B = int(n_traj)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim == 3:
@@ -291,45 +310,21 @@ def sample_batch(
         jrows = rows[jumped]
         if jrows.size == 0:
             continue
-        gaps = waits[jumped]
-        evolved = ops.dual_evolve(states[jrows], gaps)
-        trs = np.real(np.einsum("bii->b", evolved))
-        evolved = evolved / trs[:, None, None]
-        if mode == "side-only":
-            chans = np.array([SIDE] * jrows.size)
-            pops = np.real(evolved[:, 0, 0])
-            if np.any(pops <= _JUMP_POP_TOL):
-                raise ArithmeticError("sampler drew a side click from a dead state")
-            # V rho V^dag / rho_11 is the ground state for every rho
-            post = np.broadcast_to(np.diag([0.0, 1.0]).astype(complex), evolved.shape)
-        else:
+        evolved = ops.evolve(states[jrows], waits[jumped])
+        pick = np.full(jrows.size, len(ops.channels) - 1)
+        if len(ops.channels) > 1:
             uc = tape.draw(jrows)
-            Cf = m.z * I2 + m.V_f
-            rate_f = np.real(np.einsum("bij,ji->b", evolved, Cf.conj().T @ Cf))
-            rate_s = np.real(np.einsum("bij,ji->b", evolved, m.V_s.conj().T @ m.V_s))
-            total = rate_f + rate_s
+            rates = np.real(np.einsum("bij,cji->bc", evolved, ops.rate_ops))
             # ties at equal floating rates break toward the side channel
-            pick_forward = uc * total > rate_s
-            chans = np.where(pick_forward, FORWARD, SIDE)
-            post = np.empty_like(evolved)
-            for ch in (FORWARD, SIDE):
-                sel = np.flatnonzero(chans == ch)
-                if sel.size:
-                    mat = ops.jump_mats[ch]
-                    un = mat @ evolved[sel] @ mat.conj().T
-                    trs_ch = np.real(np.einsum("bii->b", un))
-                    post[sel] = un / trs_ch[:, None, None]
-        states[jrows] = 0.5 * (post + post.conj().transpose(0, 2, 1))
+            pick[uc * rates.sum(axis=1) > rates[:, -1]] = 0
+        states[jrows] = ops.jump(evolved, pick)
         clock[jrows] = t_new[jumped]
         rec_traj.append(jrows.copy())
         rec_time.append(t_new[jumped].copy())
-        rec_chan.append(chans.copy())
+        rec_chan.append(ops.channels[pick])
 
     # terminal conditional states: click-free stretch to the horizon
-    tails = np.maximum(horizon - clock, 0.0)
-    finals = ops.dual_evolve(states, tails)
-    trs = np.real(np.einsum("bii->b", finals))
-    finals = finals / trs[:, None, None]
+    finals = ops.evolve(states, np.maximum(horizon - clock, 0.0))
 
     per_traj: list[list[tuple[float, str]]] = [[] for _ in range(B)]
     for rows, ts, cs in zip(rec_traj, rec_time, rec_chan):
@@ -363,35 +358,3 @@ def sample_trajectory(
         mode=mode,
         first_index=seed.trajectory_index,
     )[0]
-
-
-def trajectory_density_audit(m: Model, rho0, traj: Trajectory) -> dict:
-    """Compare the sampler's stepwise density with the word-integrand trace.
-
-    The product of per-step click densities and the final survival factor
-    must reproduce Tr(rho0 Z_{x1} J_s Z_{x2} ... J_s Z_{x_{k+1}}(I)); this
-    pins the Schroedinger/Heisenberg duality convention.  Side-only records
-    are assumed.
-    """
-    ops = _ModeOps(m, "side-only")
-    ks2 = abs(m.kappa_s) ** 2
-    xs = list(traj.inter_arrivals()) + [traj.horizon - (traj.times()[-1] if traj.records else 0.0)]
-
-    rho = require_density_matrix(rho0)
-    stepwise = 1.0
-    for x in xs[:-1]:
-        zp = ops.sg.at(float(x)) @ vec(m.P)
-        dens = ks2 * float(np.real(vec(rho).conj() @ zp))
-        stepwise *= dens
-        un = ops.dual_evolve(rho[None], np.array([float(x)]))[0]
-        rho = m.V @ (un / np.real(np.trace(un))) @ m.V.conj().T
-        rho = rho / np.real(np.trace(rho))
-    stepwise *= float(ops.survival(rho[None])(float(xs[-1]))[0])
-
-    # word = Z_{x1} J_s Z_{x2} ... J_s Z_{x_last} applied to the identity
-    Js = side_jump(m)
-    word = ops.sg.at(float(xs[-1])) @ vec(I2)
-    for x in reversed(xs[:-1]):
-        word = ops.sg.at(float(x)) @ (Js @ word)
-    trace_form = float(np.real(vec(rho0).conj() @ word))
-    return {"stepwise": float(stepwise), "trace_form": trace_form}

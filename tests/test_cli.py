@@ -79,8 +79,13 @@ def test_bad_input_exits_one(tmp_path):
             {},
         ),
         ([], {"n_traj": None}),
+        ([], {"horizon": float("inf")}),
+        ([], {"horizon": float("nan")}),
+        ([], {"z": float("nan")}),
+        ([], {"kappa_f": float("nan")}),
     ],
-    ids=["event-not-object", "channels-list", "window-one-end", "null-n-traj"],
+    ids=["event-not-object", "channels-list", "window-one-end", "null-n-traj",
+         "infinite-horizon", "nan-horizon", "nan-z", "nan-kappa-f"],
 )
 def test_malformed_input_exits_one_with_message(tmp_path, capsys, events, config):
     cfg = _config(tmp_path, **config)
@@ -89,6 +94,7 @@ def test_malformed_input_exits_one_with_message(tmp_path, capsys, events, config
     assert run(["event-prob", "--config", str(cfg), "--events", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert all(repr(key) in err for key in config)
 
 
 def test_trajectories_at_exceptional_drive(tmp_path):

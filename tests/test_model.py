@@ -14,6 +14,7 @@ from resfluor.linalg import (
     vec,
 )
 from resfluor.model import (
+    Model,
     bounded_rate_check,
     build_model,
     drive_commutator_form,
@@ -41,6 +42,17 @@ def test_build_model_examples():
     assert np.all(m2.V_s == 0)
     with pytest.raises(ValueError):
         build_model(0.9, 0.9, 0.0)
+    for args in ((np.nan, SQ2, 1.0), (SQ2, SQ2, np.nan), (SQ2, SQ2, complex(np.inf, 0))):
+        with pytest.raises(ValueError, match="finite"):
+            build_model(*args)
+
+
+def test_model_operators_are_not_arguments():
+    for name in ("V", "P"):
+        with pytest.raises(TypeError):
+            Model(kappa_f=SQ2, kappa_s=SQ2, z=1.0, **{name: np.eye(2)})
+    m = Model(kappa_f=SQ2, kappa_s=SQ2, z=1.0)
+    assert np.array_equal(m.V, LOWER) and np.array_equal(m.P, EXCITED_PROJ)
 
 
 def test_build_model_renormalizes_small_drift():
