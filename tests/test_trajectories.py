@@ -5,13 +5,15 @@ from conftest import random_model
 from resfluor.davies import event_probability
 from resfluor.events import Event, exact_count, free_channel
 from resfluor.linalg import (
+    I2,
     devec,
     excited_state,
     frobenius_dist,
     ground_state,
     maximally_mixed,
+    vec,
 )
-from resfluor.model import build_model, no_count_map, no_side_count_map
+from resfluor.model import build_model, no_count_map, no_side_count_map, side_jump
 from resfluor.trajectories import (
     SeedSpec,
     apply_side_jump,
@@ -114,6 +116,19 @@ def test_evolution_is_the_exact_dual_of_the_counting_map():
                     assert abs(np.trace(out @ devec(A)) - want) < 1e-12
 
 
+def test_unnormalized_trace_equals_survival(sym_model):
+    # the renormalised click-free state times the survival is the
+    # unnormalised state, whose trace Tr(rho E_x(I)) is the survival
+    rho = maximally_mixed()
+    for x in (0.2, 1.1, 3.0):
+        un = evolve_no_jump(sym_model, rho, x) * survival(sym_model, rho, x)
+        want = np.trace(rho @ devec(no_side_count_map(sym_model, x) @ vec(I2)))
+        assert np.trace(un).real == pytest.approx(want.real, abs=1e-12)
+        assert np.trace(un).real == pytest.approx(
+            survival(sym_model, rho, x), abs=1e-12
+        )
+
+
 def test_side_click_leaves_the_ground_state_exactly(monkeypatch):
     seen = []
     real_jump = _ModeOps.jump
@@ -182,6 +197,49 @@ def test_two_channel_between_jump_rates(sym_model):
     for t in trajs[:5]:
         times = [x for x, _ in t.records]
         assert all(a < b for a, b in zip(times, times[1:]))
+
+
+def _stepwise_density(m, rho0, tr):
+    # product of the sampler's per-click densities and the final survival
+    ks2 = abs(m.kappa_s) ** 2
+    times = tr.times()
+    gaps = np.diff(np.concatenate(([0.0], times)))
+    rho, dens = rho0, 1.0
+    for x in gaps:
+        rho_x = evolve_no_jump(m, rho, float(x))
+        dens *= ks2 * np.trace(rho_x @ m.P).real * survival(m, rho, float(x))
+        rho = apply_side_jump(m, rho_x)
+    last = tr.horizon - (times[-1] if len(times) else 0.0)
+    return dens * survival(m, rho, float(last))
+
+
+def _trace_form_density(m, rho0, tr):
+    # Tr(rho0 Z_{x1} J_s Z_{x2} ... J_s Z_{x_last}(I)) with expm-built Z_x
+    times = tr.times()
+    gaps = np.diff(np.concatenate(([0.0], times)))
+    last = tr.horizon - (times[-1] if len(times) else 0.0)
+    Js = side_jump(m)
+    word = no_side_count_map(m, float(last)) @ vec(I2)
+    for x in reversed(gaps):
+        word = no_side_count_map(m, float(x)) @ (Js @ word)
+    return np.trace(rho0 @ devec(word)).real
+
+
+def test_density_audit_pins_duality(sym_model):
+    # the sampler's stepwise density equals the Heisenberg word integrand;
+    # a complex model and start state make a wrong conjugation show
+    rng = np.random.default_rng(77)
+    for m, rho0 in ((sym_model, ground_state()), (random_model(rng), _random_state(rng))):
+        trajs = sample_batch(m, rho0, 12.0, 777, 8)
+        checked = 0
+        for tr in trajs:
+            if not (1 <= len(tr.records) <= 5):
+                continue
+            assert _stepwise_density(m, rho0, tr) == pytest.approx(
+                _trace_form_density(m, rho0, tr), rel=1e-9, abs=1e-12
+            )
+            checked += 1
+        assert checked > 0
 
 
 def test_click_statistics_match_counting_maps(sym_model):
