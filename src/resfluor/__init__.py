@@ -49,7 +49,6 @@ from .linalg import (
     frobenius_dist,
     ground_state,
     is_completely_positive,
-    mat_exp,
     maximally_mixed,
     require_density_matrix,
     superop_exp,

@@ -47,7 +47,8 @@ def _build_parser() -> _Parser:
     def common(sp, out_required=True):
         sp.add_argument("--config", type=Path, default=None, help="JSON config file")
         sp.add_argument("--out", type=Path, required=out_required, help="output directory")
-        sp.add_argument("--threads", type=int, default=None, help="worker threads")
+        sp.add_argument("--threads", type=int, default=None,
+                        help="worker threads; only trajectories uses them")
 
     sp = sub.add_parser("evolve", help="unconditioned evolution on the time grid")
     common(sp)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .model import Model, build_model
+from .trajectories import SeedSpec
 
 __all__ = ["RunConfig", "config_hash", "format_float", "TOOL_VERSION"]
 
@@ -83,6 +84,7 @@ class RunConfig:
                 raise ValueError(f"config key {key!r} must be finite")
         if self.horizon < 0:
             raise ValueError("config key 'horizon' must be >= 0")
+        SeedSpec(self.master_seed)
 
     def model(self) -> Model:
         return build_model(self.kappa_f, self.kappa_s, self.z)

@@ -11,7 +11,8 @@ semigroup exp(d L0).  Such sums are blocks of a single matrix exponential
 (Van Loan, IEEE TAC 23, 395 (1978); the tilted-generator form of full
 counting statistics): index the counts seen so far by a lattice site, put L0
 on the diagonal blocks and J_c on the blocks that raise channel c's count,
-and the (0, n) block of exp(t A) is the map for exactly n counts.
+and the (0, n) block of exp(t A) is the map for exactly n counts, evaluated
+by :func:`resfluor.linalg.superop_exp`.
 
 The horizon is cut into segments at all window edges.  Within a segment a
 channel is pinned (inside one of its windows: its jumps raise its count,
@@ -34,9 +35,9 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import expm
 
 from .events import Event
+from .linalg import I2, apply_superop, require_density_matrix, superop_exp
 from .model import Model, forward_jump, no_jump_generator, side_jump
 
 __all__ = ["DaviesResult", "davies_map", "event_probability", "dyson_truncation_tail"]
@@ -54,8 +55,6 @@ class DaviesResult:
     quad_error: float = 0.0
 
     def __call__(self, A) -> np.ndarray:
-        from .linalg import apply_superop
-
         return apply_superop(self.matrix, A)
 
 
@@ -145,7 +144,7 @@ def davies_map(
                 A += np.kron(_raise(shape, axis, ch.windows[owner].count), J)
             elif ch.free:
                 A += np.kron(eye if expansion == "resum" else _raise(shape, 2, extra), J)
-        row = row @ expm((b - a) * A)
+        row = row @ superop_exp(A, b - a)
         for axis, (ch, owner) in enumerate(zip(channels, owners)):
             if owner is not None and b == ch.windows[owner].b:
                 row = _restart(row, shape, axis, ch.windows[owner].count)
@@ -160,8 +159,6 @@ def event_probability(
     tol: float = 1e-8,
 ) -> float:
     """P[rho sees the event] = Tr(rho * map(I)); must land in [-tol, 1 + tol]."""
-    from .linalg import I2, require_density_matrix
-
     rho = require_density_matrix(rho)
     res = davies_map(m, e, n_max=n_max)
     p = float(np.real(np.trace(rho @ res(I2))))

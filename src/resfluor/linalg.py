@@ -7,8 +7,12 @@ matrices.  The vectorization convention is fixed once and for all:
     vec(A) = (a11, a21, a12, a22)     (column stacking)
 
 so that composing two superoperators is an ordinary 4x4 matrix product and
-``vec(X A Y) = kron(Y.T, X) @ vec(A)``.  Every matrix exponential in the
-package is ``scipy.linalg.expm``.
+``vec(X A Y) = kron(Y.T, X) @ vec(A)``.
+
+:func:`superop_exp` is the package's one caller of ``scipy.linalg.expm``, for
+every generator: the 2x2 no-jump one, superoperators, lattice counting
+generators and Van Loan's augmented ones.  The other route to a semigroup,
+its eigen form, belongs to :class:`resfluor.semigroup.Component` alone.
 
 All functions are pure and never mutate their arguments.
 """
@@ -24,7 +28,6 @@ __all__ = [
     "EXCITED_PROJ",
     "vec",
     "devec",
-    "mat_exp",
     "superop_exp",
     "ad_map",
     "apply_superop",
@@ -72,30 +75,22 @@ def apply_superop(S, A) -> np.ndarray:
     return devec(np.asarray(S, dtype=complex) @ vec(A))
 
 
-def mat_exp(M, t: float = 1.0) -> np.ndarray:
-    """exp(t*M) for a 2x2 complex matrix with finite entries and finite t."""
-    M = _as_c2x2(M)
-    if not np.isfinite(t) or not np.all(np.isfinite(M)):
-        raise ValueError("mat_exp requires finite entries and finite t")
-    return expm(t * M)
-
-
 def superop_exp(G, t) -> np.ndarray:
-    """exp(t*G) for a superoperator generator G, t >= 0.
+    """exp(t*G) for a square generator G with finite entries, t >= 0.
 
-    ``t`` is a scalar, giving a 4x4 matrix, or a 1-D array of times, giving
-    a (len(t), 4, 4) stack from one stacked ``expm`` call.  Only forward
+    ``t`` is a scalar, giving one matrix, or a 1-D array of times, giving a
+    (len(t), n, n) stack from one stacked ``expm`` call.  Only forward
     semigroups are exposed here; a negative time raises.
     """
     G = np.asarray(G, dtype=complex)
-    if G.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 superoperator, got shape {G.shape}")
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise ValueError(f"expected a square generator, got shape {G.shape}")
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ValueError(f"expected a scalar or 1-D array of times, got shape {ts.shape}")
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("superop_exp requires finite t")
-    if np.any(ts < 0):
+    if not (np.isfinite(ts).all() and np.isfinite(G).all()):
+        raise ValueError("superop_exp requires a finite generator and finite t")
+    if (ts < 0).any():
         raise ValueError("superop_exp requires t >= 0 (forward semigroup)")
     return expm(ts[..., None, None] * G)
 

@@ -14,15 +14,17 @@ In terms of the between-clicks semigroup Z_x the theoretical densities are
 
 z(0) = 0 with zero slope: side photons arrive antibunched.  Each density is
 a scalar component of Z_x and each CDF its exact integral, evaluated by
-:class:`resfluor.semigroup.SemigroupCache`, which also covers drives where
-the generator of Z has no eigenbasis.
+:class:`resfluor.semigroup.Component`, which also covers drives where the
+generator of Z has no eigenbasis.  ``factorized_probability`` checks its
+product of densities against a word trace of Z_x = ``SemigroupCache.at(x)``,
+the ``expm`` route, so the check shares no eigen form with what it checks.
 
-``renewal_test`` runs the statistical battery on sampled trajectories:
+``renewal_test`` runs the statistical battery on side-click times:
 Kolmogorov-Smirnov for X_1 (first-interval law) and X_2, X_3 (stationary
-law), a chi-square independence check of (X_2, X_3) on a quantile-binned
-grid, and the decay of P[N_t <= n].  Kolmogorov-Smirnov thresholds come from
-the asymptotic distribution and require n >= 1000; smaller samples mark the
-report underpowered instead of passing or failing.
+law) and a chi-square independence check of (X_2, X_3) on a quantile-binned
+grid, each at level 0.01, and the decay of P[N_t <= n].  Kolmogorov-Smirnov
+thresholds come from the asymptotic distribution and require n >= 1000;
+smaller samples mark the report underpowered instead of passing or failing.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 from .linalg import I2, require_density_matrix, vec
 from .model import Model, no_side_count_generator, side_jump
 from .semigroup import SemigroupCache
-from .trajectories import Trajectory
 
 __all__ = [
     "WaitingDensities",
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 MIN_KS_SAMPLES = 1000
+_ALPHA = 0.01  # level of the KS and independence tests; ks_threshold_99 assumes it
 _E22 = vec(np.diag([0.0, 1.0]))  # picks the (2,2) entry of a column-stacked matrix
 
 
@@ -116,8 +118,6 @@ def factorized_probability(m: Model, rho, inter_arrivals) -> float:
     xs = [float(x) for x in inter_arrivals]
     if len(xs) < 1:
         raise ValueError("need at least the final stretch duration")
-    if any(x < 0 for x in xs):
-        raise ValueError("inter-arrival times must be >= 0")
     rho = require_density_matrix(rho)
     sg = _z_semigroup(m)
     ks2 = abs(m.kappa_s) ** 2
@@ -181,25 +181,20 @@ class RenewalReport:
 
 
 def renewal_test(
-    trajs,
+    clicks,
     m: Model,
     rho,
-    alpha: float = 0.01,
     tail_times: tuple[float, ...] = (),
 ) -> RenewalReport:
-    """Run the renewal battery on sampled trajectories.
+    """Run the renewal battery on per-trajectory arrays of side-click times.
 
-    ``trajs`` is a list of :class:`Trajectory` (or per-trajectory arrays of
-    side-click times).  Infinite or missing intervals are excluded from the
-    CDF comparisons and show up only through the sample sizes.
+    Infinite or missing intervals are excluded from the CDF comparisons and
+    show up only through the sample sizes.
     """
     from scipy import stats  # only here: it dominates the package's import time
 
     rho = require_density_matrix(rho)
-    side = [
-        tr.times("side") if isinstance(tr, Trajectory) else np.asarray(tr, dtype=float)
-        for tr in trajs
-    ]
+    side = [np.asarray(ts, dtype=float) for ts in clicks]
     inter = [np.diff(ts, prepend=0.0) for ts in side]
     x1 = np.array([xs[0] for xs in inter if len(xs) >= 1])
     x2 = np.array([xs[1] for xs in inter if len(xs) >= 2])
@@ -213,7 +208,7 @@ def renewal_test(
     ks_first = stats.kstest(x1, cdf_first).statistic if len(x1) else np.nan
     ks_later = stats.kstest(x2, cdf_later).statistic if len(x2) else np.nan
     ks_third = stats.kstest(x3, cdf_later).statistic if len(x3) else np.nan
-    thr = float(stats.kstwobign.isf(alpha))
+    thr = float(stats.kstwobign.isf(_ALPHA))
 
     # independence on a 10x10 grid with deciles of the theoretical CDF, so
     # expected counts are uniform under the null
@@ -248,7 +243,7 @@ def renewal_test(
             "ks_first": bool(ks_first <= lim(len(x1))),
             "ks_later": bool(ks_later <= lim(len(x2))),
             "ks_third": bool(ks_third <= lim(len(x3))),
-            "independence": bool(pval > alpha),
+            "independence": bool(pval > _ALPHA),
         }
     return RenewalReport(
         n_traj=len(inter),

@@ -1,23 +1,21 @@
-"""The semigroup exp(x*G) of a fixed 4x4 generator and its scalar components.
+"""The semigroup exp(x*G) of a fixed generator and its scalar components.
 
-The trajectory sampler and the renewal densities evaluate one and the same
-semigroup at very many times.  This module is the only one that knows how:
-it eigendecomposes the generator once and evaluates U diag(e^{lambda x}) U^{-1},
-unless the generator is too close to defective for that to be trustworthy
-(cond(U) >= 1e7 or a poor reconstruction), in which case it applies
-``scipy.linalg.expm``.
+Two routes evaluate it, with one owner each.  :meth:`SemigroupCache.at`
+returns whole matrices exp(xG) from :func:`resfluor.linalg.superop_exp`, the
+package's one ``expm``.  :class:`Component` returns scalar components
+f_b(x) = Re(w_b^dag exp(xG) t) for weight rows w_b and targets t, with their
+integrals from 0 to x: survival probabilities, waiting densities, CDFs and
+the entries of a click-free state.  It is the only reader of the eigen form
+G = U diag(lambda) U^{-1}, which the cache computes once.
 
-Survival probabilities, waiting densities and CDFs are all scalar components
-f_b(x) = Re(w_b^dag exp(xG) t) for weight rows w_b and one target t.
-:meth:`SemigroupCache.component` returns them with their integrals from 0 to
-x.  On the eigen path each row's coefficients c_bi = (w_b^dag U)_i (U^{-1} t)_i
-are formed once, so every evaluation is a four-term exponential sum and the
-integral is sum_i c_bi expm1(lambda_i x) / lambda_i.  Otherwise the value
-comes from ``expm`` and the integral from Van Loan's augmented generator
+The coefficients c_bi = (w_b^dag U)_i (U^{-1} t)_i are formed once, so a
+value is a four-term exponential sum and the integral is
+sum_i c_bi expm1(lambda_i x) / lambda_i.  When the generator is too close to
+defective for its eigenvectors to be trusted (cond(U) >= 1e7 or a poor
+reconstruction; Moler & Van Loan, SIAM Rev. 45, 3 (2003)), the value comes
+from ``superop_exp`` and the integral from Van Loan's augmented generator
 [[G, t], [0, 0]], whose exponential holds int_0^x exp(sG) t ds in its last
-column.  Both paths are checked against ``expm`` in the test suite.
-
-At x = 0 both paths return Z_0 = Id exactly, and every component its exact
+column.  At x = 0, ``at`` returns Id exactly and every component its exact
 value Re(w_b^dag t), so exact-zero endpoints such as the antibunching zero
 of the side-click density stay exactly zero.
 """
@@ -25,7 +23,8 @@ of the side-click density stay exactly zero.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
+
+from .linalg import superop_exp
 
 __all__ = ["SemigroupCache", "Component"]
 
@@ -38,7 +37,7 @@ def _arguments(x) -> np.ndarray:
 
 
 class SemigroupCache:
-    """Evaluate exp(x*G) at scalar or array arguments for a fixed generator."""
+    """exp(x*G) for a fixed generator, and its eigen form for :class:`Component`."""
 
     def __init__(self, G: np.ndarray):
         G = np.asarray(G, dtype=complex)
@@ -61,15 +60,11 @@ class SemigroupCache:
     def at(self, x):
         """exp(x*G); ``x`` may be a scalar or a 1-D array (returns a stack).
 
-        Wherever x == 0 the result is the identity exactly, not U U^{-1}.
+        Wherever x == 0 the result is the identity exactly.
         """
         scalar = np.isscalar(x)
         xs = _arguments(x)
-        if self._diagonalizable:
-            ph = np.exp(np.outer(xs, self.lam))
-            out = np.einsum("ij,bj,jk->bik", self.U, ph, self.Uinv)
-        else:
-            out = expm(xs[:, None, None] * self.G)
+        out = superop_exp(self.G, xs)
         out[xs == 0.0] = np.eye(self.G.shape[0])
         return out[0] if scalar else out
 
@@ -83,16 +78,17 @@ class Component:
 
     Calling it at ``x`` gives f_b(x); :meth:`integral` gives the integral of
     f_b from 0 to x.  ``x`` holds one argument per row, or any number of
-    arguments when there is a single row; the result is a 1-D array.
+    arguments when there is a single row.  The result is a 1-D array for one
+    target, or one such row per target when ``target`` stacks k of them.
     """
 
     def __init__(self, sg: SemigroupCache, weights, target):
         self._sg = sg
         self._w = np.conj(np.atleast_2d(np.asarray(weights, dtype=complex)))
         self._t = np.asarray(target, dtype=complex)
-        self._at_zero = np.real(np.einsum("bi,i->b", self._w, self._t))
+        self._at_zero = np.real(np.einsum("bi,...i->...b", self._w, self._t))
         if sg._diagonalizable:
-            self._c = (self._w @ sg.U) * (sg.Uinv @ self._t)
+            self._c = (self._w @ sg.U) * (self._t @ sg.Uinv.T)[..., None, :]
 
     def __call__(self, x) -> np.ndarray:
         xs = _arguments(x)
@@ -100,7 +96,7 @@ class Component:
             ph = np.exp(xs[:, None] * self._sg.lam)
             vals = np.einsum("...i,...i->...", self._c, ph).real
         else:
-            vecs = expm(xs[:, None, None] * self._sg.G) @ self._t
+            vecs = (superop_exp(self._sg.G, xs) @ self._t[..., None, :, None])[..., 0]
             vals = np.einsum("...i,...i->...", self._w, vecs).real
         return np.where(xs == 0.0, self._at_zero, vals)
 
@@ -114,9 +110,11 @@ class Component:
             prim[:, ~live] = xs[:, None]
             prim[:, live] = np.expm1(xs[:, None] * lam[live]) / lam[live]
             return np.einsum("...i,...i->...", self._c, prim).real
-        n = self._t.size
-        aug = np.zeros((n + 1, n + 1), dtype=complex)
+        n = self._w.shape[1]
+        cols = self._t.reshape(-1, n).T
+        aug = np.zeros((n + cols.shape[1],) * 2, dtype=complex)
         aug[:n, :n] = self._sg.G
-        aug[:n, n] = self._t
-        vecs = expm(xs[:, None, None] * aug)[:, :n, n]
-        return np.einsum("...i,...i->...", self._w, vecs).real
+        aug[:n, n:] = cols
+        vecs = np.moveaxis(superop_exp(aug, xs)[:, :n, n:], -1, 0)
+        vals = np.einsum("...i,...i->...", self._w, vecs).real
+        return vals.reshape(self._t.shape[:-1] + vals.shape[-1:])

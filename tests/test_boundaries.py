@@ -26,6 +26,61 @@ def test_only_semigroup_reads_the_eigen_form():
         assert not names, f"{path.name} reads {sorted(names)}"
 
 
+def test_only_linalg_calls_expm():
+    # superop_exp is the one matrix-exponential routine
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = _tree(path)
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
+            for alias in node.names
+        }
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "expm" not in imported | attrs, path.name
+
+
+def test_inside_semigroup_only_component_reads_the_eigen_form():
+    # SemigroupCache.__init__ sets lam, U and Uinv; Component alone reads them
+    tree = _tree(SRC / "semigroup.py")
+    owners = {}
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for fn in (node for node in cls.body if isinstance(node, ast.FunctionDef)):
+            for node in ast.walk(fn):
+                owners[node] = (cls.name, fn.name)
+    readers = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in {"lam", "U", "Uinv"}:
+            owner = owners.get(node, ("<module>", ""))
+            if owner == ("SemigroupCache", "__init__") and isinstance(node.ctx, ast.Store):
+                continue
+            readers.add(owner)
+    assert readers and {cls for cls, _ in readers} == {"Component"}, readers
+
+
+def test_sampler_rounds_build_no_semigroup_matrix():
+    # click-free states and survivals are Component reads; only the
+    # once-per-batch route check calls SemigroupCache.at, and nothing in the
+    # sampler calls superop_exp
+    tree = _tree(SRC / "trajectories.py")
+    owners = {}
+    for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        for node in ast.walk(fn):
+            owners[node] = fn.name
+    callers = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "at":
+            base = node.value
+            if (isinstance(base, ast.Attribute) and base.attr == "sg") or (
+                isinstance(base, ast.Name) and base.id == "SemigroupCache"
+            ):
+                callers.add(owners.get(node, "<module>"))
+        assert getattr(node, "attr", getattr(node, "id", None)) != "superop_exp"
+    assert callers == {"check_routes"}, callers
+
+
 def test_oracle_shares_no_code_with_the_analytic_pipeline():
     # the kernel oracle must stay an independent second route
     imported = set()

@@ -83,9 +83,12 @@ def test_bad_input_exits_one(tmp_path):
         ([], {"horizon": float("nan")}),
         ([], {"z": float("nan")}),
         ([], {"kappa_f": float("nan")}),
+        ([], {"master_seed": -1}),
+        ([], {"master_seed": 2**64}),
     ],
     ids=["event-not-object", "channels-list", "window-one-end", "null-n-traj",
-         "infinite-horizon", "nan-horizon", "nan-z", "nan-kappa-f"],
+         "infinite-horizon", "nan-horizon", "nan-z", "nan-kappa-f",
+         "negative-seed", "seed-beyond-u64"],
 )
 def test_malformed_input_exits_one_with_message(tmp_path, capsys, events, config):
     cfg = _config(tmp_path, **config)

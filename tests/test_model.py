@@ -55,6 +55,14 @@ def test_model_operators_are_not_arguments():
     assert np.array_equal(m.V, LOWER) and np.array_equal(m.P, EXCITED_PROJ)
 
 
+def test_model_equality_and_hash_follow_the_amplitudes():
+    a, b = build_model(0.6, 0.8, 1), build_model(0.6, 0.8, 1)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_model(0.6, 0.8, 1.5)
+    table = {a: "first"}
+    assert table[b] == "first"
+
+
 def test_build_model_renormalizes_small_drift():
     m = build_model(SQ2 * (1 + 4e-10), SQ2, 1.0)
     assert abs(abs(m.kappa_f) ** 2 + abs(m.kappa_s) ** 2 - 1.0) < 1e-15
@@ -157,6 +165,17 @@ def test_no_side_count_map(sym_model, undriven_model):
     assert np.max(eigs.real) < -1e-3
     with pytest.raises(ValueError):
         no_side_count_map(sym_model, -1.0)
+
+
+def test_negative_times_raise_through_superop_exp(sym_model):
+    # the maps keep no time checks of their own: superop_exp rejects t < 0
+    for f in (no_jump_operator, no_count_map, no_side_count_map, master_map):
+        with pytest.raises(ValueError, match="t >= 0"):
+            f(sym_model, -0.5)
+    with pytest.raises(ValueError, match="t >= 0"):
+        master_map(sym_model, np.array([0.5, -0.5]))
+    with pytest.raises(ValueError, match="t >= 0"):
+        bounded_rate_check(sym_model, [0.5, -0.5])
 
 
 def test_master_generator_identities(sym_model, undriven_model):

@@ -93,6 +93,20 @@ def test_factorized_probability_random_arguments(sym_model, k):
     assert val >= 0.0
 
 
+def test_factorized_probability_catches_corrupted_eigenvalues(sym_model, monkeypatch):
+    # the densities come from the eigen form, the word check from expm: an
+    # eigenvalue error of 1e-6 must surface instead of cancelling out
+    import resfluor.renewal
+    from resfluor.semigroup import SemigroupCache
+
+    sg = SemigroupCache(no_side_count_generator(sym_model))
+    assert sg._diagonalizable
+    sg.lam = sg.lam * (1 + 1e-6)
+    monkeypatch.setattr(resfluor.renewal, "_z_semigroup", lambda m: sg)
+    with pytest.raises(ArithmeticError):
+        factorized_probability(sym_model, ground_state(), [0.7, 1.3, 0.5])
+
+
 def test_theoretical_cdf_properties(sym_model):
     g = ground_state()
     assert theoretical_cdf(sym_model, g, "later", 0.0) == 0.0
@@ -202,7 +216,7 @@ def test_renewal_battery_null_calibration(sym_model):
 def test_renewal_battery_on_sampler_output(sym_model):
     g = ground_state()
     trajs = sample_batch(sym_model, g, 60.0, 555, 4000)
-    rep = renewal_test(trajs, sym_model, g)
+    rep = renewal_test([tr.times("side") for tr in trajs], sym_model, g)
     assert not rep.underpowered
     assert all(rep.passed.values())
 
@@ -224,7 +238,7 @@ def test_renewal_battery_negative_control(sym_model):
 def test_renewal_battery_underpowered(sym_model):
     g = ground_state()
     trajs = sample_batch(sym_model, g, 60.0, 3, 50)
-    rep = renewal_test(trajs, sym_model, g)
+    rep = renewal_test([tr.times("side") for tr in trajs], sym_model, g)
     assert rep.underpowered
     assert rep.passed == {}
     assert rep.n_later < MIN_KS_SAMPLES

@@ -99,3 +99,24 @@ def test_component_value_and_integral(name):
     assert one(xs)[1] == pytest.approx(vals[1], rel=1e-14)
     with pytest.raises(ValueError):
         f.integral(np.array([0.1, -0.1, 0.2]))
+
+
+@pytest.mark.parametrize("name", ["random", "zero-eigenvalue", "jordan"])
+def test_stacked_targets_equal_single_targets(name):
+    # k stacked targets give k rows, each its own component to roundoff
+    sg = SemigroupCache(_generators()[name])
+    rng = np.random.default_rng(33)
+    W = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    T = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    xs = np.array([0.0, 0.3, 1.7, 2.5, 0.0])
+    stacked = sg.component(W, T)
+    assert stacked(xs).shape == stacked.integral(xs).shape == (3, 5)
+    close = lambda a, b: np.allclose(a, b, rtol=1e-13, atol=1e-14)
+    for k, t in enumerate(T):
+        single = sg.component(W, t)
+        assert close(stacked(xs)[k], single(xs))
+        assert close(stacked.integral(xs)[k], single.integral(xs))
+        assert np.array_equal(stacked(xs)[k][xs == 0.0], single(xs)[xs == 0.0])
+    one_row = sg.component(W[2], T)
+    assert one_row(xs).shape == (3, 5)
+    assert close(one_row(xs)[1], sg.component(W[2], T[1])(xs))

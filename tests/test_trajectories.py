@@ -85,6 +85,8 @@ def test_apply_side_jump(sym_model):
 def test_evolve_no_jump(sym_model, undriven_model):
     rho = maximally_mixed()
     assert frobenius_dist(evolve_no_jump(sym_model, rho, 0.0), rho) < 1e-15
+    with pytest.raises(ValueError):
+        evolve_no_jump(sym_model, rho, -0.1)
     assert frobenius_dist(
         evolve_no_jump(undriven_model, ground_state(), 3.0), ground_state()
     ) < 1e-14
@@ -99,21 +101,47 @@ def _random_state(rng):
     return 0.5 * (rho + rho.conj().T) / np.trace(rho).real
 
 
-def test_evolution_is_the_exact_dual_of_the_counting_map():
+def test_evolution_is_the_exact_dual_of_the_counting_map(exceptional_model):
     # Tr(rho_x A) S(x) = Tr(rho E_x(A)) for each matrix unit A, where rho_x is
     # the renormalised click-free state, S the survival and E_x the expm-built
-    # map of the mode; A = E11 + E22 makes the unnormalised trace the survival
+    # map of the mode; A = E11 + E22 makes the unnormalised trace the survival.
+    # rho_x is read as four real components of the semigroup, so it is
+    # Hermitian bit for bit; the exceptional drive takes the expm route
+    assert not _ModeOps(exceptional_model, "side-only").sg._diagonalizable
     rng = np.random.default_rng(2026)
-    for _ in range(3):
-        m = random_model(rng)
+    for k in range(4):
+        m = random_model(rng) if k < 3 else exceptional_model
         for mode, E in (("side-only", no_side_count_map), ("two-channel", no_count_map)):
             rho = _random_state(rng)
             for x in (0.3, 1.7, 4.0):
-                out = evolve_no_jump(m, rho, x, mode) * survival(m, rho, x, mode)
+                state = evolve_no_jump(m, rho, x, mode)
+                assert np.array_equal(state, state.conj().T)
+                out = state * survival(m, rho, x, mode)
                 Ex = E(m, x)
                 for A in np.eye(4, dtype=complex):
                     want = np.trace(rho @ devec(Ex @ A))
                     assert abs(np.trace(out @ devec(A)) - want) < 1e-12
+
+
+def test_route_check_catches_a_corrupted_eigen_form(sym_model, monkeypatch):
+    # evolve reads the eigen form, SemigroupCache.at the expm route: healthy
+    # caches pass, eigenvalues off by a relative 1e-6 raise, and every
+    # batch runs the check before it samples
+    rng = np.random.default_rng(5)
+    for m in (sym_model, random_model(rng)):
+        for mode in ("side-only", "two-channel"):
+            ops = _ModeOps(m, mode)
+            ops.check_routes()
+            ops.sg.lam = ops.sg.lam * (1 + 1e-6)
+            with pytest.raises(ArithmeticError, match="expm route"):
+                ops.check_routes()
+
+    def spy(self):
+        raise ArithmeticError("route check ran")
+
+    monkeypatch.setattr(_ModeOps, "check_routes", spy)
+    with pytest.raises(ArithmeticError, match="route check ran"):
+        sample_batch(sym_model, ground_state(), 1.0, 1, 0)
 
 
 def test_unnormalized_trace_equals_survival(sym_model):
@@ -163,6 +191,24 @@ def test_non_finite_horizon_rejected(sym_model):
     for horizon in (np.inf, np.nan, -1.0):
         with pytest.raises(ValueError):
             sample_batch(sym_model, ground_state(), horizon, 1, 0)
+
+
+def test_out_of_range_seed_rejected(sym_model):
+    # a zero-trajectory batch draws nothing, so only the seed check can raise
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            sample_batch(sym_model, ground_state(), 1.0, seed, 0)
+
+
+def test_seeds_above_two_to_the_63_keep_their_own_streams(sym_model):
+    # the Philox key is built as uint64, so large seeds are neither rounded
+    # through float64 nor overflow
+    times = [
+        sample_trajectory(sym_model, excited_state(), 20.0, SeedSpec(seed)).times()
+        for seed in (2**63, 2**63 + 1, 2**64 - 1)
+    ]
+    assert not np.array_equal(times[0], times[1])
+    assert len(times[2]) > 0
 
 
 def test_trajectory_corners(undriven_model):
