@@ -1,17 +1,22 @@
 """Batch front door: config parsing, subcommand dispatch, deterministic files.
 
 Subcommands: evolve, event-prob, trajectories, waiting-time, renewal-stats,
-verify.  All numeric output uses 17 significant digits, CSV for arrays and
-JSON for reports, and every file carries a tool-version/config-hash stamp,
-so identical config + seed reproduce byte-identical files at any thread
-count.  ``trajectories.csv`` also records its trajectory count in a
-``# n_traj=N`` line, which ``renewal-stats`` requires.  Exit codes: 0
-success, 1 validation or usage error, 2 failed verification.
+verify.  Only :func:`run` parses arguments and builds the config; a flag
+whose destination is a config key (``--n`` is ``n_traj``, ``--seed`` is
+``master_seed``) overrides the file's value, and each subcommand gets the
+finished config.  A file's directory is made when the file is written.  All
+numeric output uses 17 significant digits, CSV for arrays and JSON for
+reports, and every file carries a tool-version/config-hash stamp, so
+identical config + seed reproduce byte-identical files at any thread count.
+``trajectories.csv`` also records its trajectory count in a ``# n_traj=N``
+line, which ``renewal-stats`` requires.  Exit codes: 0 success, 1 validation
+or usage error, 2 failed verification.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -47,8 +52,7 @@ def _build_parser() -> _Parser:
     def common(sp, out_required=True):
         sp.add_argument("--config", type=Path, default=None, help="JSON config file")
         sp.add_argument("--out", type=Path, required=out_required, help="output directory")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads; only trajectories uses them")
+        sp.add_argument("--threads", type=int, help="worker threads; only trajectories uses them")
 
     sp = sub.add_parser("evolve", help="unconditioned evolution on the time grid")
     common(sp)
@@ -59,9 +63,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("trajectories", help="sample photon-detection records")
     common(sp)
-    sp.add_argument("--n", type=int, default=None, help="number of trajectories")
-    sp.add_argument("--seed", type=int, default=None, help="master seed (u64)")
-    sp.add_argument("--mode", type=str, default=None, choices=["side-only", "two-channel"])
+    sp.add_argument("--n", dest="n_traj", type=int, help="number of trajectories")
+    sp.add_argument("--seed", dest="master_seed", type=int, help="master seed (u64)")
+    sp.add_argument("--mode", choices=["side-only", "two-channel"])
 
     sp = sub.add_parser("waiting-time", help="theoretical waiting-time tables")
     common(sp)
@@ -75,9 +79,11 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_config(path: Path | None, overrides: dict) -> RunConfig:
-    cfg = RunConfig() if path is None else RunConfig.from_json(path.read_text())
-    updates = {k: v for k, v in overrides.items() if v is not None}
+def _load_config(args) -> RunConfig:
+    """The config file's values, overridden by every flag given for a config key."""
+    cfg = RunConfig() if args.config is None else RunConfig.from_json(args.config.read_text())
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    updates = {k: v for k, v in vars(args).items() if k in keys and v is not None}
     if updates:
         cfg = RunConfig.from_dict({**cfg.to_dict(), **updates})
     return cfg
@@ -91,6 +97,7 @@ def _write_csv(path: Path, header: list[str], fmt: str, rows, cfg: RunConfig, co
     """Write the stamp, comment lines, header, and each row as ``fmt % row``."""
     lines = [f"# {_stamp(cfg)}", *(f"# {c}" for c in comments), ",".join(header)]
     lines += [fmt % tuple(row) for row in rows]
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -100,17 +107,21 @@ def _float_format(header: list[str]) -> str:
 
 def _write_json(path: Path, payload: dict, cfg: RunConfig):
     payload = {"tool": TOOL_VERSION, "config_hash": config_hash(cfg), **payload}
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _cmd_evolve(args) -> int:
-    cfg = _load_config(args.config, {"threads": args.threads})
-    m = cfg.model()
+def _floats_as_text(obj):
+    """``obj`` with every float, as a value or as a key, in ``format_float`` text."""
+    if isinstance(obj, dict):
+        return {_floats_as_text(k): _floats_as_text(v) for k, v in obj.items()}
+    return format_float(obj) if isinstance(obj, float) else obj
+
+
+def _cmd_evolve(cfg: RunConfig, args) -> int:
     rho0 = cfg.rho0()
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     grid = cfg.grid()
-    T = master_map(m, grid)
+    T = master_map(cfg.model(), grid)
     n = len(grid)
     # column-stacked images, read back as 2x2 matrices in row-major order
     rho_t = (T.conj().transpose(0, 2, 1) @ vec(rho0)).reshape(n, 2, 2).transpose(0, 2, 1)
@@ -125,12 +136,11 @@ def _cmd_evolve(args) -> int:
     header += [f"rho_{i}{j}_{p}" for i in (1, 2) for j in (1, 2) for p in ("re", "im")]
     header += [f"heis_proj_{i}{j}_{p}" for i in (1, 2) for j in (1, 2) for p in ("re", "im")]
     header += ["excited_population"]
-    _write_csv(out / "evolve.csv", header, _float_format(header), rows, cfg)
+    _write_csv(args.out / "evolve.csv", header, _float_format(header), rows, cfg)
     return 0
 
 
-def _cmd_event_prob(args) -> int:
-    cfg = _load_config(args.config, {"threads": args.threads})
+def _cmd_event_prob(cfg: RunConfig, args) -> int:
     m = cfg.model()
     rho0 = cfg.rho0()
     payload = json.loads(args.events.read_text())
@@ -143,7 +153,6 @@ def _cmd_event_prob(args) -> int:
         results.append(p)
         print(format_float(p))
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         _write_json(
             args.out / "event_prob.json",
             {"probabilities": [format_float(p) for p in results]},
@@ -158,20 +167,9 @@ def _traj_rows(trajs: list[Trajectory]):
             yield (tr.index, k, float(t), c)
 
 
-def _cmd_trajectories(args) -> int:
-    cfg = _load_config(
-        args.config,
-        {
-            "threads": args.threads,
-            "n_traj": args.n,
-            "master_seed": args.seed,
-            "mode": args.mode,
-        },
-    )
+def _cmd_trajectories(cfg: RunConfig, args) -> int:
     m = cfg.model()
     rho0 = cfg.rho0()
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
 
     n = cfg.n_traj
     workers = max(1, cfg.threads)
@@ -194,7 +192,7 @@ def _cmd_trajectories(args) -> int:
         trajs = [t for part in parts for t in part]
 
     _write_csv(
-        out / "trajectories.csv",
+        args.out / "trajectories.csv",
         ["trajectory_index", "jump_index", "time", "channel"],
         "%d,%d,%.17g,%s",
         _traj_rows(trajs),
@@ -205,7 +203,7 @@ def _cmd_trajectories(args) -> int:
     hist = np.bincount(counts) if len(counts) else np.array([], dtype=int)
     terminal_pop = [float(np.real(t.terminal_state[0, 0])) for t in trajs]
     _write_json(
-        out / "summary.json",
+        args.out / "summary.json",
         {
             "n_traj": n,
             "mode": cfg.mode,
@@ -233,9 +231,7 @@ def _write_waiting(path: Path, cfg: RunConfig):
     _write_csv(path, header, _float_format(header), rows.tolist(), cfg)
 
 
-def _cmd_waiting_time(args) -> int:
-    cfg = _load_config(args.config, {"threads": args.threads})
-    args.out.mkdir(parents=True, exist_ok=True)
+def _cmd_waiting_time(cfg: RunConfig, args) -> int:
     _write_waiting(args.out / "waiting.csv", cfg)
     return 0
 
@@ -265,41 +261,16 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
     return [np.array(sorted(per.get(i, []))) for i in range(n)]
 
 
-def _cmd_renewal_stats(args) -> int:
-    cfg = _load_config(args.config, {"threads": args.threads})
-    m = cfg.model()
-    rho0 = cfg.rho0()
-    args.out.mkdir(parents=True, exist_ok=True)
+def _cmd_renewal_stats(cfg: RunConfig, args) -> int:
     clicks = read_trajectory_csv(args.traj)
     tail_times = tuple(cfg.horizon * f for f in (0.2, 0.5, 1.0))
-    report = renewal_test(clicks, m, rho0, tail_times=tail_times)
-    _write_json(
-        args.out / "renewal_report.json",
-        {
-            "n_traj": report.n_traj,
-            "n_first": report.n_first,
-            "n_later": report.n_later,
-            "ks_stat_first": format_float(report.ks_stat_first),
-            "ks_stat_later": format_float(report.ks_stat_later),
-            "ks_stat_third": format_float(report.ks_stat_third),
-            "ks_threshold_99": format_float(report.ks_threshold_99),
-            "independence_stat": format_float(report.independence_stat),
-            "independence_pvalue": format_float(report.independence_pvalue),
-            "counts_tail": {
-                str(k): {format_float(t): format_float(v) for t, v in d.items()}
-                for k, d in report.counts_tail.items()
-            },
-            "underpowered": report.underpowered,
-            "passed": report.passed,
-        },
-        cfg,
-    )
+    report = renewal_test(clicks, cfg.model(), cfg.rho0(), tail_times=tail_times)
+    _write_json(args.out / "renewal_report.json", _floats_as_text(dataclasses.asdict(report)), cfg)
     _write_waiting(args.out / "waiting.csv", cfg)
     return 0
 
 
-def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config, {"threads": args.threads})
+def _cmd_verify(cfg: RunConfig, args) -> int:
     report = run_battery(cfg)
     for c in report["checks"]:
         flag = "pass" if c["pass"] else "FAIL"
@@ -308,7 +279,6 @@ def _cmd_verify(args) -> int:
             f"(tolerance {c['tolerance']:.3e})"
         )
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         _write_json(args.out / "verify_report.json", report, cfg)
     return 0 if report["all_pass"] else 2
 
@@ -325,10 +295,9 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](_load_config(args), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

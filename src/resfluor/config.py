@@ -1,18 +1,19 @@
 """Run configuration: strict JSON round-trip plus a canonical hash.
 
-Complex scalars serialize as two-element [re, im] arrays; plain numbers are
-accepted on input for convenience.  Unknown keys are rejected by name, and
-every value has a default, so a config file only needs to state what it
-changes.  The canonical serialization prints floats with 17 significant
-digits, making hash and round-trip exact.  The hash leaves out ``threads``,
-which changes how a run executes but not what it writes.
+A key's rules follow from its field type (``_RULES``): ``int`` keys take a
+JSON integer >= 0, ``float`` keys a finite JSON number, ``complex`` keys a
+finite number or [re, im] pair (their serialized form); a bool or a string
+is no number.  ``mode``, ``initial_state``, ``horizon`` and ``master_seed``
+add their own rules.  Messages name the key, unknown keys are rejected, and
+every key has a default.  Floats serialize with 17 significant digits, so
+hash and round-trip are exact; the hash leaves out ``threads``, which
+changes how a run executes but not what it writes.
 """
-
-from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,26 +29,36 @@ def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _number(v, kinds=(int, float)):
+    """``v`` if it is of the given kinds; a bool counts as no number."""
+    if isinstance(v, bool) or not isinstance(v, kinds):
+        raise TypeError(v)
+    return v
+
+
+def _from_pair(v) -> complex:
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        return complex(_number(v[0]), _number(v[1]))
+    return complex(_number(v))
+
+
 def _to_pair(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
 
 
-def _from_pair(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ValueError(v)
+class _Rule(NamedTuple):
+    load: Callable  # JSON value -> field value; raises on a wrong JSON type
+    what: str  # what the JSON value must be
+    ok: Callable  # check on the field value
+    need: str  # what the check requires
 
 
-# key groups, converter and what a value must be, for from_dict's messages
-_CONVERSIONS = (
-    (("kappa_f", "kappa_s", "z"), _from_pair, "a number or an [re, im] pair"),
-    (("n_max", "quad_order", "master_seed", "n_traj", "grid_num", "threads"), int,
-     "an integer"),
-    (("horizon", "grid_start", "grid_stop"), float, "a number"),
-)
+_RULES = {
+    complex: _Rule(_from_pair, "a number or an [re, im] pair", np.isfinite, "finite"),
+    int: _Rule(lambda v: _number(v, int), "an integer", lambda v: v >= 0, ">= 0"),
+    float: _Rule(lambda v: float(_number(v)), "a number", np.isfinite, "finite"),
+}
 
 
 @dataclass(frozen=True)
@@ -71,17 +82,13 @@ class RunConfig:
 
     def __post_init__(self):
         if self.mode not in ("side-only", "two-channel"):
-            raise ValueError(f"config key 'mode' must be side-only or two-channel")
+            raise ValueError("config key 'mode' must be side-only or two-channel")
         if self.initial_state not in ("ground", "excited", "mixed"):
-            raise ValueError(
-                "config key 'initial_state' must be ground, excited or mixed"
-            )
-        for key in ("n_max", "quad_order", "n_traj", "grid_num", "threads"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"config key {key!r} must be >= 0")
-        for key in ("kappa_f", "kappa_s", "z", "horizon", "grid_start", "grid_stop"):
-            if not np.isfinite(getattr(self, key)):
-                raise ValueError(f"config key {key!r} must be finite")
+            raise ValueError("config key 'initial_state' must be ground, excited or mixed")
+        for f in fields(self):
+            rule = _RULES.get(f.type)
+            if rule and not rule.ok(getattr(self, f.name)):
+                raise ValueError(f"config key {f.name!r} must be {rule.need}")
         if self.horizon < 0:
             raise ValueError("config key 'horizon' must be >= 0")
         SeedSpec(self.master_seed)
@@ -103,20 +110,9 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "kappa_f": _to_pair(self.kappa_f),
-            "kappa_s": _to_pair(self.kappa_s),
-            "z": _to_pair(self.z),
-            "n_max": self.n_max,
-            "quad_order": self.quad_order,
-            "master_seed": self.master_seed,
-            "n_traj": self.n_traj,
-            "horizon": self.horizon,
-            "mode": self.mode,
-            "initial_state": self.initial_state,
-            "grid_start": self.grid_start,
-            "grid_stop": self.grid_stop,
-            "grid_num": self.grid_num,
-            "threads": self.threads,
+            f.name: _to_pair(getattr(self, f.name)) if f.type is complex
+            else getattr(self, f.name)
+            for f in fields(self)
         }
 
     def to_json(self) -> str:
@@ -124,20 +120,20 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(data) - set(types))
         if unknown:
             raise ValueError(f"unknown config key {unknown[0]!r}")
         kwargs = dict(data)
-        for keys, convert, what in _CONVERSIONS:
-            for key in keys:
-                if key in kwargs:
-                    try:
-                        kwargs[key] = convert(kwargs[key])
-                    except (TypeError, ValueError) as exc:
-                        raise ValueError(
-                            f"config key {key!r} must be {what}, got {kwargs[key]!r}"
-                        ) from exc
+        for key, value in data.items():
+            rule = _RULES.get(types[key])
+            if rule:
+                try:
+                    kwargs[key] = rule.load(value)
+                except TypeError as exc:
+                    raise ValueError(
+                        f"config key {key!r} must be {rule.what}, got {value!r}"
+                    ) from exc
         return cls(**kwargs)
 
     @classmethod

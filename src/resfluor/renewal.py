@@ -25,6 +25,8 @@ law) and a chi-square independence check of (X_2, X_3) on a quantile-binned
 grid, each at level 0.01, and the decay of P[N_t <= n].  Kolmogorov-Smirnov
 thresholds come from the asymptotic distribution and require n >= 1000;
 smaller samples mark the report underpowered instead of passing or failing.
+The KS distance, its threshold and the chi-square p-value equal
+``scipy.stats``' bit for bit, without that module's import cost.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
 
 MIN_KS_SAMPLES = 1000
 _ALPHA = 0.01  # level of the KS and independence tests; ks_threshold_99 assumes it
+_KS_THRESHOLD = 1.6276236115189504  # scipy.stats.kstwobign.isf(_ALPHA)
 _E22 = vec(np.diag([0.0, 1.0]))  # picks the (2,2) entry of a column-stacked matrix
 
 
@@ -162,6 +165,18 @@ def theoretical_cdf(m: Model, rho, which: str, x) -> np.ndarray:
     return vals if np.ndim(x) else float(vals[0])
 
 
+def _ks_statistic(x: np.ndarray, cdf) -> float:
+    """Two-sided one-sample KS distance, as ``scipy.stats.kstest``; NaN if empty."""
+    n = len(x)
+    if n == 0:
+        return np.nan
+    x = np.sort(x)
+    F = cdf(x)
+    d_plus = (np.arange(1.0, n + 1) / n - F).max()
+    d_minus = (F - np.arange(0.0, n) / n).max()
+    return float(d_plus if d_plus > d_minus else d_minus)
+
+
 @dataclass(frozen=True)
 class RenewalReport:
     """Outcome of the renewal battery on a trajectory batch."""
@@ -191,7 +206,7 @@ def renewal_test(
     Infinite or missing intervals are excluded from the CDF comparisons and
     show up only through the sample sizes.
     """
-    from scipy import stats  # only here: it dominates the package's import time
+    from scipy.special import chdtrc  # chi-square survival; imported here, not with the package
 
     rho = require_density_matrix(rho)
     side = [np.asarray(ts, dtype=float) for ts in clicks]
@@ -205,10 +220,9 @@ def renewal_test(
     cdf_first = lambda v: theoretical_cdf(m, rho, "first", v)
 
     underpowered = min(len(x1), len(x2), len(x3)) < MIN_KS_SAMPLES
-    ks_first = stats.kstest(x1, cdf_first).statistic if len(x1) else np.nan
-    ks_later = stats.kstest(x2, cdf_later).statistic if len(x2) else np.nan
-    ks_third = stats.kstest(x3, cdf_later).statistic if len(x3) else np.nan
-    thr = float(stats.kstwobign.isf(_ALPHA))
+    ks_first = _ks_statistic(x1, cdf_first)
+    ks_later = _ks_statistic(x2, cdf_later)
+    ks_third = _ks_statistic(x3, cdf_later)
 
     # independence on a 10x10 grid with deciles of the theoretical CDF, so
     # expected counts are uniform under the null
@@ -219,7 +233,7 @@ def renewal_test(
         hist, _, _ = np.histogram2d(u, v, bins=[bins, bins])
         expected = len(pairs) / 100.0
         chi2 = float(((hist - expected) ** 2 / expected).sum())
-        pval = float(stats.chi2.sf(chi2, df=99))
+        pval = float(chdtrc(99, chi2))
     else:
         chi2, pval = np.nan, np.nan
 
@@ -238,7 +252,7 @@ def renewal_test(
 
     passed = {}
     if not underpowered:
-        lim = lambda n: thr / np.sqrt(n)
+        lim = lambda n: _KS_THRESHOLD / np.sqrt(n)
         passed = {
             "ks_first": bool(ks_first <= lim(len(x1))),
             "ks_later": bool(ks_later <= lim(len(x2))),
@@ -252,7 +266,7 @@ def renewal_test(
         ks_stat_first=float(ks_first),
         ks_stat_later=float(ks_later),
         ks_stat_third=float(ks_third),
-        ks_threshold_99=thr,
+        ks_threshold_99=_KS_THRESHOLD,
         independence_stat=chi2,
         independence_pvalue=pval,
         counts_tail=counts_tail,

@@ -1,6 +1,9 @@
 """Module boundaries that the design relies on, checked on the source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import resfluor
@@ -104,3 +107,47 @@ def test_oracle_takes_only_the_model_container_from_model():
         for alias in node.names
     }
     assert from_model == {"Model"}
+
+
+def test_only_run_loads_the_config_and_no_subcommand_makes_a_directory():
+    # run builds the one config every subcommand gets, and a directory is
+    # made only by the writer of a file inside it
+    tree = _tree(SRC / "cli.py")
+    loaders, mkdirs = set(), set()
+    for fn in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = getattr(callee, "id", getattr(callee, "attr", None))
+                if name == "_load_config":
+                    loaders.add(fn.name)
+                if name == "mkdir":
+                    mkdirs.add(fn.name)
+    assert loaders == {"run"}, loaders
+    assert mkdirs and not any(name.startswith("_cmd_") for name in mkdirs), mkdirs
+
+
+def test_import_and_renewal_battery_load_no_scipy_stats():
+    # scipy.stats dominates the import time of renewal-stats; the battery
+    # needs only scipy.special's chdtrc, and only when it runs
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import resfluor, resfluor.cli, resfluor.verify\n"
+        "print(' '.join(sys.modules))\n"
+        "m = resfluor.build_model(2 ** -0.5, 2 ** -0.5, 1.0)\n"
+        "clicks = [np.cumsum(np.random.default_rng(i).exponential(5.0, 3)) for i in range(1200)]\n"
+        "rep = resfluor.renewal_test(clicks, m, resfluor.linalg.ground_state())\n"
+        "assert not rep.underpowered\n"
+        "print(' '.join(sys.modules))\n"
+    )
+    src = str(SRC.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, after_battery = (set(line.split()) for line in proc.stdout.splitlines())
+    assert "resfluor.cli" in imported
+    assert not {"scipy.stats", "scipy.special"} & imported
+    assert "scipy.special" in after_battery and "scipy.stats" not in after_battery

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import resfluor
 import resfluor.cli
 from resfluor.cli import run
-from resfluor.config import format_float
+from resfluor.config import RunConfig, config_hash, format_float
 from resfluor.model import master_map
 from resfluor.events import Event, event_to_json, exact_count, free_channel
 
@@ -85,10 +86,15 @@ def test_bad_input_exits_one(tmp_path):
         ([], {"kappa_f": float("nan")}),
         ([], {"master_seed": -1}),
         ([], {"master_seed": 2**64}),
+        ([], {"n_traj": 2.7}),
+        ([], {"n_traj": "3"}),
+        ([], {"n_traj": True}),
+        ([], {"horizon": "2.5"}),
     ],
     ids=["event-not-object", "channels-list", "window-one-end", "null-n-traj",
          "infinite-horizon", "nan-horizon", "nan-z", "nan-kappa-f",
-         "negative-seed", "seed-beyond-u64"],
+         "negative-seed", "seed-beyond-u64", "float-n-traj", "string-n-traj",
+         "bool-n-traj", "string-horizon"],
 )
 def test_malformed_input_exits_one_with_message(tmp_path, capsys, events, config):
     cfg = _config(tmp_path, **config)
@@ -98,6 +104,71 @@ def test_malformed_input_exits_one_with_message(tmp_path, capsys, events, config
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert all(repr(key) in err for key in config)
+
+
+# per field type, JSON values of the wrong type; a str key takes no number
+MISTYPED = {
+    int: [1.5, "1", True, None, [1]],
+    float: ["1.0", True, None, [1.0]],
+    complex: ["1", True, [1.0], [1.0, "0"], [True, 0.0], {"re": 1.0}],
+    str: [1, None],
+}
+FIELDS = dataclasses.fields(RunConfig)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f.name for f in FIELDS])
+def test_mistyped_config_value_exits_one_naming_the_key(tmp_path, capsys, field):
+    for value in MISTYPED[field.type]:
+        cfg = _config(tmp_path, **{field.name: value})
+        out = tmp_path / "out"
+        assert run(["evolve", "--config", str(cfg), "--out", str(out)]) == 1, value
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(field.name) in err, (value, err)
+        assert not out.exists()  # nothing was written, so no directory either
+
+
+@pytest.mark.parametrize(
+    "field", [f for f in FIELDS if f.type is not str], ids=lambda f: f.name
+)
+def test_numeric_config_key_rejects_out_of_range_values(field):
+    bad = -1 if field.type is int else float("nan")
+    with pytest.raises(ValueError, match=repr(field.name)):
+        RunConfig.from_dict({field.name: bad})
+
+
+def test_config_round_trips_with_every_key_off_its_default():
+    off = {"mode": "two-channel", "initial_state": "mixed"}
+    for f in FIELDS:
+        if f.type is int:
+            off[f.name] = f.default + 3
+        elif f.type is float:
+            off[f.name] = f.default + 0.375
+        elif f.type is complex:
+            off[f.name] = complex(f.default) + complex(-0.1, 0.3)
+    cfg = RunConfig(**off)
+    assert all(getattr(cfg, f.name) != f.default for f in FIELDS)
+    back = RunConfig.from_json(cfg.to_json())
+    assert back == cfg and back.to_json() == cfg.to_json()
+    assert config_hash(back) == config_hash(cfg)
+
+
+@pytest.mark.parametrize(
+    "flag, key, value",
+    [("--n", "n_traj", 7), ("--seed", "master_seed", 11),
+     ("--mode", "mode", "two-channel"), ("--threads", "threads", 3)],
+)
+def test_trajectories_flag_overrides_the_config_file(tmp_path, monkeypatch, flag, key, value):
+    seen = []
+    monkeypatch.setitem(
+        resfluor.cli._COMMANDS, "trajectories", lambda cfg, args: seen.append(cfg) or 0
+    )
+    cfg = _config(tmp_path, master_seed=5, mode="side-only", threads=2)
+    argv = ["trajectories", "--config", str(cfg), "--out", str(tmp_path / "t")]
+    assert run(argv) == 0
+    assert run([*argv, flag, str(value)]) == 0
+    from_file, flagged = seen
+    assert getattr(from_file, key) != value and getattr(flagged, key) == value
+    assert dataclasses.replace(from_file, **{key: value}) == flagged
 
 
 def test_trajectories_at_exceptional_drive(tmp_path):
@@ -173,6 +244,20 @@ def test_renewal_stats_counts_tail_matches_a_direct_count(tmp_path):
             below = [sum(x <= t for x in clicks) <= n for clicks in side]
             expected[str(n)][format_float(t)] = format_float(float(np.mean(below)))
     assert report["counts_tail"] == expected
+
+
+def test_renewal_report_holds_the_report_fields_and_the_stamp(tmp_path):
+    from resfluor.renewal import RenewalReport
+
+    cfg = _config(tmp_path)
+    traj = _trajectories(cfg, tmp_path / "traj")
+    out = tmp_path / "renewal"
+    assert run(["renewal-stats", "--config", str(cfg), "--traj", str(traj), "--out", str(out)]) == 0
+    report = json.loads((out / "renewal_report.json").read_text())
+    fields = {f.name for f in dataclasses.fields(RenewalReport)}
+    assert set(report) == fields | {"tool", "config_hash"}
+    assert report["ks_threshold_99"] == "1.6276236115189504"
+    assert isinstance(report["n_traj"], int) and isinstance(report["underpowered"], bool)
 
 
 def test_renewal_stats_rejects_csv_without_count(tmp_path):

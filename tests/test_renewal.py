@@ -262,3 +262,44 @@ def test_cdf_and_densities_at_exceptional_drive(exceptional_model):
     assert np.allclose(hz, abs(m.kappa_s) ** 2 * waiting_densities(m, rho, xs).z_first,
                        atol=1e-13)
     assert factorized_probability(m, rho, [0.7, 1.2, 0.4]) > 0.0
+
+
+@pytest.mark.parametrize("n_traj, ties", [(1, False), (1, True), (7, True), (1200, False), (1200, True)])
+def test_battery_statistics_equal_scipy_stats_bit_for_bit(sym_model, n_traj, ties):
+    # the battery computes without scipy.stats; its KS distances, threshold
+    # and chi-square p-value must still be scipy.stats' to the last bit
+    g = ground_state()
+    rng = np.random.default_rng([n_traj, ties])
+    gaps = rng.exponential(5.0, size=(n_traj, 3))
+    if ties:
+        gaps = np.round(gaps, 1) + 0.1
+    clicks = list(np.cumsum(gaps, axis=1))
+    rep = renewal_test(clicks, sym_model, g)
+    inter = np.array([np.diff(c, prepend=0.0) for c in clicks])
+    cdf_first = lambda v: theoretical_cdf(sym_model, g, "first", v)
+    cdf_later = lambda v: theoretical_cdf(sym_model, g, "later", v)
+    assert rep.ks_stat_first == stats.kstest(inter[:, 0], cdf_first).statistic
+    assert rep.ks_stat_later == stats.kstest(inter[:, 1], cdf_later).statistic
+    assert rep.ks_stat_third == stats.kstest(inter[:, 2], cdf_later).statistic
+    assert rep.ks_threshold_99 == stats.kstwobign.isf(0.01)
+    if n_traj >= MIN_KS_SAMPLES:
+        assert rep.independence_pvalue == stats.chi2.sf(rep.independence_stat, df=99)
+
+
+def test_chdtrc_is_the_chi_square_survival_function():
+    from scipy.special import chdtrc
+
+    rng = np.random.default_rng(99)
+    x = np.concatenate([[0.0, 1e-300, 99.0, 1e4, np.inf], rng.uniform(0, 300, 5000),
+                        rng.chisquare(99, 5000)])
+    assert np.array_equal(chdtrc(99, x), stats.chi2.sf(x, df=99))
+
+
+def test_battery_reports_nan_for_empty_samples(sym_model):
+    # one trajectory without a click and one with a single click: X_1 has one
+    # value, X_2 and X_3 none
+    rep = renewal_test([np.array([]), np.array([1.0])], sym_model, ground_state())
+    assert (rep.n_traj, rep.n_first, rep.n_later) == (2, 1, 0)
+    assert 0.0 <= rep.ks_stat_first <= 1.0
+    assert np.isnan([rep.ks_stat_later, rep.ks_stat_third, rep.independence_stat]).all()
+    assert rep.underpowered and rep.passed == {}
