@@ -7,10 +7,11 @@ whose destination is a config key (``--n`` is ``n_traj``, ``--seed`` is
 finished config.  A file's directory is made when the file is written.  All
 numeric output uses 17 significant digits, CSV for arrays and JSON for
 reports, and every file carries a tool-version/config-hash stamp, so
-identical config + seed reproduce byte-identical files at any thread count.
-``trajectories.csv`` also records its trajectory count in a ``# n_traj=N``
-line, which ``renewal-stats`` requires.  Exit codes: 0 success, 1 validation
-or usage error, 2 failed verification.
+identical config + seed reproduce byte-identical files.  ``--threads`` and
+the ``threads`` key are accepted and have no effect: the sampler runs one
+vectorised batch.  ``trajectories.csv`` also records its trajectory count in
+a ``# n_traj=N`` line, which ``renewal-stats`` requires.  Exit codes: 0
+success, 1 validation or usage error, 2 failed verification.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
     def common(sp, out_required=True):
         sp.add_argument("--config", type=Path, default=None, help="JSON config file")
         sp.add_argument("--out", type=Path, required=out_required, help="output directory")
-        sp.add_argument("--threads", type=int, help="worker threads; only trajectories uses them")
+        sp.add_argument("--threads", type=int, help="kept for old configs and scripts; no effect")
 
     sp = sub.add_parser("evolve", help="unconditioned evolution on the time grid")
     common(sp)
@@ -168,29 +168,8 @@ def _traj_rows(trajs: list[Trajectory]):
 
 
 def _cmd_trajectories(cfg: RunConfig, args) -> int:
-    m = cfg.model()
-    rho0 = cfg.rho0()
-
     n = cfg.n_traj
-    workers = max(1, cfg.threads)
-    if workers == 1 or n < 2 * workers:
-        trajs = sample_batch(m, rho0, cfg.horizon, cfg.master_seed, n, mode=cfg.mode)
-    else:
-        # chunked by index range; per-trajectory streams make the result
-        # independent of the split
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: sample_batch(
-                        m, rho0, cfg.horizon, cfg.master_seed,
-                        se[1] - se[0], mode=cfg.mode, first_index=se[0],
-                    ),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            )
-        trajs = [t for part in parts for t in part]
-
+    trajs = sample_batch(cfg.model(), cfg.rho0(), cfg.horizon, cfg.master_seed, n, mode=cfg.mode)
     _write_csv(
         args.out / "trajectories.csv",
         ["trajectory_index", "jump_index", "time", "channel"],

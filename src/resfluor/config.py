@@ -6,8 +6,8 @@ finite number or [re, im] pair (their serialized form); a bool or a string
 is no number.  ``mode``, ``initial_state``, ``horizon`` and ``master_seed``
 add their own rules.  Messages name the key, unknown keys are rejected, and
 every key has a default.  Floats serialize with 17 significant digits, so
-hash and round-trip are exact; the hash leaves out ``threads``, which
-changes how a run executes but not what it writes.
+hash and round-trip are exact; the hash leaves out ``threads``, which is
+kept so that stored configs and ``--threads`` still load, and has no effect.
 """
 
 import hashlib

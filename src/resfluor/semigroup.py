@@ -28,6 +28,13 @@ from .linalg import superop_exp
 
 __all__ = ["SemigroupCache", "Component"]
 
+# Component.crossing: the certified bracket width; a Newton step below
+# _NEWTON_TOL ends a row's iteration (the step after it would be of order its
+# square), and after _NEWTON_STEPS steps a row bisects instead
+_BRACKET = 1e-10
+_NEWTON_TOL = 1e-8
+_NEWTON_STEPS = 50
+
 
 def _arguments(x) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -91,14 +98,95 @@ class Component:
             self._c = (self._w @ sg.U) * (self._t @ sg.Uinv.T)[..., None, :]
 
     def __call__(self, x) -> np.ndarray:
-        xs = _arguments(x)
-        if self._sg._diagonalizable:
-            ph = np.exp(xs[:, None] * self._sg.lam)
-            vals = np.einsum("...i,...i->...", self._c, ph).real
+        return self._values(_arguments(x))[0]
+
+    def _values(self, xs, rows=slice(None), slope=False):
+        """f_b(x) for the weight rows ``rows``, and f_b'(x) too if ``slope``.
+
+        The derivative Re(w_b^dag exp(xG) G t) comes from the same
+        exponentials as the value.
+        """
+        sg, d = self._sg, None
+        if sg._diagonalizable:
+            c = self._c[..., rows, :]
+            ph = np.exp(xs[:, None] * sg.lam)
+            vals = np.einsum("...i,...i->...", c, ph).real
+            if slope:
+                d = np.einsum("...i,...i->...", c * sg.lam, ph).real
         else:
-            vecs = (superop_exp(self._sg.G, xs) @ self._t[..., None, :, None])[..., 0]
-            vals = np.einsum("...i,...i->...", self._w, vecs).real
-        return np.where(xs == 0.0, self._at_zero, vals)
+            E, w = superop_exp(sg.G, xs), self._w[rows]
+            vals = np.einsum("...i,...i->...", w, (E @ self._t[..., None, :, None])[..., 0]).real
+            if slope:
+                Gt = self._t @ sg.G.T
+                d = np.einsum("...i,...i->...", w, (E @ Gt[..., None, :, None])[..., 0]).real
+        return np.where(xs == 0.0, self._at_zero[..., rows], vals), d
+
+    def crossing(self, u, cap: float) -> np.ndarray:
+        """Per row, the x in [0, cap] where f_b falls through u_b.
+
+        For a single target with f_b(0) = 1 > u_b and f_b nonincreasing, such
+        as a no-click survival: row b crosses iff f_b(cap) < u_b (an infinite
+        cap searches [0, 1e6]).  Safeguarded Newton on log f_b starts at
+        -log(u_b) over the slowest decay rate of G and keeps the bracket
+        f_b(lo) >= u_b > f_b(hi): a step that leaves the bracket, or is not
+        finite, bisects it instead.  Only rows still moving are evaluated.
+
+        Certificate: a converged x is returned only if the computed pair
+        f_b(x - 5e-11) >= u_b > f_b(x + 5e-11) holds, so every wait lies
+        within 5e-11 of a computed sign change of f_b - u_b, a bracket of
+        1e-10.  A row that fails the pair, or does not converge, bisects its
+        bracket to 1e-10 and returns the midpoint, which carries the same
+        certificate.  Each row depends on its own coefficients and u_b only.
+        Rows that never cross give +inf, or the cap itself where
+        f_b(cap) < 1e-12 (bias far below Monte Carlo resolution).
+        """
+        u = np.asarray(u, dtype=float)
+        hardcap = cap if np.isfinite(cap) else 1e6
+        s_cap = self._values(np.full(u.shape, hardcap))[0]
+        out = np.where(s_cap < 1e-12, hardcap, np.inf)
+        rows = np.flatnonzero(s_cap < u)
+        if not rows.size:
+            return out
+        u = u[rows]
+        lo, hi = np.zeros(rows.size), np.full(rows.size, hardcap)
+        lam = self._sg.lam if self._sg._diagonalizable else np.linalg.eigvals(self._sg.G)
+        decay = -lam.real[lam.real < 0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            logu = np.log(u)
+            x = -logu / (decay.min() if decay.size else 0.0)
+            x = np.where((x > 0) & (x < hardcap), x, 0.5 * hardcap)
+            todo, converged = np.arange(rows.size), []
+            for _ in range(_NEWTON_STEPS):
+                f, df = self._values(x[todo], rows[todo], slope=True)
+                below = f < u[todo]
+                hi[todo] = np.where(below, x[todo], hi[todo])
+                lo[todo] = np.where(below, lo[todo], x[todo])
+                step = (np.log(f) - logu[todo]) * f / df
+                new = x[todo] - step
+                done = np.abs(step) <= _NEWTON_TOL
+                keep = done | ((new > lo[todo]) & (new < hi[todo]))
+                x[todo] = np.where(keep, new, 0.5 * (lo[todo] + hi[todo]))
+                converged.append(todo[done])
+                todo = todo[~done & (hi[todo] - lo[todo] > _BRACKET)]
+                if not todo.size:
+                    break
+        k = np.concatenate(converged)
+        pair = np.stack([np.maximum(x[k] - 0.5 * _BRACKET, 0.0), x[k] + 0.5 * _BRACKET])
+        f = self._values(pair.ravel(), np.tile(rows[k], 2))[0].reshape(2, -1)
+        ok = (f[0] >= u[k]) & (f[1] < u[k])
+        out[rows[k[ok]]] = x[k[ok]]
+        certified = np.zeros(rows.size, dtype=bool)
+        certified[k[ok]] = True
+        rest = todo = np.flatnonzero(~certified)
+        for _ in range(int(np.ceil(np.log2(hardcap / _BRACKET)))):
+            if not (todo := todo[hi[todo] - lo[todo] > _BRACKET]).size:
+                break
+            mid = 0.5 * (lo[todo] + hi[todo])
+            below = self._values(mid, rows[todo])[0] < u[todo]
+            hi[todo] = np.where(below, mid, hi[todo])
+            lo[todo] = np.where(below, lo[todo], mid)
+        out[rows[rest]] = 0.5 * (lo[rest] + hi[rest])
+        return out
 
     def integral(self, x) -> np.ndarray:
         """The integral of f_b from 0 to x."""

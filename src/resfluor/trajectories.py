@@ -11,22 +11,25 @@ schemes run the same steps and differ only in which channels are observed:
   evolves by the dual of the no-count map Ad[B_t]; a click draws its channel
   from the two rates and applies zI + V_f or V_s.
 
-``_ModeOps`` owns both steps for a (B, 2, 2) stack of states.  A jump divides
-the real and imaginary parts of C rho C^dag by its real trace, so after a
-side click, in either scheme, the state is the ground state exactly.
+``_ModeOps`` owns both steps for a (B, 2, 2) stack of states.  A jump forms
+C rho C^dag entrywise from the Hermitian state's four real numbers and
+divides by its real trace, so after a side click, in either scheme, the
+state is the ground state exactly.
 
 Both the click-free state and the no-click survival probability
 S(x) = Tr(rho E_x(I)) are scalar components of the mode's 4x4 semigroup E_x,
 evaluated by :class:`resfluor.semigroup.Component` (its eigen route, or
 ``expm`` where the generator is defective) and checked once per batch
-against ``SemigroupCache.at``.  Waiting times are sampled by inverting S.
-S is nonincreasing, so a row crosses its uniform u within the cap iff
-S(cap) < u; those rows bisect [0, cap] for a fixed number of steps, which
-brings the bracket below 1e-10.  Each row's result depends on its own state
-and uniform only.  Every trajectory owns a counter-based random stream
-Philox(key=(master_seed, trajectory_index)), making each trajectory a pure
-function of its seed pair: batches are bit-reproducible at any parallelism
-level and across runs.
+against ``SemigroupCache.at``.  A waiting time is the x where S falls
+through a uniform u, from :meth:`Component.crossing`: safeguarded Newton on
+log S, each wait certified to lie within 5e-11 of a computed sign change of
+S - u.  Each row's result depends on its own state and uniform only.
+
+Every trajectory owns a counter-based random stream, the doubles of
+``Generator(Philox(key=[master_seed, trajectory_index]))``.  They are
+computed for all rows at once by a numpy Philox4x64-10, bit for bit, so each
+trajectory is a pure function of its seed pair, independent of the batch it
+runs in.
 
 Uniform-draw discipline (fixed so streams are portable): one uniform per
 waiting-time attempt, and in two-channel mode one further uniform per
@@ -58,9 +61,12 @@ __all__ = [
 SIDE = "side"
 FORWARD = "forward"
 
-_BISECT_TOL = 1e-10
 _JUMP_RATE_TOL = 1e-14
-_BLOCK = 64
+# uniforms per refill of a row's tape: four Philox blocks of four words
+_TAPE = 16
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_U32, _LOW32 = np.uint64(32), np.uint64(0xFFFFFFFF)
 
 
 # Targets t with Re(vec(rho0)^dag E_x t) = Re rho_11, Re rho_22, Re rho_21 and
@@ -163,16 +169,24 @@ class _ModeOps:
     def jump(self, rhos: np.ndarray, pick: np.ndarray) -> np.ndarray:
         """C rho C^dag / Tr for each row's channel index ``pick``, renormalised.
 
-        Real and imaginary parts are divided by the real trace separately, so
-        an entry equal to the trace becomes exactly 1.
+        The three independent entries come entrywise from the Hermitian
+        rho = [[p, conj(q)], [q, s]], so the result is Hermitian by
+        construction.  Real and imaginary parts are divided by the real trace
+        separately, so an entry equal to the trace becomes exactly 1.
         """
-        C = self.jumps[pick]
-        un = C @ rhos @ C.conj().transpose(0, 2, 1)
-        trs = np.real(np.einsum("bii->b", un))
+        (a, b), (c, d) = self.jumps[pick].transpose(1, 2, 0)
+        p, s, q = rhos[:, 0, 0].real, rhos[:, 1, 1].real, rhos[:, 1, 0]
+        top = abs(a) ** 2 * p + abs(b) ** 2 * s + 2 * (b * q * a.conj()).real
+        bottom = abs(c) ** 2 * p + abs(d) ** 2 * s + 2 * (d * q * c.conj()).real
+        off = c * a.conj() * p + d * b.conj() * s + d * a.conj() * q + c * b.conj() * q.conj()
+        trs = top + bottom
         if np.any(trs <= _JUMP_RATE_TOL):
             raise ArithmeticError("click drawn from a state with no rate in its channel")
-        post = (un.view(float) / trs[:, None, None]).view(complex)
-        return 0.5 * (post + post.conj().transpose(0, 2, 1))
+        post = np.empty(rhos.shape, dtype=complex)
+        post[:, 0, 0], post[:, 1, 1] = top / trs, bottom / trs
+        post.real[:, 1, 0], post.imag[:, 1, 0] = off.real / trs, off.imag / trs
+        post[:, 0, 1] = post[:, 1, 0].conj()
+        return post
 
 
 def survival(m: Model, rho, x, mode: str = "side-only") -> float:
@@ -186,28 +200,6 @@ def survival(m: Model, rho, x, mode: str = "side-only") -> float:
     return float(_ModeOps(m, mode).survival(rho[None])(float(x))[0])
 
 
-def _invert_survival(S: Component, u: np.ndarray, cap: float) -> np.ndarray:
-    """Solve S_b(x) = u_b per row by bisection on [0, cap].
-
-    S_b falls from S_b(0) = 1, so row b crosses u_b within the cap iff
-    S_b(cap) < u_b.  Every row bisects for the same fixed number of steps,
-    which leaves each result within 1e-10 of its root and independent of the
-    rest of the batch.  Rows that never cross come back as +inf, unless the
-    survival at the cap is already below 1e-12, in which case the click is
-    placed at the cap (bias far below Monte Carlo resolution).
-    """
-    hardcap = cap if np.isfinite(cap) else 1e6
-    s_cap = S(np.full(u.shape, hardcap))
-    lo, hi = np.zeros(u.shape), np.full(u.shape, hardcap)
-    for _ in range(int(np.ceil(np.log2(hardcap / _BISECT_TOL)))):
-        mid = 0.5 * (lo + hi)
-        below = S(mid) < u
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-    stuck = np.where(s_cap < 1e-12, hardcap, np.inf)
-    return np.where(s_cap < u, 0.5 * (lo + hi), stuck)
-
-
 def sample_waiting_time(m: Model, rho, u: float, mode: str = "side-only") -> float:
     """Inverse-transform waiting time: the x with survival(x) = u.
 
@@ -218,7 +210,7 @@ def sample_waiting_time(m: Model, rho, u: float, mode: str = "side-only") -> flo
         raise ValueError("u must lie strictly between 0 and 1")
     rho = require_density_matrix(rho)
     S = _ModeOps(m, mode).survival(rho[None])
-    return float(_invert_survival(S, np.array([u]), waiting_time_cap(m))[0])
+    return float(S.crossing(np.array([u]), waiting_time_cap(m))[0])
 
 
 def apply_side_jump(m: Model, rho) -> np.ndarray:
@@ -245,33 +237,57 @@ def evolve_no_jump(m: Model, rho, x: float, mode: str = "side-only") -> np.ndarr
     return _ModeOps(m, mode).evolve(rho[None], np.array([float(x)]))[0]
 
 
-def _stream(master_seed: int, index: int) -> np.random.Generator:
-    # a uint64 key: a plain list would pass seeds >= 2**63 through float64
-    key = np.array([master_seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+    mh, ml = m >> _U32, m & _LOW32
+    xh, xl = x >> _U32, x & _LOW32
+    lh, hl = ml * xh, mh * xl
+    mid = ((ml * xl) >> _U32) + (lh & _LOW32) + (hl & _LOW32)
+    return mh * xh + (lh >> _U32) + (hl >> _U32) + (mid >> _U32), m * x
+
+
+def _philox_doubles(master_seed: int, keys: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Doubles 4*first_b .. 4*first_b + _TAPE - 1 of the stream of each key k_b.
+
+    Bit for bit the doubles of ``Generator(Philox(key=[master_seed, k_b])).random``
+    there: block j of a stream is Philox4x64-10 (Salmon et al., SC'11) of the
+    counter (j + 1, 0, 0, 0) under the key (master_seed, k_b), its four words
+    come out in order, and a double is a word's top 53 bits over 2**53.
+    Every stream and block is one lane of the same uint64 arithmetic, which
+    wraps modulo 2**64 as the construction requires.
+    """
+    ctr = first.astype(np.uint64)[:, None] + np.arange(1, _TAPE // 4 + 1, dtype=np.uint64)
+    k0 = np.full(ctr.shape, master_seed, dtype=np.uint64)
+    k1 = np.broadcast_to(keys[:, None], ctr.shape)
+    x0, x1, x2, x3 = ctr, np.zeros_like(ctr), np.zeros_like(ctr), np.zeros_like(ctr)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        h0, l0 = _mulhilo(_PHILOX_M[0], x0)
+        h1, l1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = h1 ^ x1 ^ k0, l1, h0 ^ x3 ^ k1, l0
+    words = np.stack([x0, x1, x2, x3], axis=-1).reshape(len(keys), _TAPE)
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 class _UniformTape:
-    """Per-trajectory uniforms, prefetched in blocks in stream order.
+    """Per-trajectory uniforms, drawn in stream order a few blocks at a time.
 
-    Each row consumes only its own stream through a cursor, so prefetching
-    more than a trajectory ends up using never changes what it sees.
+    Row b holds the next _TAPE doubles of its own stream; a row whose cursor
+    reaches the end of them refills with the following ones, computed for
+    every such row at once.  A row never sees another row's draws.
     """
 
     def __init__(self, master_seed: int, indices: np.ndarray):
-        self.gens = [_stream(int(master_seed), int(i)) for i in indices]
-        self.tape = (
-            np.stack([g.random(_BLOCK) for g in self.gens])
-            if self.gens
-            else np.zeros((0, _BLOCK))
-        )
-        self.cursor = np.zeros(len(indices), dtype=int)
+        self.seed, self.keys = int(master_seed), indices
+        self.tape = np.zeros((len(indices), _TAPE))
+        self.cursor = np.zeros(len(indices), dtype=np.int64)
 
     def draw(self, rows: np.ndarray) -> np.ndarray:
-        while rows.size and self.cursor[rows].max() >= self.tape.shape[1]:
-            more = np.stack([g.random(_BLOCK) for g in self.gens])
-            self.tape = np.concatenate([self.tape, more], axis=1)
-        out = self.tape[rows, self.cursor[rows]]
+        fresh = rows[self.cursor[rows] % _TAPE == 0]
+        if fresh.size:
+            self.tape[fresh] = _philox_doubles(self.seed, self.keys[fresh], self.cursor[fresh] // 4)
+        out = self.tape[rows, self.cursor[rows] % _TAPE]
         self.cursor[rows] += 1
         return out
 
@@ -308,7 +324,7 @@ def sample_batch(
     ops = _ModeOps(m, mode)
     ops.check_routes()
     cap = waiting_time_cap(m)
-    indices = np.arange(first_index, first_index + B, dtype=int)
+    indices = np.arange(first_index, first_index + B, dtype=np.uint64)
     tape = _UniformTape(master_seed, indices)
 
     states = rho0.copy() if rho0.ndim == 3 else np.broadcast_to(rho0, (B, 2, 2)).copy()
@@ -316,12 +332,12 @@ def sample_batch(
     active = np.ones(B, dtype=bool)
     rec_traj: list[np.ndarray] = []
     rec_time: list[np.ndarray] = []
-    rec_chan: list[np.ndarray] = []
+    rec_pick: list[np.ndarray] = []
 
     while active.any():
         rows = np.flatnonzero(active)
         u = tape.draw(rows)
-        waits = _invert_survival(ops.survival(states[rows]), u, cap)
+        waits = ops.survival(states[rows]).crossing(u, cap)
         t_new = clock[rows] + waits
         jumped = t_new < horizon
         # the ones that outlast the horizon freeze now
@@ -341,21 +357,22 @@ def sample_batch(
         clock[jrows] = t_new[jumped]
         rec_traj.append(jrows.copy())
         rec_time.append(t_new[jumped].copy())
-        rec_chan.append(ops.channels[pick])
+        rec_pick.append(pick)
 
     # terminal conditional states: click-free stretch to the horizon
     finals = ops.evolve(states, np.maximum(horizon - clock, 0.0))
 
     per_traj: list[list[tuple[float, str]]] = [[] for _ in range(B)]
-    for rows, ts, cs in zip(rec_traj, rec_time, rec_chan):
-        for r, t, c in zip(rows, ts, cs):
-            per_traj[r].append((float(t), str(c)))
+    names = ops.channels.tolist()
+    for rows, ts, picks in zip(rec_traj, rec_time, rec_pick):
+        for r, t, c in zip(rows.tolist(), ts.tolist(), picks.tolist()):
+            per_traj[r].append((t, names[c]))
     return [
         Trajectory(
             records=tuple(per_traj[k]),
             horizon=float(horizon),
             terminal_state=finals[k],
-            index=int(indices[k]),
+            index=first_index + k,
         )
         for k in range(B)
     ]

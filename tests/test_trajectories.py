@@ -24,7 +24,8 @@ from resfluor.trajectories import (
     survival,
     waiting_time_cap,
 )
-from resfluor.trajectories import _ModeOps
+from resfluor.trajectories import _TAPE, _ModeOps, _UniformTape, _philox_doubles
+import resfluor.semigroup as semigroup
 
 SQ2 = 2.0 ** -0.5
 
@@ -342,3 +343,110 @@ def test_sampler_at_exceptional_drive(exceptional_model):
     parts = sample_batch(m, g, 8.0, 5, 5) + sample_batch(m, g, 8.0, 5, 7, first_index=5)
     assert [t.records for t in whole] == [t.records for t in parts]
     assert sum(len(t.records) for t in whole) > 0
+
+
+def _numpy_stream(seed, index):
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def test_vectorised_philox_equals_numpy_streams_bit_for_bit():
+    # seeds and indices up to 2**64 - 1, several refills of every row, and
+    # rows drawing at different paces
+    indices = np.array([0, 1, 2**32 + 7, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    rng = np.random.default_rng(8)
+    for seed in (0, 1, 20250809, 2**63, 2**64 - 1):
+        seen = [[] for _ in indices]
+        tape = _UniformTape(seed, indices)
+        for _ in range(8 * _TAPE):
+            rows = np.flatnonzero(rng.random(len(indices)) < 0.7)
+            for r, v in zip(rows, tape.draw(rows)):
+                seen[r].append(v)
+        for got, i in zip(seen, indices):
+            assert len(got) > 3 * _TAPE
+            assert np.array_equal(got, _numpy_stream(seed, i).random(len(got)))
+        blocks = np.array([0, 5, 2**40], dtype=np.int64)
+        far = _philox_doubles(seed, indices[:3], blocks)
+        for row, i, b in zip(far, indices, blocks):
+            if b < 100:
+                assert np.array_equal(row, _numpy_stream(seed, i).random(4 * b + _TAPE)[4 * b:])
+            else:
+                # advance(b) moves numpy's block counter by b
+                bitgen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+                bitgen.advance(int(b))
+                assert np.array_equal(row, np.random.Generator(bitgen).random(_TAPE))
+
+
+@pytest.mark.parametrize("knob", [None, ("_NEWTON_STEPS", 1), ("_NEWTON_TOL", 1.0)])
+def test_every_wait_is_certified(exceptional_model, monkeypatch, knob):
+    # each finite wait x has S(x - 5e-11) >= u > S(x + 5e-11) in the computed
+    # survival, on random models in both modes, at z* (the expm route) and on
+    # stacked random states; a row's wait does not depend on its batch.  The
+    # knobs force the bisection fallback: Newton stopped after one step, or
+    # stopped early at a point that fails the certificate pair
+    if knob:
+        monkeypatch.setattr(semigroup, *knob)
+    rng = np.random.default_rng(2027)
+    cases = [(random_model(rng), mode) for _ in range(4) for mode in ("side-only", "two-channel")]
+    cases.append((exceptional_model, "side-only"))
+    for m, mode in cases:
+        ops = _ModeOps(m, mode)
+        states = np.stack([_random_state(rng) for _ in range(40)] + [ground_state(), excited_state()])
+        u = rng.random(len(states))
+        u[:4] = (1 - 1e-12, 1e-9, 0.5, 2.0**-53)
+        cap = waiting_time_cap(m)
+        S = ops.survival(states)
+        x = S.crossing(u, cap)
+        crossed = S(np.full(len(u), cap)) < u
+        assert crossed.sum() > 30
+        assert np.all(np.isfinite(x[crossed]) & (x[crossed] >= 0) & (x[crossed] <= cap))
+        lo = S(np.where(crossed, np.maximum(x - 5e-11, 0.0), 0.0))
+        hi = S(np.where(crossed, x + 5e-11, 0.0))
+        assert np.all(lo[crossed] >= u[crossed]) and np.all(hi[crossed] < u[crossed])
+        for b in (0, 3, 17, len(u) - 1):
+            alone = ops.survival(states[b:b + 1]).crossing(u[b:b + 1], cap)
+            assert np.array_equal(alone, x[b:b + 1])
+
+
+def test_sampler_rounds_at_z_star_call_expm_a_bounded_number_of_times(exceptional_model, monkeypatch):
+    # at z* each survival value is one expm; certified Newton needs the cap
+    # value, a few steps and the certificate pair, where a fixed 41-step
+    # bisection needed 43 calls per round
+    calls, rounds = [0], [0]
+    real_exp, real_survival = semigroup.superop_exp, _ModeOps.survival
+
+    def count_exp(G, t):
+        calls[0] += 1
+        return real_exp(G, t)
+
+    def count_rounds(self, rhos):
+        rounds[0] += 1
+        return real_survival(self, rhos)
+
+    monkeypatch.setattr(semigroup, "superop_exp", count_exp)
+    monkeypatch.setattr(_ModeOps, "survival", count_rounds)
+    trajs = sample_batch(exceptional_model, maximally_mixed(), 20.0, 3, 200)
+    assert sum(len(t.records) for t in trajs) > 200
+    assert rounds[0] >= 4
+    assert calls[0] <= 16 * rounds[0]
+
+
+def test_jump_equals_the_matrix_sandwich():
+    # the entrywise C rho C^dag / Tr equals the matrix product to roundoff,
+    # for the model's jumps and for general complex C, whose upper-right
+    # entry (zero in every model jump) makes each term count
+    rng = np.random.default_rng(12)
+    for k in range(4):
+        m = random_model(rng)
+        for mode in ("side-only", "two-channel"):
+            ops = _ModeOps(m, mode)
+            if k == 3:
+                ops.jumps = rng.normal(size=ops.jumps.shape) + 1j * rng.normal(size=ops.jumps.shape)
+            rhos = np.stack([_random_state(rng) for _ in range(30)])
+            pick = rng.integers(0, len(ops.channels), size=30)
+            post = ops.jump(rhos, pick)
+            C = ops.jumps[pick]
+            un = C @ rhos @ C.conj().transpose(0, 2, 1)
+            want = un / np.trace(un, axis1=1, axis2=2).real[:, None, None]
+            assert np.abs(post - want).max() < 1e-14
+            assert np.array_equal(post, post.conj().transpose(0, 2, 1))
