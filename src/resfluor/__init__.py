@@ -1,6 +1,6 @@
 """Photon counting for a laser-driven two-level atom.
 
-A small numpy/scipy library covering:
+A small numpy library covering:
 
 * exact 2x2/4x4 linear algebra for atom operators and superoperators
   (:mod:`resfluor.linalg`),

@@ -19,7 +19,10 @@ channel is pinned (inside one of its windows: its jumps raise its count,
 capped at the window's count), silent (outside its windows, exactly zero
 outside: no jumps), or free (outside its windows, unconstrained).  At each
 window end the block row is projected onto the window's count and that
-channel's count restarts at 0.
+channel's count restarts at 0.  All of an event's segment generators share
+one lattice, so :func:`davies_map` exponentiates them in one stacked
+``superop_exp`` call per event and then applies the products and restarts in
+segment order.
 
 ``expansion="resum"`` (the default) puts a free channel's jumps on the
 diagonal, which sums them to all orders.  ``expansion="dyson"`` lets them
@@ -76,11 +79,17 @@ def _segments(e: Event) -> list[tuple[float, float, int | None, int | None]]:
     return out
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices, the same products without its any-rank set-up."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
 def _raise(shape, axis: int, cap: int) -> np.ndarray:
     """Lattice map raising ``axis`` by one, from counts below ``cap`` only."""
     factors = [np.eye(n) for n in shape]
     factors[axis] = np.diag((np.arange(1, shape[axis]) <= cap).astype(float), k=1)
-    return reduce(np.kron, factors)
+    return reduce(_kron, factors)
 
 
 def _restart(row: np.ndarray, shape, axis: int, count: int) -> np.ndarray:
@@ -118,9 +127,11 @@ def davies_map(
 ) -> DaviesResult:
     """Heisenberg-picture counting map for a cylinder event.
 
-    ``n_max`` caps the total count: an event pinning more photons raises,
-    and the Dyson route truncates there.  ``quad_order`` is accepted and
-    ignored; the map is computed exactly, so ``quad_error`` is 0.0.
+    One stacked exponential covers every segment of the event; an event
+    with no segments (a zero horizon) gives the identity.  ``n_max`` caps
+    the total count: an event pinning more photons raises, and the Dyson
+    route truncates there.  ``quad_order`` is accepted and ignored; the map
+    is computed exactly, so ``quad_error`` is 0.0.
     """
     if e.total_count > n_max:
         raise ValueError(
@@ -134,17 +145,21 @@ def davies_map(
     shape = tuple(max((w.count for w in ch.windows), default=0) + 1 for ch in channels)
     shape += (extra + 1 if e.forward.free or e.side.free else 1,)
     eye = np.eye(math.prod(shape))
-    base = np.kron(eye, no_jump_generator(m))
+    base = _kron(eye, no_jump_generator(m))
 
-    row = np.kron(np.eye(1, len(eye)), np.eye(4, dtype=complex))
-    for a, b, *owners in _segments(e):
-        A = base.copy()
+    segments = _segments(e)
+    gens = np.repeat(base[None], len(segments), axis=0)
+    for A, (_, _, *owners) in zip(gens, segments):
         for axis, (ch, owner, J) in enumerate(zip(channels, owners, jumps)):
             if owner is not None:
-                A += np.kron(_raise(shape, axis, ch.windows[owner].count), J)
+                A += _kron(_raise(shape, axis, ch.windows[owner].count), J)
             elif ch.free:
-                A += np.kron(eye if expansion == "resum" else _raise(shape, 2, extra), J)
-        row = row @ superop_exp(A, b - a)
+                A += _kron(eye if expansion == "resum" else _raise(shape, 2, extra), J)
+    exps = superop_exp(gens, [b - a for a, b, *_ in segments])
+
+    row = _kron(np.eye(1, len(eye)), np.eye(4, dtype=complex))
+    for E, (a, b, *owners) in zip(exps, segments):
+        row = row @ E
         for axis, (ch, owner) in enumerate(zip(channels, owners)):
             if owner is not None and b == ch.windows[owner].b:
                 row = _restart(row, shape, axis, ch.windows[owner].count)

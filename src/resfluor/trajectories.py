@@ -313,14 +313,9 @@ def sample_batch(
         raise ValueError("horizon must be finite and >= 0")
     SeedSpec(master_seed, first_index)
     B = int(n_traj)
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.ndim == 3:
-        if rho0.shape != (B, 2, 2):
-            raise ValueError("initial-state stack must have shape (n_traj, 2, 2)")
-        for r in rho0:
-            require_density_matrix(r)
-    else:
-        rho0 = require_density_matrix(rho0)
+    rho0 = require_density_matrix(rho0)
+    if rho0.ndim == 3 and rho0.shape != (B, 2, 2):
+        raise ValueError("initial-state stack must have shape (n_traj, 2, 2)")
     ops = _ModeOps(m, mode)
     ops.check_routes()
     cap = waiting_time_cap(m)

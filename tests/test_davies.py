@@ -4,6 +4,7 @@ import pytest
 from conftest import random_model
 from resfluor.davies import davies_map, dyson_truncation_tail, event_probability
 from resfluor.events import (
+    OUTSIDE_FREE,
     ChannelEvent,
     Event,
     Window,
@@ -22,6 +23,7 @@ from resfluor.linalg import (
     excited_state,
     frobenius_dist,
     ground_state,
+    superop_exp,
     vec,
 )
 from resfluor.model import (
@@ -198,3 +200,27 @@ def test_multi_window_event_splits_counts(sym_model):
 def test_zero_horizon_is_identity(sym_model):
     res = davies_map(sym_model, _zero_event(0.0))
     assert frobenius_dist(res.matrix, np.eye(4)) == 0.0
+
+
+@pytest.mark.parametrize("expansion", ["resum", "dyson"])
+def test_one_stacked_exponential_per_event(sym_model, monkeypatch, expansion):
+    # the stacked call gives each segment the exponential of its single call,
+    # so the map equals one computed segment by segment, bit for bit
+    import resfluor.davies as davies
+
+    ev = Event(
+        forward=ChannelEvent(windows=(Window(0.1, 0.5, 1),), outside=OUTSIDE_FREE),
+        side=ChannelEvent(windows=(Window(0.3, 0.7, 1), Window(0.8, 1.2, 0))),
+        horizon=1.5,
+    )
+    calls = []
+
+    def one_by_one(G, t):
+        calls.append(len(t))
+        return np.stack([superop_exp(g, s) for g, s in zip(G, t)])
+
+    monkeypatch.setattr(davies, "superop_exp", one_by_one)
+    split = davies_map(sym_model, ev, expansion=expansion).matrix
+    assert calls == [7]  # cuts at 0, 0.1, 0.3, 0.5, 0.7, 0.8, 1.2 and 1.5
+    monkeypatch.undo()
+    assert np.array_equal(davies_map(sym_model, ev, expansion=expansion).matrix, split)

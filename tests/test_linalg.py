@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from resfluor import linalg
 from resfluor.linalg import (
     EXCITED_PROJ,
     I2,
@@ -27,9 +28,12 @@ def test_mat_exp_zero_time():
 
 
 def test_mat_exp_diagonal():
+    # a diagonal generator takes the exact route: exp of the diagonal
     for t in (0.3, 1.0, 4.5):
         out = superop_exp(np.diag([1.0, 0.0]).astype(complex), t)
-        assert frobenius_dist(out, np.diag([np.exp(t), 1.0])) < 1e-14
+        assert frobenius_dist(out, np.diag([np.exp(t), 1.0])) == 0.0
+    d = np.array([-3.0 + 2.0j, 0.5j, 40.0, -700.0])
+    assert np.array_equal(superop_exp(np.diag(d), 1.0), np.diag(np.exp(d)))
 
 
 def test_mat_exp_nilpotent():
@@ -72,10 +76,41 @@ def test_superop_exp_semigroup(seed):
     assert frobenius_dist(lhs, ref) < 1e-10 * max(1.0, np.linalg.norm(ref))
 
 
+def _scaled_generators(rng, n, norms):
+    """Random complex n x n generators G with ||0.8 G||_1 equal to each of ``norms``.
+
+    Each is shifted to spectral abscissa 0, as a semigroup generator, so that
+    exp(tG) cannot overflow at the large norms.
+    """
+    G = rng.normal(size=(len(norms), n, n)) + 1j * rng.normal(size=(len(norms), n, n))
+    G -= np.linalg.eigvals(G).real.max(axis=1)[:, None, None] * np.eye(n)
+    return G * (np.asarray(norms) / 0.8 / _norm1(G))[:, None, None]
+
+
+def _norm1(M):
+    return np.abs(M).sum(axis=-2).max(axis=-1)
+
+
+# ||tG||_1 from 1e-3 to 1e3: every Pade degree 3, 5, 7, 9, 13 and up to 8
+# squarings (theta_13 = 5.37)
+PADE_NORMS = np.geomspace(1e-3, 1e3, 19)
+
+
 def test_superop_exp_vs_scipy():
+    # Both routines are scaling-and-squaring Pade methods with backward error
+    # at most u ||tG||_1 (u = 2^-53) plus O(n u) rounding per product, and
+    # exp's relative condition number is at most about ||tG||_1, so they
+    # differ relatively by at most c n u max(1, ||tG||_1); c = 16 is ten times
+    # the largest c seen over these sizes and norms.
+    degrees = np.searchsorted(linalg._THETA, PADE_NORMS)
+    assert set(degrees.tolist()) == set(range(len(linalg._THETA) + 1))
     rng = np.random.default_rng(7)
-    G = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert frobenius_dist(superop_exp(G, 0.8), expm(0.8 * G)) < 1e-12
+    u = 2.0**-53
+    for n in (2, 4, 8, 16, 36, 64):
+        for norm, G in zip(PADE_NORMS, _scaled_generators(rng, n, PADE_NORMS)):
+            ref = expm(0.8 * G)
+            err = _norm1(superop_exp(G, 0.8) - ref) / _norm1(ref)
+            assert err <= 16 * n * u * max(1.0, norm), (n, norm, err)
 
 
 def test_superop_exp_stacked_times():
@@ -89,6 +124,25 @@ def test_superop_exp_stacked_times():
     for bad in ([0.1, -0.1], [0.1, np.nan], [[0.1, 0.2]]):
         with pytest.raises(ValueError):
             superop_exp(G, np.array(bad))
+    # a stack of generators: each slice picks its own degree and scaling, so
+    # it equals its single call bit for bit, diagonal and zero slices included
+    for n in (2, 4, 16, 36):
+        Gs = _scaled_generators(rng, n, PADE_NORMS)
+        Gs[3] = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
+        Gs[7] = 0.0
+        ts = rng.uniform(0.0, 2.0, size=len(Gs))
+        stack = superop_exp(Gs, ts)
+        assert stack.shape == Gs.shape
+        for G, t, S in zip(Gs, ts, stack):
+            assert np.array_equal(S, superop_exp(G, t)), (n, t)
+        assert np.array_equal(stack[3], np.diag(np.exp(ts[3] * np.diag(Gs[3]))))
+        assert np.array_equal(stack[7], np.eye(n))
+        assert superop_exp(Gs[:0], ts[:0]).shape == (0, n, n)
+        for bad_t in (ts[:-1], 0.5, ts[None]):
+            with pytest.raises(ValueError):
+                superop_exp(Gs, bad_t)
+        with pytest.raises(ValueError):
+            superop_exp(Gs[:, :, :-1], ts)
 
 
 def test_ad_map_examples():
@@ -134,3 +188,68 @@ def test_density_matrix_validation():
         require_density_matrix(np.array([[0.5, 0.5], [0.1, 0.5]]))
     with pytest.raises(ValueError):
         require_density_matrix(np.diag([1.5, -0.5]))
+    bad_diagonal = np.diag([0.5 + 1e-9j, 0.5 - 1e-9j])
+    for bad in (bad_diagonal, np.diag([np.nan, 1.0]), np.diag([np.inf, 0.0]), np.zeros((2, 3))):
+        with pytest.raises(ValueError):
+            require_density_matrix(bad)
+
+
+def _verdict(rho):
+    try:
+        require_density_matrix(rho)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("k", [0, 3, 8])
+def test_density_matrix_stack_names_its_first_bad_row(k):
+    stack = np.broadcast_to(np.diag([0.3, 0.7]).astype(complex), (10, 2, 2)).copy()
+    stack[k] = np.diag([1.5, -0.5])
+    stack[-1] = np.diag([0.6, 0.7])
+    with pytest.raises(ValueError, match=rf"negative eigenvalue .*\(row {k}\)$"):
+        require_density_matrix(stack)
+    assert require_density_matrix(stack[:k]).shape == (k, 2, 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_density_matrix_stack_decides_as_row_by_row(seed):
+    # each row sits within a few tolerances of all three boundaries
+    rng = np.random.default_rng(900 + seed)
+    B, eps = 400, 1e-12
+    p = rng.uniform(-1.5 * eps, 1.5 * eps, B)
+    theta = rng.uniform(0, 2 * np.pi, B)
+    vecs = np.stack([np.cos(theta), np.exp(1j * theta) * np.sin(theta)], axis=1)
+    proj = np.einsum("bi,bj->bij", vecs, vecs.conj())
+    stack = p[:, None, None] * proj + (1 - p)[:, None, None] * (np.eye(2) - proj)
+    stack += rng.uniform(-1.5 * eps, 1.5 * eps, B)[:, None, None] * np.eye(2) / 2
+    skew = rng.uniform(-0.3 * eps, 0.3 * eps, (3, B)) * 1j
+    stack[:, 0, 1] += skew[0]
+    stack[:, 1, 0] += skew[0]
+    stack[:, 0, 0] += skew[1]
+    stack[:, 1, 1] += skew[2]
+    rows = [_verdict(r) for r in stack]
+    good = [i for i, v in enumerate(rows) if v is None]
+    bad = [i for i, v in enumerate(rows) if v is not None]
+    assert 0.1 * B < len(good) < 0.9 * B, len(good)
+    assert {v for v in rows if v} == {
+        "density matrix is not Hermitian within tolerance",
+        "density matrix trace differs from 1 beyond tolerance",
+        "density matrix has a negative eigenvalue beyond tolerance",
+    }
+    # the closed forms against the generic routines, on every row that
+    # clears each boundary by more than their rounding (a few 1e-16)
+    adj = stack.conj().transpose(0, 2, 1)
+    reference = np.stack([
+        np.linalg.norm(stack - adj, axis=(1, 2)),
+        abs(np.trace(stack, axis1=1, axis2=2) - 1.0),
+        -np.linalg.eigvalsh((stack + adj) / 2).min(axis=1),
+    ]) - eps
+    clear = (abs(reference) > 1e-14).all(axis=0)
+    assert clear.sum() > 0.9 * B
+    assert ((reference > 0).any(axis=0) == [v is not None for v in rows])[clear].all()
+    assert _verdict(stack[good]) is None
+    assert _verdict(stack) == f"{rows[bad[0]]} (row {bad[0]})"
+    for j in bad[:40]:
+        sub = stack[good[:5] + [j]]
+        assert _verdict(sub) == f"{rows[j]} (row 5)"
