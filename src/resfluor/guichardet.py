@@ -29,12 +29,12 @@ The oracle counting map then integrates amp^dag A amp over the event's
 photon configurations sector by sector (explicitly truncated at the total
 photon cap, with Gauss-Legendre rules on the ordered time simplices) and
 multiplies by the coherent normalization e^{-t|z|^2}.  The event is cut into
-segments and its counts spread over them by this module's own enumeration.
-None of this shares code paths with the analytic semigroup/jump
-construction -- from :mod:`resfluor.model` it takes only the ``Model``
-container -- so agreement between the two pipelines checks the formulas,
-not the integrator.  Comparing the two routes is the job of
-:mod:`resfluor.verify`.
+segments, and one generator yields each sector as a tuple of per-segment
+channel words, the photons of a segment in time order.  None of this shares
+code paths with the analytic semigroup/jump construction -- from
+:mod:`resfluor.model` it takes only the ``Model`` container -- so agreement
+between the two pipelines checks the formulas, not the integrator.
+Comparing the two routes is the job of :mod:`resfluor.verify`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .events import ChannelEvent, Event
+from .events import Event
 from .model import Model
 from .quadrature import simplex_nodes
 
@@ -60,7 +60,6 @@ __all__ = [
     "oracle_davies_map",
 ]
 
-_FREE = -1  # per-segment count marker for an unconstrained channel
 _CHUNK = 1 << 16
 # sector integrals cap their per-axis order under this node budget; the
 # integrands are entire, so moderate orders already sit far below the
@@ -348,83 +347,47 @@ def _segment_edges(e: Event) -> list[tuple[float, float]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1e-15]
 
 
-def _channel_status(ch: ChannelEvent, segments) -> list[int | None]:
-    """Window index owning each segment, or None for outside-window segments."""
-    out = []
-    for a, b in segments:
-        mid = 0.5 * (a + b)
-        idx = None
-        for i, w in enumerate(ch.windows):
-            if w.a <= mid < w.b:
-                idx = i
-                break
-        out.append(idx)
-    return out
+def _sectors(e: Event, segments, n_max: int):
+    """Every photon sector the event admits, as a tuple of per-segment words.
 
-
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _channel_assignments(ch: ChannelEvent, segments):
-    """Yield per-segment counts (int, or _FREE outside a free channel)."""
-    status = _channel_status(ch, segments)
-    outside_val = _FREE if ch.free else 0
-    per_window_segments = [
-        [k for k, s in enumerate(status) if s == i] for i in range(len(ch.windows))
+    A word is one segment's photons in time order, each 'f' or 's'.  The walk
+    over the segments carries the photon budget and each window's remaining
+    count, and admits a word when a channel has letters outside its windows
+    only if it is free, every window's letters over its segments sum to its
+    count (so a window's last segment takes what is left of it), and all
+    words together hold at most ``n_max`` letters.  A segment belongs to the
+    window holding its midpoint.  Counts are keyed by (channel, window
+    index), not by the window: a forward and a side window with equal
+    bounds and count compare equal.
+    """
+    channels = (e.forward, e.side)
+    owners = [
+        [next(((c, i) for i, w in enumerate(ch.windows) if w.a <= 0.5 * (a + b) < w.b), None)
+         for c, ch in enumerate(channels)]
+        for a, b in segments
     ]
-    window_splits = [
-        list(_compositions(w.count, len(segs)))
-        for w, segs in zip(ch.windows, per_window_segments)
-    ]
-    for split_choice in itertools.product(*window_splits):
-        counts = [outside_val if s is None else 0 for s in status]
-        for segs, split in zip(per_window_segments, split_choice):
-            for k, c in zip(segs, split):
-                counts[k] = c
-        yield counts
+    last = {key: k for k, own in enumerate(owners) for key in own if key}
 
+    def walk(k, budget, left):
+        if k == len(segments):
+            if not any(left.values()):
+                yield ()
+            return
+        room = [
+            left[key] if key else (budget if ch.free else 0)
+            for key, ch in zip(owners[k], channels)
+        ]
+        need = [r if key and last[key] == k else 0 for r, key in zip(room, owners[k])]
+        for n in range(sum(need), min(budget, sum(room)) + 1):
+            for word in itertools.product("fs", repeat=n):
+                used = (word.count("f"), word.count("s"))
+                if need[0] <= used[0] <= room[0] and need[1] <= used[1] <= room[1]:
+                    rest = left | {key: left[key] - u for key, u in zip(owners[k], used) if key}
+                    for tail in walk(k + 1, budget - n, rest):
+                        yield (word, *tail)
 
-def _shuffles(n_f: int, n_s: int):
-    """All time-ordered channel words with n_f forward and n_s side letters."""
-    n = n_f + n_s
-    for fpos in itertools.combinations(range(n), n_f):
-        word = ["s"] * n
-        for p in fpos:
-            word[p] = "f"
-        yield tuple(word)
-
-
-def _explicit_assignments(e: Event, segments, n_max: int):
-    """Per-segment (k_f, k_s) exact counts, free stretches expanded to the cap."""
-    for counts_f in _channel_assignments(e.forward, segments):
-        for counts_s in _channel_assignments(e.side, segments):
-            pinned = sum(c for c in counts_f if c != _FREE) + sum(
-                c for c in counts_s if c != _FREE
-            )
-            slots = [
-                (which, k)
-                for which, counts in (("f", counts_f), ("s", counts_s))
-                for k, c in enumerate(counts)
-                if c == _FREE
-            ]
-            budget = n_max - pinned
-            if budget < 0:
-                continue
-            for total in range(budget + 1):
-                for extra in _compositions(total, len(slots)):
-                    kf = [0 if c == _FREE else c for c in counts_f]
-                    ks = [0 if c == _FREE else c for c in counts_s]
-                    for (which, k), add in zip(slots, extra):
-                        (kf if which == "f" else ks)[k] += add
-                    yield kf, ks
+    counts = {(c, i): w.count for c, ch in enumerate(channels) for i, w in enumerate(ch.windows)}
+    yield from walk(0, n_max, counts)
 
 
 def oracle_davies_map(
@@ -447,15 +410,12 @@ def oracle_davies_map(
     segments = _segment_edges(e)
     total = np.zeros((4, 4), dtype=complex)
     sectors = nodes = 0
-    for kf, ks in _explicit_assignments(e, segments, n_max):
-        for seg_words in itertools.product(
-            *[list(_shuffles(kf[i], ks[i])) for i in range(len(segments))]
-        ):
-            labels = tuple(lab for word in seg_words for lab in word)
-            part, n_nodes = _sector_integral(m, t, segments, seg_words, labels, quad_order)
-            total += part
-            sectors += 1
-            nodes += n_nodes
+    for seg_words in _sectors(e, segments, n_max):
+        labels = tuple(lab for word in seg_words for lab in word)
+        part, n_nodes = _sector_integral(m, t, segments, seg_words, labels, quad_order)
+        total += part
+        sectors += 1
+        nodes += n_nodes
     total *= np.exp(-t * abs(m.z) ** 2)
     return OracleResult(
         total,

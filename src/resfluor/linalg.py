@@ -12,14 +12,14 @@ so that composing two superoperators is an ordinary 4x4 matrix product and
 :func:`superop_exp` is the package's one matrix exponential, for every
 generator: the 2x2 no-jump one, superoperators, lattice counting generators
 and Van Loan's augmented ones.  It is numpy only: scaling and squaring with
-diagonal Pade approximants (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-(2005), Algorithm 2.3), batched over a stack of matrices.  Each slice picks
-its own degree m in {3, 5, 7, 9, 13} and scaling count s from its own 1-norm,
-which bounds the backward error by 2^-53 times that norm in exact arithmetic.
-As the choice is per slice, a slice's result does not depend on the stack
-it sits in.  A diagonal slice is the exponential of its diagonal exactly.  The other route to a
-semigroup, its eigen form, belongs to :class:`resfluor.semigroup.Component`
-alone.
+the degree-13 diagonal Pade approximant (Higham, SIAM J. Matrix Anal. Appl.
+26, 1179 (2005), Algorithm 2.3), batched over a stack of matrices.  Each
+slice picks its own scaling count s from its own 1-norm, which bounds the
+backward error by 2^-53 times that norm in exact arithmetic.  As the choice
+is per slice, a slice's result does not depend on the stack it sits in.  A
+diagonal slice is the exponential of its diagonal exactly.  The other route
+to a semigroup, its eigen form, belongs to
+:class:`resfluor.semigroup.Component` alone.
 
 All functions are pure and never mutate their arguments.
 """
@@ -81,63 +81,35 @@ def apply_superop(S, A) -> np.ndarray:
     return devec(np.asarray(S, dtype=complex) @ vec(A))
 
 
-# Higham 2005, Table 2.3 and eq. (2.3): for m = 3, 5, 7, 9, 13, the largest
-# 1-norm at which the degree-m diagonal Pade approximant r_m(A) = e^(A + dA)
-# has a backward error ||dA|| <= 2^-53 ||A||, and the coefficients b_0..b_m
-# of its numerator.
-_THETA = np.array(
-    [1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
-     2.097847961257068e0, 5.371920351148152e0]
-)
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
+# Higham 2005, Table 2.3 and eq. (2.3): the largest 1-norm at which the
+# degree-13 diagonal Pade approximant r_13(A) = e^(A + dA) has a backward error
+# ||dA|| <= 2^-53 ||A||, and the coefficients b_0..b_13 of its numerator,
+# divided by b_0 so that a nilpotent A with A^2 = 0 gives I + A exactly.
+_THETA_13 = 5.371920351148152
+_PADE_B = np.array(
+    [64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0]
+) / 64764752532480000.0
 
 
-def _pade_rows(b) -> np.ndarray:
-    """Coefficient rows on I, A^2, A^4, A^6 that give r_m one form for every m.
-
-    U = A (A^6 W_0 + W_1) and V = A^6 W_2 + W_3 with W_r = sum_p rows[r, p]
-    A^(2p): Higham's eq. (2.4) for m = 13; for m = 9, A^8 is A^6 A^2, and
-    below that W_0 = W_2 = 0.
-    """
-    b = np.concatenate([b, np.zeros(14 - len(b))])
-    return np.array([[0.0, *b[9:14:2]], b[1:8:2], [0.0, *b[8:13:2]], b[0:8:2]])
-
-
-_PADE_ROWS = np.array([_pade_rows(b) for b in _PADE_B.values()])
-
-
-def _pade(A: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """r(A) = (V - U)^-1 (V + U) for a (k, n, n) stack, slice i by ``rows[i]``."""
-    k, n = A.shape[:2]
-    P = np.empty((k, 4, n, n), dtype=complex)
-    P[:, 0] = np.eye(n)
-    P[:, 1] = A @ A
-    P[:, 2] = P[:, 1] @ P[:, 1]
-    P[:, 3] = P[:, 2] @ P[:, 1]
-    # W_r for each slice: its real 4 x 4 rows times the real and imaginary
-    # parts of its powers, one small product per slice
-    W = (rows @ P.view(float).reshape(k, 4, 2 * n * n)).reshape(k, 4, n, 2 * n).view(complex)
-    A6 = P[:, 3]
-    U = A @ (A6 @ W[:, 0] + W[:, 1])
-    V = A6 @ W[:, 2] + W[:, 3]
+def _pade(A: np.ndarray) -> np.ndarray:
+    """r_13(A) = (V - U)^-1 (V + U) for a (k, n, n) stack, Higham's eq. (2.4)."""
+    b, I = _PADE_B, np.eye(A.shape[1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+             + b[1] * I)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
     return np.linalg.solve(V - U, V + U)
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
     """exp of each slice of a finite (k, n, n) complex stack.
 
-    A diagonal slice gets exp of its diagonal.  Any other slice with 1-norm
-    at most theta_m for some m < 13 gets r_m for the least such m; the rest
-    get r_13(A / 2^s) squared s times, s = max(0, ceil(log2(norm / theta_13))).
+    A diagonal slice gets exp of its diagonal.  Every other slice gets
+    r_13(A / 2^s) squared s times, s = max(0, ceil(log2(norm / theta_13))).
     Every step acts on each slice alone, so a slice's result is bit for bit
     the same in any stack.
     """
@@ -152,11 +124,10 @@ def _expm(A: np.ndarray) -> np.ndarray:
         out[np.flatnonzero(diagonal)[:, None], d, d] = np.exp(A[diagonal][:, d, d])
     idx = np.flatnonzero(~diagonal)
     norm = np.abs(A[idx]).sum(axis=1).max(axis=1)
-    s = np.maximum(0, np.ceil(np.log2(norm / _THETA[-1]))).astype(int)
+    s = np.maximum(0, np.ceil(np.log2(norm / _THETA_13))).astype(int)
     order = np.argsort(-s, kind="stable")  # the slices that need j squarings lead
-    idx, norm, s = idx[order], norm[order], s[order]
-    X = _pade(A[idx] * np.ldexp(1.0, -s)[:, None, None],
-              _PADE_ROWS[np.searchsorted(_THETA[:-1], norm)])
+    idx, s = idx[order], s[order]
+    X = _pade(A[idx] * np.ldexp(1.0, -s)[:, None, None])
     for j in range(1, s.max(initial=0) + 1):
         c = np.count_nonzero(s >= j)
         X[:c] = X[:c] @ X[:c]
@@ -172,14 +143,13 @@ def superop_exp(G, t) -> np.ndarray:
     with k times, giving exp(t_k G_k).  Only forward semigroups are exposed
     here; a negative time raises.
 
-    The algorithm is scaling and squaring with diagonal Pade approximants
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  Each slice tG picks
-    the least degree m in {3, 5, 7, 9} whose threshold theta_m bounds its
-    1-norm; otherwise it is scaled by 2^-s into theta_13 = 5.37 and the
-    degree-13 approximant squared s times.  In exact arithmetic the result is
-    e^(tG + E) with ||E||_1 <= 2^-53 ||tG||_1.  A diagonal slice is the
-    exponential of its diagonal exactly.  Slices are independent: an entry
-    of a stack equals the single call bit for bit.
+    The algorithm is scaling and squaring with the degree-13 diagonal Pade
+    approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): each
+    slice tG is scaled by 2^-s, the least s >= 0 that brings its 1-norm
+    within theta_13 = 5.37, and the approximant is squared s times.  In
+    exact arithmetic the result is e^(tG + E) with ||E||_1 <= 2^-53 ||tG||_1.
+    A diagonal slice is the exponential of its diagonal exactly.  Slices are
+    independent: an entry of a stack equals the single call bit for bit.
     """
     G = np.asarray(G, dtype=complex)
     if G.ndim not in (2, 3) or G.shape[-2] != G.shape[-1] or G.shape[-1] == 0:

@@ -67,13 +67,11 @@ class SemigroupCache:
     def at(self, x):
         """exp(x*G); ``x`` may be a scalar or a 1-D array (returns a stack).
 
-        Wherever x == 0 the result is the identity exactly.
+        Wherever x == 0 the result is the identity exactly: 0*G is diagonal,
+        and :func:`superop_exp` exponentiates a diagonal slice entrywise.
         """
-        scalar = np.isscalar(x)
-        xs = _arguments(x)
-        out = superop_exp(self.G, xs)
-        out[xs == 0.0] = np.eye(self.G.shape[0])
-        return out[0] if scalar else out
+        out = superop_exp(self.G, _arguments(x))
+        return out[0] if np.isscalar(x) else out
 
     def component(self, weights, target) -> "Component":
         """f_b(x) = Re(w_b^dag exp(xG) t) for each row w_b of ``weights``."""

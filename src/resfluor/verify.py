@@ -216,7 +216,7 @@ def run_battery(cfg: RunConfig) -> dict:
         _check(
             "dyson-vs-exponential",
             [(master_map(m, t3), dy.matrix)],
-            tail + dy.quad_error + 1e-9,
+            tail + 1e-9,
             note=f"jump cap {cap}, tail bound {tail:.2e}",
         )
     )

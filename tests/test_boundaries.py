@@ -135,8 +135,8 @@ def test_only_run_loads_the_config_and_no_subcommand_makes_a_directory():
 
 
 def test_import_and_renewal_battery_load_no_scipy_stats():
-    # the package import loads no SciPy at all; the battery needs only
-    # scipy.special's chdtrc, and only when it runs
+    # neither the package import nor the renewal battery loads any SciPy
+    # module
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -156,5 +156,6 @@ def test_import_and_renewal_battery_load_no_scipy_stats():
     assert proc.returncode == 0, proc.stderr
     imported, after_battery = (set(line.split()) for line in proc.stdout.splitlines())
     assert "resfluor.cli" in imported
-    assert not {name for name in imported if name.split(".")[0] == "scipy"}
-    assert "scipy.special" in after_battery and "scipy.stats" not in after_battery
+    assert "resfluor.renewal" in after_battery
+    for loaded in (imported, after_battery):
+        assert not {name for name in loaded if name.split(".")[0] == "scipy"}

@@ -1,12 +1,27 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from conftest import random_model
 
 from resfluor.davies import davies_map
-from resfluor.events import Event, exact_count, free_channel, zero_photons, concat_events
+from resfluor.events import (
+    OUTSIDE_FREE,
+    OUTSIDE_ZERO,
+    ChannelEvent,
+    Event,
+    Window,
+    concat_events,
+    exact_count,
+    free_channel,
+    zero_photons,
+)
 from resfluor.guichardet import (
     GuichardetPoint,
     KernelArgs,
+    _sectors,
+    _segment_edges,
     driven_amplitude,
     integral_sum_kernel,
     integral_sum_kernel_batch,
@@ -319,6 +334,78 @@ def test_oracle_diagnostics_count_sectors_and_nodes(sym_model):
     ev2 = Event(forward=free_channel(), side=exact_count(0.0, t, 1), horizon=t)
     res2 = oracle_davies_map(sym_model, ev2, n_max=2, quad_order=12)
     assert dict(res2.diagnostics) == {"sectors": 3, "nodes": 12 + 2 * 144}
+
+
+def _obeys(e, segments, words):
+    """The event's rules, checked on one tuple of per-segment words."""
+    for label, ch in (("f", e.forward), ("s", e.side)):
+        in_window = [0] * len(ch.windows)
+        for (a, b), word in zip(segments, words):
+            k = word.count(label)
+            owner = [i for i, w in enumerate(ch.windows) if w.a <= a and b <= w.b]
+            if owner:
+                in_window[owner[0]] += k
+            elif k and not ch.free:
+                return False
+        if in_window != [w.count for w in ch.windows]:
+            return False
+    return True
+
+
+def _brute_force_sectors(e, segments, n_max):
+    """Every tuple of per-segment words with at most n_max letters, filtered.
+
+    A tuple of n letters in time order and a cut of them into the segments
+    name each tuple of words exactly once.
+    """
+    out = Counter()
+    for n in range(n_max + 1):
+        for letters in itertools.product("fs", repeat=n):
+            for cuts in itertools.combinations_with_replacement(range(n + 1), len(segments) - 1):
+                ends = (0, *cuts, n)
+                words = tuple(letters[i:j] for i, j in zip(ends, ends[1:]))
+                if _obeys(e, segments, words):
+                    out[words] += 1
+    return out
+
+
+def _random_channel(rng):
+    k = int(rng.integers(0, 3))
+    edges = np.sort(rng.choice(np.arange(11) / 10, size=2 * k, replace=False))
+    windows = tuple(
+        Window(edges[2 * i], edges[2 * i + 1], int(rng.integers(0, 3))) for i in range(k)
+    )
+    return ChannelEvent(windows, (OUTSIDE_FREE, OUTSIDE_ZERO)[int(rng.integers(0, 2))])
+
+
+_SECTOR_CASES = [
+    # forward and side windows that compare equal as values
+    (Event(exact_count(0.3, 0.8, 1), exact_count(0.3, 0.8, 1), 1.0), 4),
+    # a forward window cut into three segments by the side window
+    (Event(exact_count(0.1, 0.9, 2, OUTSIDE_FREE), exact_count(0.3, 0.5, 1), 1.0), 4),
+    # a zero-count window on an otherwise free channel
+    (Event(exact_count(0.2, 0.6, 0, OUTSIDE_FREE), free_channel(), 1.0), 4),
+    (Event(free_channel(), free_channel(), 1.0), 4),
+]
+
+
+def test_sectors_equal_a_brute_force_filter():
+    rng = np.random.default_rng(12)
+    cases = list(_SECTOR_CASES)
+    while len(cases) < len(_SECTOR_CASES) + 150:
+        e = Event(_random_channel(rng), _random_channel(rng), 1.0)
+        cases += [(e, n) for n in range(e.total_count, 4)]
+    for e, n_max in cases:
+        segments = _segment_edges(e)
+        got = Counter(_sectors(e, segments, n_max))
+        assert got == _brute_force_sectors(e, segments, n_max), (e, n_max)
+    # the equal windows pin one photon each into the middle segment
+    e = _SECTOR_CASES[0][0]
+    assert sorted(_sectors(e, _segment_edges(e), 2)) == [((), tuple(w), ()) for w in ("fs", "sf")]
+    # free/free at cap n: every word of at most n letters in one segment
+    for n in range(7):
+        e = Event(free_channel(), free_channel(), 1.0)
+        assert len(list(_sectors(e, _segment_edges(e), n))) == 2 ** (n + 1) - 1
 
 
 def test_oracle_capacity_error(sym_model):

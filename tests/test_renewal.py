@@ -7,6 +7,7 @@ from resfluor.linalg import excited_state, ground_state
 from resfluor.model import build_model, no_side_count_generator
 from resfluor.renewal import (
     MIN_KS_SAMPLES,
+    _chi2_sf_99,
     factorized_probability,
     first_click_hazard,
     renewal_test,
@@ -266,8 +267,9 @@ def test_cdf_and_densities_at_exceptional_drive(exceptional_model):
 
 @pytest.mark.parametrize("n_traj, ties", [(1, False), (1, True), (7, True), (1200, False), (1200, True)])
 def test_battery_statistics_equal_scipy_stats_bit_for_bit(sym_model, n_traj, ties):
-    # the battery computes without scipy.stats; its KS distances, threshold
-    # and chi-square p-value must still be scipy.stats' to the last bit
+    # the battery computes without scipy.stats; its KS distances and threshold
+    # must still be scipy.stats' to the last bit, and its chi-square p-value
+    # agree within the closed form's stated bound, with the same verdict
     g = ground_state()
     rng = np.random.default_rng([n_traj, ties])
     gaps = rng.exponential(5.0, size=(n_traj, 3))
@@ -283,16 +285,23 @@ def test_battery_statistics_equal_scipy_stats_bit_for_bit(sym_model, n_traj, tie
     assert rep.ks_stat_third == stats.kstest(inter[:, 2], cdf_later).statistic
     assert rep.ks_threshold_99 == stats.kstwobign.isf(0.01)
     if n_traj >= MIN_KS_SAMPLES:
-        assert rep.independence_pvalue == stats.chi2.sf(rep.independence_stat, df=99)
+        ref = stats.chi2.sf(rep.independence_stat, df=99)
+        assert rep.independence_pvalue == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert rep.passed["independence"] == (ref > 0.01)
 
 
 def test_chdtrc_is_the_chi_square_survival_function():
-    from scipy.special import chdtrc
-
+    # the closed form's relative error is at most 4u (y + 49 |ln y| + 143),
+    # y = x / 2, which stays below 1e-12 on [1e-8, 1400]
     rng = np.random.default_rng(99)
-    x = np.concatenate([[0.0, 1e-300, 99.0, 1e4, np.inf], rng.uniform(0, 300, 5000),
-                        rng.chisquare(99, 5000)])
-    assert np.array_equal(chdtrc(99, x), stats.chi2.sf(x, df=99))
+    x = np.concatenate([[1e-300, 1e-10, 99.0, 1400.0], rng.uniform(0, 1400, 5000),
+                        rng.chisquare(99, 5000), np.geomspace(1e-12, 1400, 1000)])
+    got = np.array([_chi2_sf_99(v) for v in x])
+    ref = stats.chi2.sf(x, df=99)
+    bound = 4 * 2.0**-53 * (x / 2 + 49 * np.abs(np.log(x / 2)) + 143)
+    assert (np.abs(got - ref) <= bound * ref).all()
+    assert (bound[x >= 1e-8] < 1e-12).all()
+    assert _chi2_sf_99(0.0) == _chi2_sf_99(-3.0) == 1.0
 
 
 def test_battery_reports_nan_for_empty_samples(sym_model):
