@@ -30,10 +30,18 @@ photon configurations sector by sector (explicitly truncated at the total
 photon cap, with Gauss-Legendre rules on the ordered time simplices) and
 multiplies by the coherent normalization e^{-t|z|^2}.  The event is cut into
 segments, and one generator yields each sector as a tuple of per-segment
-channel words, the photons of a segment in time order.  None of this shares
-code paths with the analytic semigroup/jump construction -- from
-:mod:`resfluor.model` it takes only the ``Model`` container -- so agreement
-between the two pipelines checks the formulas, not the integrator.
+channel words, the photons of a segment in time order.  Two kinds of work
+that cannot change the result are skipped.  At z = 0 (exactly) a sector with
+two or more photons is exactly zero: each interior gap needs an absorption
+letter, and each absorption carries a factor z, so those sectors are not
+integrated at all.  And the sectors of one call share their node sets: all
+words that put the same number of photons in one segment at one order read
+one stored rule, and consecutive sectors on the same rules also share the
+gap factors computed on them.  Both leave every returned bit as it was.
+None of this shares code paths with the analytic semigroup/jump
+construction -- from :mod:`resfluor.model` it takes only the ``Model``
+container -- so agreement between the two pipelines checks the formulas,
+not the integrator.
 Comparing the two routes is the job of :mod:`resfluor.verify`.
 """
 
@@ -225,23 +233,27 @@ def integral_sum_kernel(m: Model, t: float, args: KernelArgs) -> np.ndarray:
     return integral_sum_kernel_batch(m, t, times, [name for _, name in letters])[0]
 
 
-def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels) -> np.ndarray:
+def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels, table, gaps) -> np.ndarray:
     """Driven-coherent-vector amplitudes for a batch of photon configurations.
 
     ``times`` has shape (B, n) with rows sorted increasingly; ``labels`` is a
-    length-n tuple of 'f'/'s' channel tags shared by the whole batch.
-    Returns a (4, B) array of the entries m00, m01, m10, m11.
+    length-n tuple of 'f'/'s' channel tags shared by the whole batch, and
+    ``table`` is the model's :func:`_letter_table`.  ``gaps`` stores the gap
+    factors computed on ``times`` and may come filled from an earlier batch
+    on the same ``times``.  Returns a (4, B) array of the entries m00, m01,
+    m10, m11.  Each word is added entrywise, skipping its structural zeros,
+    since adding c*0 to a sum that starts at +0 never changes it.  A scalar
+    entry (only the empty configuration has them) is spread over the batch
+    before the product, because numpy's vectorised complex multiply may
+    fuse a multiply-add that scalar arithmetic rounds twice.
     """
     B = times.shape[0]
     z = m.z
-    table = _letter_table(m)
     letter = {"f": table["sigma_f"], "s": table["sigma_s"]}
     absorb = table["tau_f"]
 
     # gap factors depend only on the pair of fixed times bounding the gap
     # (None for the horizon ends), so every kept-emission mask shares them
-    gaps: dict[tuple, tuple] = {}
-
     def gap(lo, hi, with_tau):
         key = (lo, hi, with_tau)
         if key not in gaps:
@@ -277,7 +289,10 @@ def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels) -> np.ndarra
                 word = gap(None, bounds[1], tau_left)
                 if fixed:
                     word = _mul(gap(bounds[-2], None, tau_right), _mul(core, word))
-                out += z ** (dropped + n_tau) * _dense(word, B)
+                c = z ** (dropped + n_tau)
+                for k, v in enumerate(word):
+                    if v is not None:
+                        out[k] += c * (v if np.ndim(v) else np.full(B, v, dtype=complex))
     return out
 
 
@@ -298,7 +313,7 @@ def driven_amplitude(m: Model, t: float, omega_f, omega_s) -> np.ndarray:
         raise ValueError("forward and side times must be disjoint")
     labels = tuple(lab for _, lab in merged)
     times = np.array([[x for x, _ in merged]], dtype=float)
-    return _amplitude_batch(m, float(t), times, labels)[:, 0].reshape(2, 2)
+    return _amplitude_batch(m, float(t), times, labels, _letter_table(m), {})[:, 0].reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -310,9 +325,12 @@ class OracleResult:
     scatters additional photons on top of the laser ones, so this
     estimator undercounts; ``tail_bound`` repeats the computation at the
     bounded interaction rate 2|z|^2 + 1 and is the number tolerances
-    should use.  ``diagnostics`` holds deterministic work counts: the
-    number of photon sectors integrated and the quadrature nodes summed
-    over them.
+    should use.  ``diagnostics`` holds deterministic work counts:
+    ``sectors``, the photon sectors integrated; ``zero_sectors``, those
+    skipped because they are exactly zero at z = 0 (two or more photons);
+    ``nodes``, the amplitudes evaluated over the integrated sectors; and
+    ``node_sets``, the distinct simplex rules built, one per (segment,
+    photons in it, order) and shared by every sector that needs it.
     """
 
     matrix: np.ndarray
@@ -400,7 +418,9 @@ def oracle_davies_map(
 
     Integrates amp(omega)^dag A amp(omega) over all photon configurations the
     event admits, truncating total photon number at ``n_max``; the returned
-    truncation estimate is the coherent weight beyond the cap.
+    truncation estimate is the coherent weight beyond the cap.  At z = 0 the
+    sectors of two or more photons are exact zeros and are counted, not
+    integrated; the others share their node sets (see :class:`_NodeStore`).
     """
     if e.total_count > n_max:
         raise ValueError(
@@ -408,11 +428,18 @@ def oracle_davies_map(
         )
     t = float(e.horizon)
     segments = _segment_edges(e)
+    table = _letter_table(m)
+    store = _NodeStore()
     total = np.zeros((4, 4), dtype=complex)
-    sectors = nodes = 0
+    sectors = zero_sectors = nodes = 0
     for seg_words in _sectors(e, segments, n_max):
         labels = tuple(lab for word in seg_words for lab in word)
-        part, n_nodes = _sector_integral(m, t, segments, seg_words, labels, quad_order)
+        if m.z == 0 and len(labels) >= 2:
+            zero_sectors += 1
+            continue
+        part, n_nodes = _sector_integral(
+            m, t, segments, seg_words, labels, quad_order, table, store
+        )
         total += part
         sectors += 1
         nodes += n_nodes
@@ -421,41 +448,84 @@ def oracle_davies_map(
         total,
         _coherent_tail(t * abs(m.z) ** 2, n_max),
         _coherent_tail(t * (2.0 * abs(m.z) ** 2 + 1.0), n_max),
-        MappingProxyType({"sectors": sectors, "nodes": nodes}),
+        MappingProxyType({
+            "sectors": sectors,
+            "zero_sectors": zero_sectors,
+            "nodes": nodes,
+            "node_sets": len(store.rules),
+        }),
     )
 
 
-def _sector_integral(m, t, segments, seg_words, labels, quad_order):
+class _NodeStore:
+    """The quadrature grids of one oracle call, built once and shared.
+
+    ``rules`` maps (ndim, a, b, order) to the simplex rule ``(times + a,
+    weights)`` for ndim photons on segment [a, b), so every sector that
+    needs a rule reads one node set.  The tensor grid over a tuple of rules
+    -- its chunks of times and weights, each with the gap factors the
+    amplitudes compute on it -- is kept while consecutive sectors ask for
+    the same tuple, as all the words of one photon count in a segment do.
+    Only the last grid is kept.  Everything here is deterministic, so a
+    shared grid gives the bits a fresh one would.
+    """
+
+    def __init__(self):
+        self.rules: dict[tuple, tuple] = {}
+        self._grid: tuple = ((), [])
+
+    def rule(self, ndim: int, a: float, b: float, order: int) -> tuple:
+        key = (ndim, a, b, order)
+        if key not in self.rules:
+            times, _, w = simplex_nodes(ndim, b - a, order)
+            self.rules[key] = (times + a, w)
+        return key
+
+    def grid(self, keys: tuple) -> list:
+        """[(times, weights, gap factors)] per chunk of the tensor grid."""
+        if self._grid[0] != keys:
+            self._grid = ((), [])  # free the old grid before building the next
+            per_seg = [self.rules[k] for k in keys]
+            sizes = [times.shape[0] for times, _ in per_seg]
+            n_nodes = int(np.prod(sizes))
+            chunks = []
+            for flat_start in range(0, n_nodes, _CHUNK):
+                flat = np.arange(flat_start, min(flat_start + _CHUNK, n_nodes))
+                idx = np.unravel_index(flat, sizes)
+                times = np.concatenate([v[i] for (v, _), i in zip(per_seg, idx)], axis=1)
+                weights = np.ones(len(flat))
+                for (_, w), i in zip(per_seg, idx):
+                    weights = weights * w[i]
+                chunks.append((times, weights, {}))
+            self._grid = (keys, chunks)
+        return self._grid[1]
+
+
+def _sector_integral(m, t, segments, seg_words, labels, quad_order, table, store):
     """Tensor the per-segment simplex rules and integrate Ad[amp] over them.
 
-    Returns the 4x4 integral and the number of quadrature nodes.
+    ``table`` is the model's :func:`_letter_table` and ``store`` the call's
+    :class:`_NodeStore`: every sector that puts ndim photons in a segment at
+    one order reads the same node set, and consecutive sectors on the same
+    rules share the grid and its gap factors.  At z = 0 a sector of two or
+    more photons integrates to exactly zero, and :func:`oracle_davies_map`
+    does not call this for it.  Returns the 4x4 integral and the number of
+    quadrature nodes.
     """
-    ndim_total = len(labels)
-    per_seg = []
-    for (a, b), word in zip(segments, seg_words):
-        ndim = len(word)
-        if ndim == 0:
-            continue
-        order = _sector_order(quad_order, ndim_total)
-        times, _, w = simplex_nodes(ndim, b - a, order)
-        per_seg.append((times + a, w))
-    if not per_seg:
-        amp = _amplitude_batch(m, t, np.zeros((1, 0)), ())
+    order = _sector_order(quad_order, len(labels))
+    keys = tuple(
+        store.rule(len(word), a, b, order)
+        for (a, b), word in zip(segments, seg_words)
+        if word
+    )
+    if not keys:
+        amp = _amplitude_batch(m, t, np.zeros((1, 0)), (), table, {})
         return _ad_sum(np.ones(1), amp), 1
-
-    sizes = [p[0].shape[0] for p in per_seg]
-    n_nodes = int(np.prod(sizes))
     out = np.zeros((4, 4), dtype=complex)
-    for flat_start in range(0, n_nodes, _CHUNK):
-        flat = np.arange(flat_start, min(flat_start + _CHUNK, n_nodes))
-        idx = np.unravel_index(flat, sizes)
-        times = np.concatenate(
-            [per_seg[k][0][idx[k]] for k in range(len(per_seg))], axis=1
-        )
-        weights = np.ones(len(flat))
-        for k in range(len(per_seg)):
-            weights = weights * per_seg[k][1][idx[k]]
-        out += _ad_sum(weights, _amplitude_batch(m, t, times, labels))
+    n_nodes = 0
+    for times, weights, gaps in store.grid(keys):
+        out += _ad_sum(weights, _amplitude_batch(m, t, times, labels, table, gaps))
+        n_nodes += len(weights)
     return out, n_nodes
 
 

@@ -170,17 +170,21 @@ def emission_amplitude(m: Model, t: float, omega_f, omega_s) -> np.ndarray:
     forward photon and V_s for a side photon; the prefactor cancels the
     coherent weight e^{-t|z|^2/2} inside B_t.  The kernel oracle's
     ``driven_amplitude`` computes the same matrix by an independent route.
-    A time outside [0, t] raises ValueError through :func:`no_jump_operator`.
+    Every B factor comes from one stacked exponential over the n + 1 gaps,
+    which equals the per-gap :func:`no_jump_operator` bit for bit.  A time
+    outside [0, t] makes a gap negative, and :func:`superop_exp` raises
+    ValueError.
     """
     record = sorted(
         [(float(x), m.z * I2 + m.V_f) for x in omega_f] + [(float(x), m.V_s) for x in omega_s],
         key=lambda p: p[0],
     )
-    amp, prev = I2, 0.0
-    for x, C in record:
-        amp = C @ no_jump_operator(m, x - prev) @ amp
-        prev = x
-    return np.exp(t * abs(m.z) ** 2 / 2) * no_jump_operator(m, t - prev) @ amp
+    gaps = np.diff([0.0, *(x for x, _ in record), float(t)])
+    B = superop_exp(no_jump_matrix_generator(m), gaps)
+    amp = I2
+    for (_, C), B_gap in zip(record, B):
+        amp = C @ B_gap @ amp
+    return np.exp(t * abs(m.z) ** 2 / 2) * B[-1] @ amp
 
 
 def no_side_count_generator(m: Model) -> np.ndarray:

@@ -126,11 +126,10 @@ def _check(name, pairs, tol, note=""):
 def run_battery(cfg: RunConfig) -> dict:
     """Run every cross-check; returns a JSON-ready report with per-check rows."""
     m = cfg.model()
-    n_max = min(cfg.n_max, 4)  # oracle sectors get expensive beyond this
     checks = []
 
     def oracle(model, event):
-        return oracle_davies_map(model, event, n_max=n_max, quad_order=cfg.quad_order)
+        return oracle_davies_map(model, event, n_max=cfg.n_max, quad_order=cfg.quad_order)
 
     # no-count map: oracle event {(0,0)} against Ad[B_t]
     t = 0.8

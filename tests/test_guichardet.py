@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import random_model
 
+import resfluor.guichardet
 from resfluor.davies import davies_map
 from resfluor.events import (
     OUTSIDE_FREE,
@@ -20,6 +21,10 @@ from resfluor.events import (
 from resfluor.guichardet import (
     GuichardetPoint,
     KernelArgs,
+    _letter_table,
+    _NodeStore,
+    _sector_integral,
+    _sector_order,
     _sectors,
     _segment_edges,
     driven_amplitude,
@@ -325,15 +330,108 @@ def test_oracle_diagnostics_count_sectors_and_nodes(sym_model):
     ev = Event(forward=zero_photons(), side=exact_count(0.0, t, 1), horizon=t)
     # one sector (a single side emission) on a 1-D rule of quad_order nodes
     res = oracle_davies_map(sym_model, ev, n_max=1, quad_order=12)
-    assert dict(res.diagnostics) == {"sectors": 1, "nodes": 12}
+    assert dict(res.diagnostics) == {"sectors": 1, "zero_sectors": 0, "nodes": 12, "node_sets": 1}
     again = oracle_davies_map(sym_model, ev, n_max=1, quad_order=12)
     assert again.diagnostics == res.diagnostics
     assert np.array_equal(again.matrix, res.matrix)
     # free forward channel, cap 2: sectors "s", "fs" and "sf", with 12 and
-    # 12^2 nodes
+    # 12^2 nodes; "fs" and "sf" share one 2-D rule
     ev2 = Event(forward=free_channel(), side=exact_count(0.0, t, 1), horizon=t)
     res2 = oracle_davies_map(sym_model, ev2, n_max=2, quad_order=12)
-    assert dict(res2.diagnostics) == {"sectors": 3, "nodes": 12 + 2 * 144}
+    assert dict(res2.diagnostics) == {
+        "sectors": 3, "zero_sectors": 0, "nodes": 12 + 2 * 144, "node_sets": 2
+    }
+    # undriven free/free at cap 6: of the 127 sectors only "", "f" and "s"
+    # are integrated, the two one-photon sectors on one shared rule
+    m0 = build_model(SQ2, SQ2, 0.0)
+    ev3 = Event(forward=free_channel(), side=free_channel(), horizon=t)
+    res3 = oracle_davies_map(m0, ev3, n_max=6, quad_order=12)
+    assert dict(res3.diagnostics) == {
+        "sectors": 3, "zero_sectors": 124, "nodes": 1 + 2 * 12, "node_sets": 1
+    }
+
+
+def _sector_parts(m, e, n_max, quad_order):
+    """Every sector's words and integral, each on a fresh rule, none skipped."""
+    t = float(e.horizon)
+    segments = _segment_edges(e)
+    table = _letter_table(m)
+    for words in _sectors(e, segments, n_max):
+        labels = tuple(lab for word in words for lab in word)
+        part, _ = _sector_integral(m, t, segments, words, labels, quad_order, table, _NodeStore())
+        yield words, part
+
+
+def _summed(m, e, parts):
+    """The oracle's map from sector integrals, summed in the oracle's order."""
+    total = np.zeros((4, 4), dtype=complex)
+    for _, part in parts:
+        total += part
+    return total * np.exp(-float(e.horizon) * abs(m.z) ** 2)
+
+
+# free/free (one segment), a window (three segments) and windows on both
+# channels (six segments), with the caps each is checked at
+_SKIP_CASES = (
+    (Event(free_channel(), free_channel(), 0.4), range(2, 7)),
+    (Event(exact_count(0.1, 0.3, 1, OUTSIDE_FREE), free_channel(), 0.4), range(2, 5)),
+    (Event(exact_count(0.05, 0.2, 1, OUTSIDE_FREE),
+           ChannelEvent((Window(0.1, 0.25, 1), Window(0.3, 0.4, 0)), OUTSIDE_FREE), 0.4),
+     range(2, 4)),
+)
+
+
+def test_oracle_skipped_sectors_are_exact_zeros():
+    # at z = 0 every sector with two or more photons integrates to exactly
+    # zero, so skipping them leaves the map's bits as they are; a small
+    # nonzero drive skips nothing
+    rng = np.random.default_rng(31)
+    for z in (0.0, 0.0, 1e-4):
+        m = random_model(rng)
+        m = build_model(m.kappa_f, m.kappa_s, z * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        for e, caps in _SKIP_CASES:
+            for n_max in caps if z == 0 else caps[:2]:
+                res = oracle_davies_map(m, e, n_max=n_max, quad_order=3)
+                parts = list(_sector_parts(m, e, n_max, 3))
+                many = [part for words, part in parts if sum(map(len, words)) >= 2]
+                assert res.diagnostics["zero_sectors"] == (len(many) if z == 0 else 0)
+                assert res.diagnostics["sectors"] + res.diagnostics["zero_sectors"] == len(parts)
+                if z == 0:
+                    assert not any(part.any() for part in many)
+                unskipped = _summed(m, e, parts)
+                assert res.matrix.tobytes() == unskipped.tobytes(), (z, e, n_max)
+
+
+def test_oracle_builds_one_rule_per_segment_ndim_and_order(monkeypatch):
+    # every sector reads the rule of its (segment, ndim, order) from one
+    # store per call, and the map has the bits of a fresh rule per sector
+    calls = []
+    real = resfluor.guichardet.simplex_nodes
+
+    def spy(ndim, length, order):
+        calls.append((ndim, length, order))
+        return real(ndim, length, order)
+
+    monkeypatch.setattr(resfluor.guichardet, "simplex_nodes", spy)
+    rng = np.random.default_rng(32)
+    for e, caps in _SKIP_CASES:
+        segments = _segment_edges(e)
+        for n_max in caps[:2]:
+            m = random_model(rng)
+            expected = {
+                (k, len(word), _sector_order(6, sum(map(len, words))))
+                for words in _sectors(e, segments, n_max)
+                for k, word in enumerate(words)
+                if word
+            }
+            calls.clear()
+            res = oracle_davies_map(m, e, n_max=n_max, quad_order=6)
+            assert len(calls) == len(expected) == res.diagnostics["node_sets"]
+            assert sorted(calls) == sorted(
+                (ndim, segments[k][1] - segments[k][0], order) for k, ndim, order in expected
+            )
+            fresh = _summed(m, e, _sector_parts(m, e, n_max, 6))
+            assert res.matrix.tobytes() == fresh.tobytes(), (e, n_max)
 
 
 def _obeys(e, segments, words):

@@ -18,6 +18,7 @@ from resfluor.model import (
     bounded_rate_check,
     build_model,
     drive_commutator_form,
+    emission_amplitude,
     forward_jump,
     interaction_rate_constant,
     lindblad_generator,
@@ -176,6 +177,36 @@ def test_negative_times_raise_through_superop_exp(sym_model):
         master_map(sym_model, np.array([0.5, -0.5]))
     with pytest.raises(ValueError, match="t >= 0"):
         bounded_rate_check(sym_model, [0.5, -0.5])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_emission_amplitude_equals_the_per_click_loop(seed):
+    # one stacked exponential over the gaps gives the bits of one
+    # no_jump_operator call per gap
+    rng = np.random.default_rng(seed)
+    m, t = random_model(rng), rng.uniform(0.5, 3.0)
+    for n_f, n_s in ((0, 0), (1, 0), (0, 1), (2, 3), (5, 1)):
+        omega_f, omega_s = rng.uniform(0.0, t, n_f), rng.uniform(0.0, t, n_s)
+        record = sorted(
+            [(float(x), m.z * I2 + m.V_f) for x in omega_f]
+            + [(float(x), m.V_s) for x in omega_s],
+            key=lambda p: p[0],
+        )
+        amp, prev = I2, 0.0
+        for x, C in record:
+            amp = C @ no_jump_operator(m, x - prev) @ amp
+            prev = x
+        loop = np.exp(t * abs(m.z) ** 2 / 2) * no_jump_operator(m, t - prev) @ amp
+        got = emission_amplitude(m, t, omega_f, omega_s)
+        assert got.tobytes() == loop.tobytes(), (n_f, n_s)
+
+
+def test_emission_amplitude_rejects_times_outside_the_horizon(sym_model):
+    for omega_f, omega_s in (((-0.1,), ()), ((), (1.2,)), ((0.3,), (0.5, 1.0 + 1e-9))):
+        with pytest.raises(ValueError, match="t >= 0"):
+            emission_amplitude(sym_model, 1.0, omega_f, omega_s)
+    # the horizon ends themselves are inside
+    emission_amplitude(sym_model, 1.0, (0.0,), (1.0,))
 
 
 def test_master_generator_identities(sym_model, undriven_model):
