@@ -29,12 +29,9 @@ from .events import (
     zero_photons,
 )
 from .guichardet import (
-    GuichardetPoint,
-    KernelArgs,
     OracleResult,
     driven_amplitude,
     integral_sum_kernel,
-    integral_sum_kernel_batch,
     oracle_davies_map,
 )
 from .linalg import (

@@ -27,7 +27,7 @@ import numpy as np
 from .config import RunConfig, TOOL_VERSION, config_hash, format_float
 from .davies import event_probability
 from .events import event_from_json
-from .linalg import EXCITED_PROJ, vec
+from .linalg import EXCITED_PROJ, devec, vec
 from .model import master_map
 from .renewal import renewal_test, theoretical_cdf, waiting_densities
 from .trajectories import Trajectory, sample_batch
@@ -123,9 +123,8 @@ def _cmd_evolve(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     T = master_map(cfg.model(), grid)
     n = len(grid)
-    # column-stacked images, read back as 2x2 matrices in row-major order
-    rho_t = (T.conj().transpose(0, 2, 1) @ vec(rho0)).reshape(n, 2, 2).transpose(0, 2, 1)
-    TP = (T @ vec(EXCITED_PROJ)).reshape(n, 2, 2).transpose(0, 2, 1)
+    rho_t = devec(T.conj().transpose(0, 2, 1) @ vec(rho0))
+    TP = devec(T @ vec(EXCITED_PROJ))
     pop = np.real(np.trace(rho0 @ TP, axis1=1, axis2=2))
 
     def re_im(stack):

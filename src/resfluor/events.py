@@ -179,7 +179,10 @@ def event_to_json(e: Event) -> str:
 
 
 def event_from_json(text: str) -> Event:
-    """Parse the schema of :func:`event_to_json`; malformed input raises ValueError."""
+    """Parse the schema of :func:`event_to_json`; malformed input raises ValueError.
+
+    A window record's optional ``channel`` must name the channel it is listed under.
+    """
     payload = json.loads(text)
     try:
         horizon = float(payload["horizon"])
@@ -188,11 +191,13 @@ def event_from_json(text: str) -> Event:
             ch = payload["channels"][name]
             windows = []
             for rec in ch["windows"]:
+                if rec.get("channel", name) != name:
+                    raise ValueError(f"window listed under {name!r} has channel {rec['channel']!r}")
                 a, b = rec["window"]
                 windows.append(Window(float(a), float(b), int(rec["count"])))
             channels[name] = ChannelEvent(windows=tuple(windows), outside=ch["outside"])
     except KeyError as exc:
         raise ValueError(f"event JSON missing key: {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed event JSON ({exc})") from exc
     return Event(forward=channels["forward"], side=channels["side"], horizon=horizon)

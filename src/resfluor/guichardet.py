@@ -6,9 +6,8 @@ and forward/side absorptions tau_f, tau_s) the kernel is an alternating
 product of free evolutions D(dt) = exp(-(dt/2) V^dag V) = diag(e^(-dt/2), 1)
 and channel letters (V_f, V_s for emissions; -V_f^dag, -V_s^dag for
 absorptions), read from the latest time leftward, and it vanishes unless all
-times lie in [0, t].  :func:`integral_sum_kernel_batch` evaluates it at many
-argument tuples that share one letter order; :func:`integral_sum_kernel` is
-its one-tuple form.
+times lie in [0, t].  :func:`integral_sum_kernel` takes the four sets as the
+strictly increasing rows of a (B, n) array, one set name per column.
 
 Evaluating the evolution on the driven coherent vector (laser of amplitude z
 on the forward channel, vacuum on the side channel) collapses the
@@ -22,8 +21,7 @@ and because two adjacent absorption letters annihilate (V^dag is nilpotent),
 each gap between consecutive kept emission times holds at most one tau
 point, whose placement integral is one-dimensional.  Since D is diagonal,
 that integral has a closed form, derived from the kernel in
-:func:`_bridged`.  Batches of 2x2 matrices are multiplied entrywise over
-the batch.
+:func:`_bridged`.
 
 The oracle counting map then integrates amp^dag A amp over the event's
 photon configurations sector by sector (explicitly truncated at the total
@@ -40,9 +38,8 @@ one stored rule, and consecutive sectors on the same rules also share the
 gap factors computed on them.  Both leave every returned bit as it was.
 None of this shares code paths with the analytic semigroup/jump
 construction -- from :mod:`resfluor.model` it takes only the ``Model``
-container -- so agreement between the two pipelines checks the formulas,
-not the integrator.
-Comparing the two routes is the job of :mod:`resfluor.verify`.
+container -- so agreement between the two pipelines, which
+:mod:`resfluor.verify` compares, checks the formulas, not the integrator.
 """
 
 from __future__ import annotations
@@ -59,10 +56,7 @@ from .model import Model
 from .quadrature import simplex_nodes
 
 __all__ = [
-    "GuichardetPoint",
-    "KernelArgs",
     "integral_sum_kernel",
-    "integral_sum_kernel_batch",
     "driven_amplitude",
     "OracleResult",
     "oracle_davies_map",
@@ -80,44 +74,6 @@ def _sector_order(order: int, ndim_total: int) -> int:
         return order
     cap = max(4, int(_SECTOR_NODE_BUDGET ** (1.0 / ndim_total)))
     return min(order, cap)
-
-
-@dataclass(frozen=True)
-class GuichardetPoint:
-    """A finite set of times, kept strictly increasing."""
-
-    times: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        ts = tuple(float(x) for x in self.times)
-        if any(not np.isfinite(x) for x in ts):
-            raise ValueError("times must be finite")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("times must be strictly increasing and distinct")
-        object.__setattr__(self, "times", ts)
-
-    def __len__(self):
-        return len(self.times)
-
-
-@dataclass(frozen=True)
-class KernelArgs:
-    """The four disjoint time sets the kernel takes."""
-
-    sigma_f: GuichardetPoint = GuichardetPoint()
-    sigma_s: GuichardetPoint = GuichardetPoint()
-    tau_f: GuichardetPoint = GuichardetPoint()
-    tau_s: GuichardetPoint = GuichardetPoint()
-
-    def __post_init__(self):
-        all_times = (
-            list(self.sigma_f.times)
-            + list(self.sigma_s.times)
-            + list(self.tau_f.times)
-            + list(self.tau_s.times)
-        )
-        if len(set(all_times)) != len(all_times):
-            raise ValueError("kernel argument sets must be pairwise disjoint")
 
 
 # Batched 2x2 matrices are held entrywise as (m00, m01, m10, m11); each entry
@@ -188,28 +144,32 @@ def _letter_table(m: Model) -> dict[str, tuple]:
     }
 
 
-def integral_sum_kernel_batch(m: Model, t: float, times, letters) -> np.ndarray:
+def _checked_times(times, n: int) -> np.ndarray:
+    """``times`` as a (B, n) float array of finite, strictly increasing rows."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 2 or times.shape[1] != n:
+        raise ValueError(f"times must have shape (B, {n}), got {times.shape}")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if np.any(np.diff(times, axis=1) <= 0):
+        raise ValueError("each row of times must be strictly increasing")
+    return times
+
+
+def integral_sum_kernel(m: Model, t: float, times, letters) -> np.ndarray:
     """The kernel at B argument tuples that share one letter order.
 
     ``letters`` names the set each time column belongs to ('sigma_f',
     'sigma_s', 'tau_f' or 'tau_s'), and every row of ``times`` (shape (B, n))
-    is strictly increasing, so the columns are in time order.  Rows with a
-    time outside [0, t] give zero (the kernel's indicator).  Returns a
-    (B, 2, 2) stack.
+    is strictly increasing, so the columns are in time order and the four
+    sets of a row are disjoint.  Rows with a time outside [0, t] give zero
+    (the kernel's indicator).  Returns a (B, 2, 2) stack.
     """
     table = _letter_table(m)
     letters = tuple(letters)
     if any(name not in table for name in letters):
         raise ValueError(f"letters must be among {sorted(table)}")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 2 or times.shape[1] != len(letters):
-        raise ValueError(
-            f"times must have shape (B, {len(letters)}), got {times.shape}"
-        )
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
-    if np.any(np.diff(times, axis=1) <= 0):
-        raise ValueError("each row of times must be strictly increasing")
+    times = _checked_times(times, len(letters))
     B = times.shape[0]
     out = (1.0, None, None, 1.0)
     prev = 0.0
@@ -220,17 +180,6 @@ def integral_sum_kernel_batch(m: Model, t: float, times, letters) -> np.ndarray:
     inside = np.all((times >= 0.0) & (times <= t), axis=1)
     out = np.where(inside, out, 0.0)
     return out.T.reshape(B, 2, 2)
-
-
-def integral_sum_kernel(m: Model, t: float, args: KernelArgs) -> np.ndarray:
-    """Direct evaluation of the kernel at one argument tuple."""
-    letters = sorted(
-        (x, name)
-        for name in ("sigma_f", "sigma_s", "tau_f", "tau_s")
-        for x in getattr(args, name).times
-    )
-    times = np.array([[x for x, _ in letters]], dtype=float)
-    return integral_sum_kernel_batch(m, t, times, [name for _, name in letters])[0]
 
 
 def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels, table, gaps) -> np.ndarray:
@@ -297,22 +246,17 @@ def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels, table, gaps)
 
 
 def driven_amplitude(m: Model, t: float, omega_f, omega_s) -> np.ndarray:
-    """Amplitude matrix of the driven evolution at one Guichardet point pair.
+    """Amplitude matrix of the driven evolution at one pair of emission sets.
 
-    ``omega_f`` / ``omega_s`` are iterables of emission times.  Times outside
-    [0, t] make the amplitude vanish (the kernel's indicator).
+    ``omega_f`` / ``omega_s`` are iterables of forward and side emission
+    times; together they must be finite and distinct.  Times outside [0, t]
+    make the amplitude vanish (the kernel's indicator).
     """
-    of = GuichardetPoint(tuple(sorted(float(x) for x in omega_f)))
-    os_ = GuichardetPoint(tuple(sorted(float(x) for x in omega_s)))
-    if any(x < 0.0 or x > t for x in of.times + os_.times):
+    merged = sorted([(float(x), "f") for x in omega_f] + [(float(x), "s") for x in omega_s])
+    times = _checked_times([[x for x, _ in merged]], len(merged))
+    if np.any((times < 0.0) | (times > t)):
         return np.zeros((2, 2), dtype=complex)
-    merged = sorted(
-        [(x, "f") for x in of.times] + [(x, "s") for x in os_.times], key=lambda p: p[0]
-    )
-    if len({x for x, _ in merged}) != len(merged):
-        raise ValueError("forward and side times must be disjoint")
     labels = tuple(lab for _, lab in merged)
-    times = np.array([[x for x, _ in merged]], dtype=float)
     return _amplitude_batch(m, float(t), times, labels, _letter_table(m), {})[:, 0].reshape(2, 2)
 
 

@@ -64,21 +64,24 @@ def _as_c2x2(M) -> np.ndarray:
 
 
 def vec(A) -> np.ndarray:
-    """Column-stack a 2x2 matrix into the fixed basis order (E11,E21,E12,E22)."""
-    return _as_c2x2(A).flatten(order="F")
+    """Column-stack a 2x2 matrix, or each of a (..., 2, 2) stack, into (E11,E21,E12,E22)."""
+    A = np.asarray(A, dtype=complex)
+    if A.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {A.shape}")
+    return np.swapaxes(A, -1, -2).reshape(A.shape[:-2] + (4,))
 
 
 def devec(v) -> np.ndarray:
-    """Inverse of :func:`vec`."""
+    """Inverse of :func:`vec`, for one 4-vector or a (..., 4) stack."""
     v = np.asarray(v, dtype=complex)
-    if v.shape != (4,):
-        raise ValueError(f"expected a 4-vector, got shape {v.shape}")
-    return v.reshape((2, 2), order="F")
+    if v.shape[-1:] != (4,):
+        raise ValueError(f"expected 4-vectors, got shape {v.shape}")
+    return np.swapaxes(v.reshape(v.shape[:-1] + (2, 2)), -1, -2)
 
 
 def apply_superop(S, A) -> np.ndarray:
     """Apply a superoperator (4x4 matrix) to a 2x2 matrix."""
-    return devec(np.asarray(S, dtype=complex) @ vec(A))
+    return devec(np.asarray(S, dtype=complex) @ vec(_as_c2x2(A)))
 
 
 # Higham 2005, Table 2.3 and eq. (2.3): the largest 1-norm at which the

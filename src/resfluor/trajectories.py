@@ -74,11 +74,6 @@ _U32, _LOW32 = np.uint64(32), np.uint64(0xFFFFFFFF)
 _STATE_TARGETS = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 1j, 0, 0]])
 
 
-def _batch_vec(rhos: np.ndarray) -> np.ndarray:
-    """Column-stack each matrix of a (B,2,2) stack into rows of a (B,4) array."""
-    return rhos.transpose(0, 2, 1).reshape(rhos.shape[0], 4)
-
-
 @dataclass(frozen=True)
 class SeedSpec:
     """Master seed plus trajectory index; the pair addresses one stream."""
@@ -139,7 +134,7 @@ class _ModeOps:
 
     def survival(self, rhos: np.ndarray) -> Component:
         """x -> Tr(rho_b E_x(I)) for each state of a (B,2,2) stack."""
-        return self.sg.component(_batch_vec(rhos), vec(I2))
+        return self.sg.component(vec(rhos), vec(I2))
 
     def evolve(self, rhos: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Click-free Schroedinger evolution over gaps xs, renormalised.
@@ -147,7 +142,7 @@ class _ModeOps:
         The state is read as four real components of the semigroup, so it is
         Hermitian by construction.
         """
-        vals = self.sg.component(_batch_vec(rhos), _STATE_TARGETS)(xs)
+        vals = self.sg.component(vec(rhos), _STATE_TARGETS)(xs)
         trs = vals[0] + vals[1]
         if np.any(trs <= 0):
             raise ArithmeticError("click-free evolution annihilated the state")

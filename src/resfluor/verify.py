@@ -5,9 +5,11 @@ construction and once through the integral-sum-kernel oracle (or an
 otherwise independent route) -- over one or more (analytic, oracle) pairs.
 A row records its name, the hashes of the pair at the largest distance,
 that distance and its tolerance, and it passes iff distance <= tolerance.
-The amplitude rows gate the oracle's driven amplitude against the
-factorised form :func:`resfluor.model.emission_amplitude` and against a
-brute-force kernel quadrature.
+The jump-limit rows compare each jump map with the Richardson pair of two
+one-photon oracle maps.  The amplitude rows gate the oracle's driven
+amplitude against the factorised form :func:`resfluor.model.emission_amplitude`
+and against a brute-force quadrature of
+:func:`resfluor.guichardet.integral_sum_kernel`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .config import RunConfig, format_float
 from .davies import davies_map, dyson_truncation_tail
 from .events import Event, exact_count, free_channel, zero_photons, concat_events
-from .guichardet import driven_amplitude, integral_sum_kernel_batch, oracle_davies_map
+from .guichardet import driven_amplitude, integral_sum_kernel, oracle_davies_map
 from .linalg import I2, ad_map, apply_superop, frobenius_dist, superop_exp
 from .model import (
     build_model,
@@ -52,7 +54,7 @@ def amplitude_by_region_quadrature(m, t: float, omega_f, omega_s, order: int = 4
     Independent of the oracle's closed-form gap integrals: it enumerates the
     kept forward emissions and up to two absorption times, splits the
     absorption domain at the emission times so every region is smooth, and
-    integrates the kernel (:func:`integral_sum_kernel_batch`) over each
+    integrates :func:`resfluor.guichardet.integral_sum_kernel` over each
     choice of distinct regions with a tensor Gauss-Legendre rule of
     ``order`` nodes per absorption.  The absorptions of one choice sit in
     distinct regions, so the time order of all letters is fixed and the
@@ -90,7 +92,7 @@ def amplitude_by_region_quadrature(m, t: float, omega_f, omega_s, order: int = 4
                     columns.append(np.full(weights.shape, fixed[r][0]))
                     letters.append(fixed[r][1])
             times = np.stack(columns, axis=1) if columns else np.zeros((1, 0))
-            kernel = integral_sum_kernel_batch(m, t, times, letters)
+            kernel = integral_sum_kernel(m, t, times, letters)
             acc += np.tensordot(weights, kernel, axes=1)
         return acc
 
@@ -105,6 +107,19 @@ def amplitude_by_region_quadrature(m, t: float, omega_f, omega_s, order: int = 4
                 continue
             total += weight * tau_integral(sigma_f, omega_s, n)
     return total
+
+
+def _jump_limit_tolerance(m, J, t: float) -> float:
+    """Twice a bound on ||2 Q(t/2) - Q(t) - J||, Q(x) the one-photon map over [0, x) / x.
+
+    With A the no-count generator, Q(x) = sum_n x^n/(n+1)! sum_(j+k=n) A^j J A^k,
+    n + 1 terms of norm at most a^n ||J||, a = |z|^2 + 1 + 2|z||kappa_f| >= ||A||.
+    The pair's n-th term carries a factor 2^(1-n) - 1, so the difference is at
+    most ||J|| (a t)^2 (1/4 + a t e^(a t)/6) < ||J|| (a t)^2 / 2 while a t <= 1/2;
+    the other half of the tolerance covers the oracle's quadrature and rounding.
+    """
+    a = abs(m.z) ** 2 + 1.0 + 2.0 * abs(m.z) * abs(m.kappa_f)
+    return float(np.linalg.norm(J) * (a * t) ** 2)
 
 
 def _check(name, pairs, tol, note=""):
@@ -164,22 +179,19 @@ def run_battery(cfg: RunConfig) -> dict:
         )
     )
 
-    # jump limits: the one-photon oracle map over [0, t), divided by t, tends
-    # to the jump map; an event with one photon has a single sector at any cap
+    # jump limits: Q(x), the one-photon oracle map over [0, x) divided by x,
+    # tends to the jump map J, and the Richardson pair 2 Q(t/2) - Q(t) is
+    # J + O(t^2); an event with one photon has a single sector at any cap
     tj = 1e-3
-    one, none = exact_count(0.0, tj, 1), zero_photons()
-    for channel, target, ev in (
-        ("forward", forward_jump(m), Event(forward=one, side=none, horizon=tj)),
-        ("side", side_jump(m), Event(forward=none, side=one, horizon=tj)),
-    ):
-        checks.append(
-            _check(
-                f"jump-limit-{channel}",
-                [(target, oracle(m, ev).matrix / tj)],
-                5e-3 * np.linalg.norm(target),
-                note="(1/t) one-photon oracle map at t = 1e-3",
-            )
-        )
+    for channel, target in (("forward", forward_jump(m)), ("side", side_jump(m))):
+        q = []
+        for x in (tj / 2, tj):
+            one, none = exact_count(0.0, x, 1), zero_photons()
+            ev = Event(one, none, x) if channel == "forward" else Event(none, one, x)
+            q.append(oracle(m, ev).matrix / x)
+        tol = _jump_limit_tolerance(m, target, tj)
+        note = "Richardson pair 2 Q(t/2) - Q(t) at t = 1e-3"
+        checks.append(_check(f"jump-limit-{channel}", [(target, 2.0 * q[0] - q[1])], tol, note))
 
     # composition law with both factors from the oracle
     E = Event(forward=zero_photons(), side=exact_count(0.1, 0.3, 1), horizon=0.4)

@@ -1,6 +1,7 @@
 """Module boundaries that the design relies on, checked on the source."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import resfluor
 
 SRC = Path(resfluor.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
 EIGEN_FORM = {"lam", "U", "Uinv", "_diagonalizable"}
 
 
@@ -159,3 +161,22 @@ def test_import_and_renewal_battery_load_no_scipy_stats():
     assert "resfluor.renewal" in after_battery
     for loaded in (imported, after_battery):
         assert not {name for name in loaded if name.split(".")[0] == "scipy"}
+
+
+def test_every_traced_target_resolves():
+    # the benchmark's traced run wraps these (module, attribute) pairs by
+    # name; read from its source, so renaming or deleting one fails here
+    tree = _tree(TRACING)
+    (targets,) = (
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(name, "id", None) == "TARGETS" for name in node.targets)
+    )
+    pairs = [tuple(ast.literal_eval(elt.elts[k]) for k in (0, 1)) for elt in targets.elts]
+    assert len(pairs) >= 10
+    for module, attr in pairs:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)

@@ -79,6 +79,17 @@ def test_bad_input_exits_one(tmp_path):
             }],
             {},
         ),
+        (
+            [{
+                "horizon": 1.0,
+                "channels": {
+                    "forward": {"outside": "zero", "windows": [
+                        {"channel": "side", "window": [0.1, 0.5], "count": 1}]},
+                    "side": {"outside": "free", "windows": []},
+                },
+            }],
+            {},
+        ),
         ([], {"n_traj": None}),
         ([], {"horizon": float("inf")}),
         ([], {"horizon": float("nan")}),
@@ -91,8 +102,8 @@ def test_bad_input_exits_one(tmp_path):
         ([], {"n_traj": True}),
         ([], {"horizon": "2.5"}),
     ],
-    ids=["event-not-object", "channels-list", "window-one-end", "null-n-traj",
-         "infinite-horizon", "nan-horizon", "nan-z", "nan-kappa-f",
+    ids=["event-not-object", "channels-list", "window-one-end", "window-wrong-channel",
+         "null-n-traj", "infinite-horizon", "nan-horizon", "nan-z", "nan-kappa-f",
          "negative-seed", "seed-beyond-u64", "float-n-traj", "string-n-traj",
          "bool-n-traj", "string-horizon"],
 )
@@ -178,25 +189,6 @@ def test_trajectories_at_exceptional_drive(tmp_path):
     cfg = _config(tmp_path, z=Z_STAR, n_traj=20)
     traj = _trajectories(cfg, tmp_path / "traj")
     assert traj.read_text().count(",side") > 0
-
-
-def test_battery_passes_quad_order_to_every_oracle_call(monkeypatch):
-    import resfluor.guichardet
-    import resfluor.verify
-    from resfluor.config import RunConfig
-
-    seen = []
-    real = resfluor.guichardet.oracle_davies_map
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("quad_order"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(resfluor.verify, "oracle_davies_map", spy)
-    resfluor.verify.run_battery(RunConfig(quad_order=12))
-    # eight call sites, one in a loop over three horizons and one in a loop
-    # over the two jump-limit channels
-    assert seen == [12] * 11
 
 
 def test_trajectories_identical_across_thread_counts(tmp_path):

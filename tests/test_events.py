@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,17 @@ def test_event_json_roundtrip():
     )
     back = event_from_json(event_to_json(ev))
     assert back == ev
+
+
+def test_event_json_window_channel_must_match_its_listing():
+    ev = Event(forward=exact_count(0.25, 0.75, 1), side=zero_photons(), horizon=1.0)
+    payload = json.loads(event_to_json(ev))
+    rec = payload["channels"]["forward"]["windows"][0]
+    del rec["channel"]  # the key is optional
+    assert event_from_json(json.dumps(payload)) == ev
+    rec["channel"] = "side"
+    with pytest.raises(ValueError, match="under 'forward' has channel 'side'"):
+        event_from_json(json.dumps(payload))
 
 
 def test_event_json_missing_key():

@@ -19,8 +19,6 @@ from resfluor.events import (
     zero_photons,
 )
 from resfluor.guichardet import (
-    GuichardetPoint,
-    KernelArgs,
     _letter_table,
     _NodeStore,
     _sector_integral,
@@ -29,7 +27,6 @@ from resfluor.guichardet import (
     _segment_edges,
     driven_amplitude,
     integral_sum_kernel,
-    integral_sum_kernel_batch,
     oracle_davies_map,
 )
 from resfluor.linalg import (
@@ -88,46 +85,28 @@ def exact_side_amplitude(m, t, s):
     )
 
 
-def test_guichardet_point_validation():
-    with pytest.raises(ValueError):
-        GuichardetPoint((0.3, 0.3))
-    with pytest.raises(ValueError):
-        GuichardetPoint((0.5, 0.2))
-    with pytest.raises(ValueError):
-        KernelArgs(
-            sigma_f=GuichardetPoint((0.1,)), tau_f=GuichardetPoint((0.1,))
-        )
-
-
 def test_kernel_empty_and_single(sym_model):
     t, s = 1.0, 0.3
-    out = integral_sum_kernel(sym_model, t, KernelArgs())
-    assert frobenius_dist(out, np.diag([np.exp(-t / 2), 1.0])) == 0.0
-    out1 = integral_sum_kernel(sym_model, t, KernelArgs(sigma_f=GuichardetPoint((s,))))
+    out = integral_sum_kernel(sym_model, t, np.zeros((1, 0)), [])
+    assert out.shape == (1, 2, 2)
+    assert frobenius_dist(out[0], np.diag([np.exp(-t / 2), 1.0])) == 0.0
+    out1 = integral_sum_kernel(sym_model, t, [[s]], ["sigma_f"])[0]
     assert frobenius_dist(out1, sym_model.kappa_f * np.exp(-s / 2) * E21) < 1e-16
 
 
 def test_kernel_indicator_vanishes_outside(sym_model):
-    out = integral_sum_kernel(
-        sym_model, 1.0, KernelArgs(tau_s=GuichardetPoint((1.5,)))
-    )
+    out = integral_sum_kernel(sym_model, 1.0, [[1.5]], ["tau_s"])
     assert np.all(out == 0)
-    out2 = integral_sum_kernel(
-        sym_model, 1.0, KernelArgs(sigma_f=GuichardetPoint((-0.1,)))
-    )
+    out2 = integral_sum_kernel(sym_model, 1.0, [[-0.1]], ["sigma_f"])
     assert np.all(out2 == 0)
 
 
 def test_kernel_adjacent_emissions_annihilate(sym_model):
     # two emission letters with only an exponential between them vanish
-    out = integral_sum_kernel(
-        sym_model, 1.0, KernelArgs(sigma_f=GuichardetPoint((0.2, 0.5)))
-    )
+    out = integral_sum_kernel(sym_model, 1.0, [[0.2, 0.5]], ["sigma_f", "sigma_f"])
     assert np.all(out == 0)
     # likewise two absorptions
-    out2 = integral_sum_kernel(
-        sym_model, 1.0, KernelArgs(tau_f=GuichardetPoint((0.2, 0.5)))
-    )
+    out2 = integral_sum_kernel(sym_model, 1.0, [[0.2, 0.5]], ["tau_f", "tau_f"])
     assert np.all(out2 == 0)
 
 
@@ -163,17 +142,9 @@ def test_kernel_batch_matches_scalar_kernel(seed):
     times = np.sort(rng.uniform(0.0, t, size=(40, n)), axis=1)
     if n:
         times[-1, -1] = t + 0.5  # outside [0, t]: the indicator zeroes the row
-    batch = integral_sum_kernel_batch(m, t, times, letters)
+    batch = integral_sum_kernel(m, t, times, letters)
     assert batch.shape == (40, 2, 2)
     for row, k_row in zip(times, batch):
-        args = KernelArgs(
-            **{
-                name: GuichardetPoint(tuple(x for x, lab in zip(row, letters) if lab == name))
-                for name in ("sigma_f", "sigma_s", "tau_f", "tau_s")
-            }
-        )
-        scalar = integral_sum_kernel(m, t, args)
-        assert frobenius_dist(k_row, scalar) <= 1e-15
         if row.size and row[-1] > t:
             assert np.all(k_row == 0)
         else:
@@ -182,14 +153,20 @@ def test_kernel_batch_matches_scalar_kernel(seed):
 
 
 def test_kernel_batch_validation(sym_model):
+    # rows must be finite and strictly increasing, so a time in two sets fails
+    for times in ([[0.5, 0.2]], [[0.2, 0.2]], [[0.2, np.nan]], [0.2, 0.5]):
+        with pytest.raises(ValueError):
+            integral_sum_kernel(sym_model, 1.0, times, ["sigma_f", "tau_f"])
     with pytest.raises(ValueError):
-        integral_sum_kernel_batch(sym_model, 1.0, [[0.5, 0.2]], ["sigma_f", "tau_f"])
+        integral_sum_kernel(sym_model, 1.0, [[0.2]], ["sigma_f", "tau_f"])
     with pytest.raises(ValueError):
-        integral_sum_kernel_batch(sym_model, 1.0, [[0.2, 0.2]], ["sigma_f", "tau_f"])
-    with pytest.raises(ValueError):
-        integral_sum_kernel_batch(sym_model, 1.0, [[0.2]], ["sigma_f", "tau_f"])
-    with pytest.raises(ValueError):
-        integral_sum_kernel_batch(sym_model, 1.0, [[0.2]], ["omega"])
+        integral_sum_kernel(sym_model, 1.0, [[0.2]], ["omega"])
+    # the amplitude checks its merged emission times the same way, before
+    # its indicator
+    bad = (((0.3, 0.3), ()), ((0.3,), (0.3,)), ((2.0,), (2.0,)), ((np.inf,), ()), ((), (np.nan,)))
+    for omega_f, omega_s in bad:
+        with pytest.raises(ValueError, match="times must be"):
+            driven_amplitude(sym_model, 1.0, omega_f, omega_s)
 
 
 @pytest.mark.parametrize(

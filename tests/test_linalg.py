@@ -180,6 +180,21 @@ def test_vec_roundtrip_exact():
     assert np.array_equal(vec(np.array([[1, 3], [2, 4]])), np.array([1, 2, 3, 4], dtype=complex))
 
 
+def test_vec_of_a_stack_is_the_stack_of_vecs():
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(3, 5, 2, 2)) + 1j * rng.normal(size=(3, 5, 2, 2))
+    rows = vec(stack)
+    assert rows.shape == (3, 5, 4)
+    assert all(np.array_equal(rows[i, j], vec(stack[i, j])) for i in range(3) for j in range(5))
+    assert np.array_equal(devec(rows), stack)
+    with pytest.raises(ValueError):
+        vec(np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        devec(np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        apply_superop(np.eye(4), np.zeros((4, 2, 2)))
+
+
 def test_density_matrix_validation():
     require_density_matrix(np.diag([0.3, 0.7]))
     with pytest.raises(ValueError):

@@ -1,11 +1,17 @@
+import sys
+
+import numpy as np
 import pytest
 
+import resfluor.guichardet
 import resfluor.verify
 from resfluor.config import RunConfig
 from resfluor.davies import davies_map
-from resfluor.events import Event, exact_count, free_channel
-from resfluor.guichardet import oracle_davies_map
+from resfluor.events import Event, exact_count, free_channel, zero_photons
+from resfluor.guichardet import OracleResult, oracle_davies_map
 from resfluor.linalg import frobenius_dist
+from resfluor.model import build_model, forward_jump, side_jump
+from resfluor.verify import _jump_limit_tolerance, amplitude_by_region_quadrature
 
 # configs on which the battery's one-side-photon row failed while the
 # oracle was capped at four photons (1.03e-7 and 9.7e-7 against 1e-7)
@@ -29,17 +35,61 @@ def test_one_side_photon_cross_passes_at_the_config_cap(name):
     assert frobenius_dist(dav.matrix, ora.matrix) <= 1e-7
 
 
+# the jump-limit rows' first difference Q(t) failed at z = 2 (4.38e-2
+# against 4.25e-2 for the forward channel)
+_JUMP_CONFIGS = {**_CONFIGS, "z=2": RunConfig(z=2.0)}
+
+
+@pytest.mark.parametrize("channel", ["forward", "side"])
+@pytest.mark.parametrize("name", sorted(_JUMP_CONFIGS))
+def test_jump_limit_richardson_pair_passes(name, channel):
+    # the battery's jump-limit rows, with the oracle called directly
+    cfg = _JUMP_CONFIGS[name]
+    m, t = cfg.model(), 1e-3
+    target = forward_jump(m) if channel == "forward" else side_jump(m)
+
+    def q(x):
+        one, none = exact_count(0.0, x, 1), zero_photons()
+        ev = Event(one, none, x) if channel == "forward" else Event(none, one, x)
+        return oracle_davies_map(m, ev, n_max=cfg.n_max, quad_order=cfg.quad_order).matrix / x
+
+    tol = _jump_limit_tolerance(m, target, t)
+    # below the first difference's old tolerance, which Q(t) alone misses
+    assert tol < 5e-3 * np.linalg.norm(target)
+    assert frobenius_dist(target, q(t)) > tol
+    assert frobenius_dist(target, 2.0 * q(t / 2) - q(t)) <= tol
+
+
 def test_battery_gives_the_oracle_the_config_cap(monkeypatch):
     seen = []
 
-    class Stop(Exception):
-        pass
-
     def spy(model, event, n_max, quad_order):
-        seen.append(n_max)
-        raise Stop
+        seen.append((n_max, quad_order))
+        return OracleResult(np.zeros((4, 4), dtype=complex), 0.0)
 
     monkeypatch.setattr(resfluor.verify, "oracle_davies_map", spy)
-    with pytest.raises(Stop):
-        resfluor.verify.run_battery(RunConfig(n_max=7))
-    assert seen == [7]
+    resfluor.verify.run_battery(RunConfig(n_max=7, quad_order=12))
+    # eight call sites: one in a loop over three horizons, and one in a loop
+    # over the two jump-limit channels and the Richardson pair's two horizons
+    assert seen == [(7, 12)] * 13
+
+
+def test_brute_force_amplitude_reaches_the_kernel(monkeypatch):
+    # a wrapper bound, as a tracer binds it, under every name a resfluor
+    # module gives guichardet.integral_sum_kernel sees the kernel batches
+    real = resfluor.guichardet.integral_sum_kernel
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2].shape)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "resfluor" or name.startswith("resfluor."):
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, spy)
+    m = build_model(0.6, 0.8, 0.7)
+    amp = amplitude_by_region_quadrature(m, 1.0, (0.3,), (), order=8)
+    assert calls and all(len(shape) == 2 for shape in calls)
+    assert np.abs(amp).max() > 0
