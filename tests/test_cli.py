@@ -316,6 +316,25 @@ def test_verify_passes_every_check(verify_outcome):
         assert row["pass"] == (row["distance"] <= row["tolerance"]), row["name"]
 
 
+def test_battery_passes_quad_order_to_every_oracle_call(tmp_path, monkeypatch):
+    # the config file's quad_order reaches each oracle call of `verify`
+    import resfluor.verify
+    from resfluor.guichardet import OracleResult
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("quad_order"))
+        return OracleResult(np.zeros((4, 4), dtype=complex), 0.0)
+
+    monkeypatch.setattr(resfluor.verify, "oracle_davies_map", spy)
+    cfg = _config(tmp_path, quad_order=12)
+    run(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
+    # eight call sites: one in a loop over three horizons, and one in a loop
+    # over the two jump-limit channels and the Richardson pair's two horizons
+    assert seen == [12] * 13
+
+
 def test_verify_failing_battery_exits_two(tmp_path, monkeypatch):
     failing = {
         "name": "forced-failure",

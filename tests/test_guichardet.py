@@ -152,11 +152,20 @@ def test_kernel_batch_matches_scalar_kernel(seed):
             assert frobenius_dist(k_row, kernel_by_products(m, t, row, letters)) <= 1e-14
 
 
-def test_kernel_batch_validation(sym_model):
-    # rows must be finite and strictly increasing, so a time in two sets fails
-    for times in ([[0.5, 0.2]], [[0.2, 0.2]], [[0.2, np.nan]], [0.2, 0.5]):
+def test_guichardet_point_validation(sym_model):
+    # a kernel row is one Guichardet point: finite and strictly increasing,
+    # so a repeated time, or a time in two sets, fails
+    for times in ([[0.5, 0.2]], [[0.3, 0.3]], [[0.2, np.nan]], [[0.1, 0.1]]):
         with pytest.raises(ValueError):
             integral_sum_kernel(sym_model, 1.0, times, ["sigma_f", "tau_f"])
+    with pytest.raises(ValueError):
+        integral_sum_kernel(sym_model, 1.0, [[0.3, 0.3]], ["sigma_f", "sigma_f"])
+
+
+def test_kernel_batch_validation(sym_model):
+    # a batch is a 2-d array of rows, one column per letter
+    with pytest.raises(ValueError):
+        integral_sum_kernel(sym_model, 1.0, [0.2, 0.5], ["sigma_f", "tau_f"])
     with pytest.raises(ValueError):
         integral_sum_kernel(sym_model, 1.0, [[0.2]], ["sigma_f", "tau_f"])
     with pytest.raises(ValueError):
