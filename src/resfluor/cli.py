@@ -9,15 +9,22 @@ numeric output uses 17 significant digits, CSV for arrays and JSON for
 reports, and every file carries a tool-version/config-hash stamp, so
 identical config + seed reproduce byte-identical files.  ``--threads`` and
 the ``threads`` key are accepted and have no effect: the sampler runs one
-vectorised batch.  ``trajectories.csv`` also records its trajectory count in
-a ``# n_traj=N`` line, which ``renewal-stats`` requires.  Exit codes: 0
-success, 1 validation or usage error, 2 failed verification.
+vectorised batch.  Exit codes: 0 success, 1 validation or usage error, 2
+failed verification.
+
+``trajectories.csv`` holds one ``trajectory_index,jump_index,time,channel``
+row per click.  ``renewal-stats`` reads it by these rules and exits 1 on any
+other file: ``#`` lines are comments; a ``# n_traj=N`` line (N counts every
+trajectory, click-free ones too) and the header, if any, come before the
+first row; rows come in any order, each an index in [0, N), a jump index, a
+finite time and a channel, side or forward; forward rows are then ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -30,10 +37,14 @@ from .events import event_from_json
 from .linalg import EXCITED_PROJ, devec, vec
 from .model import master_map
 from .renewal import renewal_test, theoretical_cdf, waiting_densities
-from .trajectories import Trajectory, sample_batch
+from .trajectories import FORWARD, SIDE, sample_batch
 from .verify import run_battery
 
 __all__ = ["main", "run"]
+
+_TRAJ_HEADER = "trajectory_index,jump_index,time,channel"
+_TRAJ_ROW = np.dtype([("index", "i8"), ("jump", "i8"), ("time", "f8"), ("side", "?")])
+_IS_SIDE = {SIDE: True, FORWARD: False}
 
 
 class _UsageError(Exception):
@@ -89,13 +100,10 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _stamp(cfg: RunConfig) -> str:
-    return f"{TOOL_VERSION} config={config_hash(cfg)}"
-
-
 def _write_csv(path: Path, header: list[str], fmt: str, rows, cfg: RunConfig, comments=()):
     """Write the stamp, comment lines, header, and each row as ``fmt % row``."""
-    lines = [f"# {_stamp(cfg)}", *(f"# {c}" for c in comments), ",".join(header)]
+    lines = [f"# {TOOL_VERSION} config={config_hash(cfg)}", *(f"# {c}" for c in comments)]
+    lines.append(",".join(header))
     lines += [fmt % tuple(row) for row in rows]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
@@ -160,25 +168,19 @@ def _cmd_event_prob(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _traj_rows(trajs: list[Trajectory]):
-    for tr in trajs:
-        for k, (t, c) in enumerate(tr.records):
-            yield (tr.index, k, float(t), c)
-
-
 def _cmd_trajectories(cfg: RunConfig, args) -> int:
     n = cfg.n_traj
     trajs = sample_batch(cfg.model(), cfg.rho0(), cfg.horizon, cfg.master_seed, n, mode=cfg.mode)
     _write_csv(
         args.out / "trajectories.csv",
-        ["trajectory_index", "jump_index", "time", "channel"],
+        _TRAJ_HEADER.split(","),
         "%d,%d,%.17g,%s",
-        _traj_rows(trajs),
+        ((tr.index, k, float(t), c) for tr in trajs for k, (t, c) in enumerate(tr.records)),
         cfg,
         comments=[f"n_traj={n}"],
     )
     counts = np.array([len(t.records) for t in trajs], dtype=int)
-    hist = np.bincount(counts) if len(counts) else np.array([], dtype=int)
+    hist = np.bincount(counts)
     terminal_pop = [float(np.real(t.terminal_state[0, 0])) for t in trajs]
     _write_json(
         args.out / "summary.json",
@@ -215,28 +217,32 @@ def _cmd_waiting_time(cfg: RunConfig, args) -> int:
 
 
 def read_trajectory_csv(path: Path) -> list[np.ndarray]:
-    """Side-click time arrays per trajectory from the documented CSV format.
+    """Sorted side-click times per trajectory, read by the module docstring's rules.
 
-    The trajectory count comes from the file's ``# n_traj=N`` line, so
-    trajectories without a side click are kept as empty arrays.
+    One streamed ``np.loadtxt`` call reads every row into a flat table; its
+    side rows, sorted by (index, time), are split at each trajectory's end.
     """
     n = None
-    per: dict[int, list[float]] = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
+        for line in iter(fh.readline, ""):
             if line.startswith("# n_traj="):
                 n = int(line.removeprefix("# n_traj="))
-            if not line or line.startswith("#") or line.startswith("trajectory_index"):
-                continue
-            idx_s, _jump, t_s, channel = line.split(",")
-            if channel == "side":
-                per.setdefault(int(idx_s), []).append(float(t_s))
-    if n is None:
-        raise ValueError(f"{path} has no '# n_traj=N' line")
-    if per and not 0 <= min(per) <= max(per) < n:
-        raise ValueError(f"{path} has trajectory indices outside [0, {n})")
-    return [np.array(sorted(per.get(i, []))) for i in range(n)]
+            elif not line.startswith("#") and line.strip() not in ("", _TRAJ_HEADER):
+                break
+        else:
+            line = ""  # no rows, on which np.loadtxt would warn
+        if n is None:
+            raise ValueError(f"{path} has no '# n_traj=N' line before its rows")
+        rows = np.zeros(0, _TRAJ_ROW)
+        if line:
+            rows = np.loadtxt(itertools.chain([line], fh), dtype=_TRAJ_ROW, delimiter=",",
+                              converters={3: _IS_SIDE.__getitem__}, ndmin=1)
+    if not ((0 <= rows["index"]) & (rows["index"] < n) & np.isfinite(rows["time"])).all():
+        raise ValueError(f"{path} has a trajectory index outside [0, {n}) or a non-finite time")
+    side = rows[rows["side"]]
+    times = side["time"][np.lexsort((side["time"], side["index"]))]
+    # n + 1 pieces, the last one empty
+    return np.split(times, np.cumsum(np.bincount(side["index"], minlength=n)))[:-1]
 
 
 def _cmd_renewal_stats(cfg: RunConfig, args) -> int:

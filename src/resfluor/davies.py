@@ -166,17 +166,11 @@ def davies_map(
     return DaviesResult(row.reshape(4, *shape, 4)[:, 0, 0].sum(axis=1))
 
 
-def event_probability(
-    m: Model,
-    rho,
-    e: Event,
-    n_max: int = 6,
-    tol: float = 1e-8,
-) -> float:
-    """P[rho sees the event] = Tr(rho * map(I)); must land in [-tol, 1 + tol]."""
+def event_probability(m: Model, rho, e: Event, n_max: int = 6) -> float:
+    """P[rho sees the event] = Tr(rho * map(I)); must land in [-1e-8, 1 + 1e-8]."""
     rho = require_density_matrix(rho)
     res = davies_map(m, e, n_max=n_max)
     p = float(np.real(np.trace(rho @ res(I2))))
-    if p < -tol or p > 1.0 + tol:
+    if p < -1e-8 or p > 1.0 + 1e-8:
         raise ArithmeticError(f"computed event probability {p} falls outside [0, 1]")
     return p

@@ -204,7 +204,7 @@ def is_completely_positive(S, tol: float = 1e-10) -> bool:
     return float(np.linalg.eigvalsh(C).min()) >= -tol
 
 
-def require_density_matrix(rho, tol: float = _HERM_TOL) -> np.ndarray:
+def require_density_matrix(rho) -> np.ndarray:
     """Validate a 2x2 density matrix (Hermitian, unit trace, PSD) and return it.
 
     ``rho`` may also be a (B, 2, 2) stack.  The tests run entrywise over the
@@ -223,8 +223,8 @@ def require_density_matrix(rho, tol: float = _HERM_TOL) -> np.ndarray:
     low = (a.real + d.real) / 2 - np.hypot((a.real - d.real) / 2, abs(b + c.conj()) / 2)
     tests = (
         (finite, "has a non-finite entry"),
-        (skew <= tol, "is not Hermitian within tolerance"),
-        (abs(a + d - 1.0) <= tol, "trace differs from 1 beyond tolerance"),
+        (skew <= _HERM_TOL, "is not Hermitian within tolerance"),
+        (abs(a + d - 1.0) <= _HERM_TOL, "trace differs from 1 beyond tolerance"),
         (low >= -_PSD_TOL, "has a negative eigenvalue beyond tolerance"),
     )
     bad = ~np.logical_and.reduce([ok for ok, _ in tests])

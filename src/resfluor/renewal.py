@@ -228,16 +228,19 @@ def renewal_test(
 ) -> RenewalReport:
     """Run the renewal battery on per-trajectory arrays of side-click times.
 
-    Infinite or missing intervals are excluded from the CDF comparisons and
-    show up only through the sample sizes.
+    The input is concatenated once into a flat table of click times, each with
+    its trajectory (owner) and rank in it.  A click's gap to the one before
+    (to 0 at rank 0) is X_1, X_2 or X_3 at rank 0, 1 or 2; the X_2 paired
+    with an X_3 sits just before it.  Infinite or missing intervals are
+    excluded from the CDF comparisons and show up only through the sample sizes.
     """
     rho = require_density_matrix(rho)
-    side = [np.asarray(ts, dtype=float) for ts in clicks]
-    inter = [np.diff(ts, prepend=0.0) for ts in side]
-    x1 = np.array([xs[0] for xs in inter if len(xs) >= 1])
-    x2 = np.array([xs[1] for xs in inter if len(xs) >= 2])
-    x3 = np.array([xs[2] for xs in inter if len(xs) >= 3])
-    pairs = np.array([[xs[1], xs[2]] for xs in inter if len(xs) >= 3])
+    lengths = np.array([len(ts) for ts in clicks], dtype=int)
+    every = np.concatenate([np.zeros(0), *clicks])
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    rank = np.arange(len(every)) - (np.cumsum(lengths) - lengths)[owner]
+    gap = every - np.where(rank > 0, np.roll(every, 1), 0.0)
+    x1, x2, x3 = (gap[rank == k] for k in (0, 1, 2))
 
     cdf_later = lambda v: theoretical_cdf(m, rho, "later", v)
     cdf_first = lambda v: theoretical_cdf(m, rho, "first", v)
@@ -249,12 +252,12 @@ def renewal_test(
 
     # independence on a 10x10 grid with deciles of the theoretical CDF, so
     # expected counts are uniform under the null
-    if len(pairs) >= MIN_KS_SAMPLES:
-        u = cdf_later(pairs[:, 0])
-        v = cdf_later(pairs[:, 1])
+    if len(x3) >= MIN_KS_SAMPLES:
+        u = cdf_later(gap[np.flatnonzero(rank == 2) - 1])
+        v = cdf_later(x3)
         bins = np.linspace(0.0, 1.0, 11)
         hist, _, _ = np.histogram2d(u, v, bins=[bins, bins])
-        expected = len(pairs) / 100.0
+        expected = len(x3) / 100.0
         chi2 = float(((hist - expected) ** 2 / expected).sum())
         pval = _chi2_sf_99(chi2)
     else:
@@ -262,11 +265,8 @@ def renewal_test(
 
     counts_tail = {}
     if tail_times:
-        # per-trajectory side-click counts up to each tail time, one bincount each
-        owner = np.repeat(np.arange(len(side)), [len(ts) for ts in side])
-        every = np.concatenate([np.zeros(0), *side])
         click_counts = {
-            t: np.bincount(owner[every <= t], minlength=len(side)) for t in tail_times
+            t: np.bincount(owner[every <= t], minlength=len(lengths)) for t in tail_times
         }
         for n in (0, 1, 2):
             counts_tail[n] = {
@@ -283,7 +283,7 @@ def renewal_test(
             "independence": bool(pval > _ALPHA),
         }
     return RenewalReport(
-        n_traj=len(inter),
+        n_traj=len(lengths),
         n_first=len(x1),
         n_later=len(x2),
         ks_stat_first=float(ks_first),

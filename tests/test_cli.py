@@ -10,10 +10,11 @@ import pytest
 
 import resfluor
 import resfluor.cli
-from resfluor.cli import run
+from resfluor.cli import read_trajectory_csv, run
 from resfluor.config import RunConfig, config_hash, format_float
 from resfluor.model import master_map
 from resfluor.events import Event, event_to_json, exact_count, free_channel
+from resfluor.trajectories import sample_batch
 
 SMALL = {"grid_stop": 2.0, "grid_num": 11, "n_traj": 40, "horizon": 5.0}
 
@@ -260,6 +261,82 @@ def test_renewal_stats_rejects_csv_without_count(tmp_path):
     stripped.write_text("\n".join(lines) + "\n")
     argv = ["renewal-stats", "--config", str(cfg), "--traj", str(stripped)]
     assert run([*argv, "--out", str(tmp_path / "renewal")]) == 1
+
+
+def _edit_rows(path: Path, transform) -> Path:
+    """A copy of a trajectory CSV whose row lines pass through ``transform``."""
+    lines = path.read_text().splitlines()
+    head = [l for l in lines if l.startswith(("#", "trajectory_index"))]
+    out = path.with_name("edited.csv")
+    out.write_text("\n".join([*head, *transform(lines[len(head):])]) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("mode", ["side-only", "two-channel"])
+def test_reader_returns_each_trajectorys_side_times(tmp_path, mode):
+    # the short horizon leaves the last trajectories without a side click
+    cfg = _config(tmp_path, horizon=1.5, mode=mode)
+    traj = _trajectories(cfg, tmp_path / "traj")
+    rc = RunConfig.from_json(cfg.read_text())
+    trajs = sample_batch(rc.model(), rc.rho0(), rc.horizon, rc.master_seed, rc.n_traj, mode=mode)
+    expected = [tr.times("side") for tr in trajs]
+    assert sum(map(len, expected)) > 0 and len(expected[-1]) == 0
+    assert (mode == "two-channel") == (",forward" in traj.read_text())
+    got = read_trajectory_csv(traj)
+    assert len(got) == rc.n_traj
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+    # the traced row counter keeps meaning the file's side rows
+    assert sum(len(a) for a in got) == traj.read_text().count(",side\n")
+
+
+@pytest.mark.parametrize("mode", ["side-only", "two-channel"])
+def test_reader_ignores_row_order(tmp_path, mode):
+    traj = _trajectories(_config(tmp_path, mode=mode), tmp_path / "traj")
+    rng = np.random.default_rng(5)
+    shuffled = _edit_rows(traj, lambda rows: rng.permutation(rows).tolist())
+    got, ref = read_trajectory_csv(shuffled), read_trajectory_csv(traj)
+    assert max(map(len, ref)) >= 2
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
+
+def test_reader_without_header_or_rows(tmp_path):
+    cfg = _config(tmp_path, horizon=1.5)
+    traj = _trajectories(cfg, tmp_path / "traj")
+    lines = traj.read_text().splitlines()
+    headless = tmp_path / "headless.csv"
+    headless.write_text("\n".join(l for l in lines if not l.startswith("trajectory_index")) + "\n")
+    got, ref = read_trajectory_csv(headless), read_trajectory_csv(traj)
+    assert sum(map(len, ref)) > 0
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+    # no rows at all, with or without trailing comments: empty arrays, no warning
+    for tail in ("", "# done\n\n"):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# stamp\n# n_traj=3\ntrajectory_index,jump_index,time,channel\n" + tail)
+        got = read_trajectory_csv(empty)
+        assert len(got) == 3 and all(a.dtype == np.float64 and a.size == 0 for a in got)
+
+
+@pytest.mark.parametrize(
+    "transform, message",
+    [
+        (lambda rows: ["-1,0,0.5,side", *rows], "outside [0, 40)"),
+        (lambda rows: [*rows, "40,0,0.5,side"], "outside [0, 40)"),
+        (lambda rows: [*rows, "3,0,nan,side"], "non-finite time"),
+        (lambda rows: [*rows, "3,0,0.5"], "4 columns but 3"),
+        (lambda rows: [*rows, "3,0,half,side"], "could not convert string 'half'"),
+        (lambda rows: [*rows, "3,0,0.5,up"], "could not convert string 'up'"),
+    ],
+    ids=["negative-index", "index-past-n", "nan-time", "three-fields", "text-time",
+         "unknown-channel"],
+)
+def test_renewal_stats_rejects_malformed_rows(tmp_path, capsys, transform, message):
+    cfg = _config(tmp_path)
+    edited = _edit_rows(_trajectories(cfg, tmp_path / "traj"), transform)
+    argv = ["renewal-stats", "--config", str(cfg), "--traj", str(edited)]
+    assert run([*argv, "--out", str(tmp_path / "renewal")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_module_entry_point(tmp_path):

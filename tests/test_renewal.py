@@ -265,26 +265,45 @@ def test_cdf_and_densities_at_exceptional_drive(exceptional_model):
     assert factorized_probability(m, rho, [0.7, 1.2, 0.4]) > 0.0
 
 
-@pytest.mark.parametrize("n_traj, ties", [(1, False), (1, True), (7, True), (1200, False), (1200, True)])
-def test_battery_statistics_equal_scipy_stats_bit_for_bit(sym_model, n_traj, ties):
+@pytest.mark.parametrize(
+    "n_traj, ties, ragged",
+    [(1, False, None), (1, True, None), (7, True, None), (1200, False, None), (1200, True, None),
+     (2000, False, "list"), (2000, True, "array")],
+    ids=["1-False", "1-True", "7-True", "1200-False", "1200-True", "2000-False-list",
+         "2000-True-array"],
+)
+def test_battery_statistics_equal_scipy_stats_bit_for_bit(sym_model, n_traj, ties, ragged):
     # the battery computes without scipy.stats; its KS distances and threshold
     # must still be scipy.stats' to the last bit, and its chi-square p-value
-    # agree within the closed form's stated bound, with the same verdict
+    # agree within the closed form's stated bound, with the same verdict.
+    # Ragged input holds 0-6 clicks per trajectory, as Python lists or arrays.
     g = ground_state()
     rng = np.random.default_rng([n_traj, ties])
-    gaps = rng.exponential(5.0, size=(n_traj, 3))
+    gaps = rng.exponential(5.0, size=(n_traj, 6 if ragged else 3))
     if ties:
         gaps = np.round(gaps, 1) + 0.1
     clicks = list(np.cumsum(gaps, axis=1))
+    if ragged:
+        clicks = [c[:k] for c, k in zip(clicks, rng.integers(0, 7, size=n_traj))]
+        if ragged == "list":
+            clicks = [c.tolist() for c in clicks]
     rep = renewal_test(clicks, sym_model, g)
-    inter = np.array([np.diff(c, prepend=0.0) for c in clicks])
+    inter = [np.diff(c, prepend=0.0) for c in clicks]
+    x1, x2, x3 = (np.array([xs[k] for xs in inter if len(xs) > k]) for k in range(3))
     cdf_first = lambda v: theoretical_cdf(sym_model, g, "first", v)
     cdf_later = lambda v: theoretical_cdf(sym_model, g, "later", v)
-    assert rep.ks_stat_first == stats.kstest(inter[:, 0], cdf_first).statistic
-    assert rep.ks_stat_later == stats.kstest(inter[:, 1], cdf_later).statistic
-    assert rep.ks_stat_third == stats.kstest(inter[:, 2], cdf_later).statistic
+    assert (rep.n_traj, rep.n_first, rep.n_later) == (n_traj, len(x1), len(x2))
+    assert rep.ks_stat_first == stats.kstest(x1, cdf_first).statistic
+    assert rep.ks_stat_later == stats.kstest(x2, cdf_later).statistic
+    assert rep.ks_stat_third == stats.kstest(x3, cdf_later).statistic
     assert rep.ks_threshold_99 == stats.kstwobign.isf(0.01)
-    if n_traj >= MIN_KS_SAMPLES:
+    if len(x3) >= MIN_KS_SAMPLES:
+        # the (X_2, X_3) pairs of the trajectories with a third click
+        pairs = np.array([xs[1:3] for xs in inter if len(xs) >= 3])
+        bins = np.linspace(0.0, 1.0, 11)
+        hist = np.histogram2d(cdf_later(pairs[:, 0]), cdf_later(pairs[:, 1]), [bins, bins])[0]
+        expected = len(pairs) / 100.0
+        assert rep.independence_stat == float(((hist - expected) ** 2 / expected).sum())
         ref = stats.chi2.sf(rep.independence_stat, df=99)
         assert rep.independence_pvalue == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert rep.passed["independence"] == (ref > 0.01)
