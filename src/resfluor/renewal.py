@@ -233,9 +233,12 @@ def renewal_test(
     (to 0 at rank 0) is X_1, X_2 or X_3 at rank 0, 1 or 2; the X_2 paired
     with an X_3 sits just before it.  Infinite or missing intervals are
     excluded from the CDF comparisons and show up only through the sample sizes.
+    Zero trajectories raise ``ValueError``: no statistic is defined on them.
     """
     rho = require_density_matrix(rho)
     lengths = np.array([len(ts) for ts in clicks], dtype=int)
+    if not lengths.size:
+        raise ValueError("the renewal battery needs at least one trajectory, got 0")
     every = np.concatenate([np.zeros(0), *clicks])
     owner = np.repeat(np.arange(len(lengths)), lengths)
     rank = np.arange(len(every)) - (np.cumsum(lengths) - lengths)[owner]

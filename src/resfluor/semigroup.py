@@ -34,6 +34,8 @@ __all__ = ["SemigroupCache", "Component"]
 _BRACKET = 1e-10
 _NEWTON_TOL = 1e-8
 _NEWTON_STEPS = 50
+# Component.tabulate: points of a Newton start table
+_TABLE_POINTS = 4001
 
 
 def _arguments(x) -> np.ndarray:
@@ -92,6 +94,7 @@ class Component:
         self._w = np.conj(np.atleast_2d(np.asarray(weights, dtype=complex)))
         self._t = np.asarray(target, dtype=complex)
         self._at_zero = np.real(np.einsum("bi,...i->...b", self._w, self._t))
+        self._table = None
         if sg._diagonalizable:
             self._c = (self._w @ sg.U) * (self._t @ sg.Uinv.T)[..., None, :]
 
@@ -119,48 +122,93 @@ class Component:
                 d = np.einsum("...i,...i->...", w, (E @ Gt[..., None, :, None])[..., 0]).real
         return np.where(xs == 0.0, self._at_zero[..., rows], vals), d
 
-    def crossing(self, u, cap: float) -> np.ndarray:
-        """Per row, the x in [0, cap] where f_b falls through u_b.
+    def tabulate(self, row: int, cap: float) -> None:
+        """Tabulate log f_b of weight row ``row`` as a Newton start for :meth:`crossing`.
 
-        For a single target with f_b(0) = 1 > u_b and f_b nonincreasing, such
-        as a no-click survival: row b crosses iff f_b(cap) < u_b (an infinite
-        cap searches [0, 1e6]).  Safeguarded Newton on log f_b starts at
-        -log(u_b) over the slowest decay rate of G and keeps the bracket
-        f_b(lo) >= u_b > f_b(hi): a step that leaves the bracket, or is not
-        finite, bisects it instead.  Only rows still moving are evaluated.
-
-        Certificate: a converged x is returned only if the computed pair
-        f_b(x - 5e-11) >= u_b > f_b(x + 5e-11) holds, so every wait lies
-        within 5e-11 of a computed sign change of f_b - u_b, a bracket of
-        1e-10.  A row that fails the pair, or does not converge, bisects its
-        bracket to 1e-10 and returns the midpoint, which carries the same
-        certificate.  Each row depends on its own coefficients and u_b only.
-        Rows that never cross give +inf, or the cap itself where
-        f_b(cap) < 1e-12 (bias far below Monte Carlo resolution).
+        The grid holds _TABLE_POINTS arguments on [0, min(cap, 40 / slowest
+        decay rate of G)] (an infinite cap stands for 1e6), evaluated in one
+        call: four exponentials per point, or one stacked ``superop_exp`` on
+        the expm route.  The table keeps log max(f_b, 1e-300) made
+        nonincreasing, which rounding on a plateau of f_b could break.
         """
-        u = np.asarray(u, dtype=float)
         hardcap = cap if np.isfinite(cap) else 1e6
-        s_cap = self._values(np.full(u.shape, hardcap))[0]
-        out = np.where(s_cap < 1e-12, hardcap, np.inf)
-        rows = np.flatnonzero(s_cap < u)
-        if not rows.size:
-            return out
-        u = u[rows]
-        lo, hi = np.zeros(rows.size), np.full(rows.size, hardcap)
+        decay = self._slowest_decay()
+        grid = np.linspace(0.0, min(hardcap, 40.0 / decay) if decay > 0 else hardcap, _TABLE_POINTS)
+        f = self._values(grid, np.full(grid.size, row))[0]
+        logf = np.minimum.accumulate(np.log(np.maximum(f, 1e-300)))
+        # np.interp wants increasing abscissae: log f and x both reversed
+        self._table = (row, logf[::-1], grid[::-1])
+
+    def _slowest_decay(self) -> float:
         lam = self._sg.lam if self._sg._diagonalizable else np.linalg.eigvals(self._sg.G)
         decay = -lam.real[lam.real < 0]
+        return decay.min() if decay.size else 0.0
+
+    def hazard(self, x, rows) -> np.ndarray:
+        """-f_b'(x) / f_b(x) for weight row rows[k] at x[k]: a survival's click rate."""
+        f, df = self._values(_arguments(x), rows, slope=True)
+        return -df / f
+
+    def crossing(self, u, cap: float, rows=None) -> np.ndarray:
+        """Per u_k, the x in [0, cap] where weight row rows[k] falls through u_k.
+
+        ``rows`` defaults to u_k's own row k.  For a single target with
+        f_b(0) = 1 > u_k and f_b nonincreasing, such as a no-click survival:
+        u_k crosses iff f_b(cap) < u_k (an infinite cap searches [0, 1e6]).
+        Safeguarded Newton on log f_b keeps the bracket
+        f_b(lo) >= u_k > f_b(hi): a step that leaves the bracket, or is not
+        finite, bisects it instead.  Only rows still moving are evaluated.
+        Newton starts from ``np.interp`` on the table of :meth:`tabulate`
+        for the tabulated row, otherwise at -log(u_k) over the slowest decay
+        rate of G; a start outside (0, cap) is replaced by cap / 2.
+
+        Certificate (the same for either start): a converged x is returned
+        only if the computed pair f_b(x - 5e-11) >= u_k > f_b(x + 5e-11)
+        holds, so every wait lies within 5e-11 of a computed sign change of
+        f_b - u_k, a bracket of 1e-10.  A row that fails the pair, or does
+        not converge, bisects its bracket to 1e-10 and returns the midpoint,
+        which carries the same certificate.  Each result depends on its own
+        weight row, table and u_k only.  Rows that never cross give +inf, or
+        the cap itself where f_b(cap) < 1e-12 (bias far below Monte Carlo
+        resolution).
+
+        ``last_crossing`` counts this call's crossing rows (``waits``), the
+        row evaluations of the Newton loop (``newton_evals``), the converged
+        rows that failed the pair (``certificate_failures``) and the rows
+        that bisected (``bisections``).
+        """
+        u = np.asarray(u, dtype=float)
+        which = np.arange(u.size) if rows is None else np.asarray(rows)
+        hardcap = cap if np.isfinite(cap) else 1e6
+        # f_b(cap) once per distinct weight row
+        distinct, inv = np.unique(which, return_inverse=True)
+        s_cap = self._values(np.full(distinct.size, hardcap), distinct)[0][inv]
+        out = np.where(s_cap < 1e-12, hardcap, np.inf)
+        live = np.flatnonzero(s_cap < u)
+        counts = self.last_crossing = dict.fromkeys(
+            ("waits", "newton_evals", "certificate_failures", "bisections"), 0)
+        if not live.size:
+            return out
+        counts["waits"] = live.size
+        u, which = u[live], which[live]
+        lo, hi = np.zeros(live.size), np.full(live.size, hardcap)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             logu = np.log(u)
-            x = -logu / (decay.min() if decay.size else 0.0)
+            x = -logu / self._slowest_decay()
+            if self._table:
+                row, logf, grid = self._table
+                at = which == row
+                x[at] = np.interp(logu[at], logf, grid)
             x = np.where((x > 0) & (x < hardcap), x, 0.5 * hardcap)
-            todo, converged = np.arange(rows.size), []
+            todo, converged = np.arange(live.size), []
             for _ in range(_NEWTON_STEPS):
-                f, df = self._values(x[todo], rows[todo], slope=True)
+                counts["newton_evals"] += todo.size
+                f, df = self._values(x[todo], which[todo], slope=True)
                 below = f < u[todo]
                 hi[todo] = np.where(below, x[todo], hi[todo])
                 lo[todo] = np.where(below, lo[todo], x[todo])
                 step = (np.log(f) - logu[todo]) * f / df
-                new = x[todo] - step
+                new = np.maximum(x[todo] - step, 0.0)
                 done = np.abs(step) <= _NEWTON_TOL
                 keep = done | ((new > lo[todo]) & (new < hi[todo]))
                 x[todo] = np.where(keep, new, 0.5 * (lo[todo] + hi[todo]))
@@ -170,20 +218,22 @@ class Component:
                     break
         k = np.concatenate(converged)
         pair = np.stack([np.maximum(x[k] - 0.5 * _BRACKET, 0.0), x[k] + 0.5 * _BRACKET])
-        f = self._values(pair.ravel(), np.tile(rows[k], 2))[0].reshape(2, -1)
+        f = self._values(pair.ravel(), np.tile(which[k], 2))[0].reshape(2, -1)
         ok = (f[0] >= u[k]) & (f[1] < u[k])
-        out[rows[k[ok]]] = x[k[ok]]
-        certified = np.zeros(rows.size, dtype=bool)
+        out[live[k[ok]]] = x[k[ok]]
+        certified = np.zeros(live.size, dtype=bool)
         certified[k[ok]] = True
         rest = todo = np.flatnonzero(~certified)
+        counts["certificate_failures"] = int(k.size - ok.sum())
+        counts["bisections"] = rest.size
         for _ in range(int(np.ceil(np.log2(hardcap / _BRACKET)))):
             if not (todo := todo[hi[todo] - lo[todo] > _BRACKET]).size:
                 break
             mid = 0.5 * (lo[todo] + hi[todo])
-            below = self._values(mid, rows[todo])[0] < u[todo]
+            below = self._values(mid, which[todo])[0] < u[todo]
             hi[todo] = np.where(below, mid, hi[todo])
             lo[todo] = np.where(below, lo[todo], mid)
-        out[rows[rest]] = 0.5 * (lo[rest] + hi[rest])
+        out[live[rest]] = 0.5 * (lo[rest] + hi[rest])
         return out
 
     def integral(self, x) -> np.ndarray:

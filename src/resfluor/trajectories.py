@@ -16,6 +16,17 @@ C rho C^dag entrywise from the Hermitian state's four real numbers and
 divides by its real trace, so after a side click, in either scheme, the
 state is the ground state exactly.
 
+The side-only record is therefore a renewal process (Cox, *Renewal Theory*,
+1962): every wait after the first has one law, S_later, the survival from
+the ground state.  Side-only sampling keeps only a clock and a clicked flag
+per trajectory, inverts one survival Component shared by the whole batch
+(the ground state, then rho0) and calls neither ``evolve`` nor ``jump`` per
+click; a click is checked only for a side-click rate -S'(x)/S(x) above
+``_JUMP_RATE_TOL``.  The terminal state is one ``evolve`` at the end: from
+the ground state over the time since the last click, or from rho0 over the
+horizon for a trajectory that never clicked.  Two-channel sampling evolves,
+draws a channel and jumps every click.
+
 Both the click-free state and the no-click survival probability
 S(x) = Tr(rho E_x(I)) are scalar components of the mode's 4x4 semigroup E_x,
 evaluated by :class:`resfluor.semigroup.Component` (its eigen route, or
@@ -23,7 +34,9 @@ evaluated by :class:`resfluor.semigroup.Component` (its eigen route, or
 against ``SemigroupCache.at``.  A waiting time is the x where S falls
 through a uniform u, from :meth:`Component.crossing`: safeguarded Newton on
 log S, each wait certified to lie within 5e-11 of a computed sign change of
-S - u.  Each row's result depends on its own state and uniform only.
+S - u.  A wait from the ground state starts Newton from a table of log
+S_later, built once per batch; any other starts cold.  Each row's result
+depends on its own state and uniform only.
 
 Every trajectory owns a counter-based random stream, the doubles of
 ``Generator(Philox(key=[master_seed, trajectory_index]))``.  They are
@@ -42,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, devec, require_density_matrix, vec
+from .linalg import I2, devec, ground_state, require_density_matrix, vec
 from .model import Model, no_jump_generator, no_side_count_generator
 from .semigroup import Component, SemigroupCache
 
@@ -313,59 +326,94 @@ def sample_batch(
         raise ValueError("initial-state stack must have shape (n_traj, 2, 2)")
     ops = _ModeOps(m, mode)
     ops.check_routes()
-    cap = waiting_time_cap(m)
-    indices = np.arange(first_index, first_index + B, dtype=np.uint64)
-    tape = _UniformTape(master_seed, indices)
-
-    states = rho0.copy() if rho0.ndim == 3 else np.broadcast_to(rho0, (B, 2, 2)).copy()
-    clock = np.zeros(B)
-    active = np.ones(B, dtype=bool)
-    rec_traj: list[np.ndarray] = []
-    rec_time: list[np.ndarray] = []
-    rec_pick: list[np.ndarray] = []
-
-    while active.any():
-        rows = np.flatnonzero(active)
-        u = tape.draw(rows)
-        waits = ops.survival(states[rows]).crossing(u, cap)
-        t_new = clock[rows] + waits
-        jumped = t_new < horizon
-        # the ones that outlast the horizon freeze now
-        done_rows = rows[~jumped]
-        active[done_rows] = False
-        jrows = rows[jumped]
-        if jrows.size == 0:
-            continue
-        evolved = ops.evolve(states[jrows], waits[jumped])
-        pick = np.full(jrows.size, len(ops.channels) - 1)
-        if len(ops.channels) > 1:
-            uc = tape.draw(jrows)
-            rates = np.real(np.einsum("bij,cji->bc", evolved, ops.rate_ops))
-            # ties at equal floating rates break toward the side channel
-            pick[uc * rates.sum(axis=1) > rates[:, -1]] = 0
-        states[jrows] = ops.jump(evolved, pick)
-        clock[jrows] = t_new[jumped]
-        rec_traj.append(jrows.copy())
-        rec_time.append(t_new[jumped].copy())
-        rec_pick.append(pick)
+    tape = _UniformTape(master_seed, np.arange(first_index, first_index + B, dtype=np.uint64))
+    rounds = _side_only_rounds if mode == "side-only" else _two_channel_rounds
+    states, clock, owner, times, picks = rounds(ops, rho0, horizon, waiting_time_cap(m), tape)
 
     # terminal conditional states: click-free stretch to the horizon
     finals = ops.evolve(states, np.maximum(horizon - clock, 0.0))
 
-    per_traj: list[list[tuple[float, str]]] = [[] for _ in range(B)]
-    names = ops.channels.tolist()
-    for rows, ts, picks in zip(rec_traj, rec_time, rec_pick):
-        for r, t, c in zip(rows.tolist(), ts.tolist(), picks.tolist()):
-            per_traj[r].append((t, names[c]))
+    # clicks grouped by trajectory in round order, which is time order; each
+    # record holds one of the mode's channel strings, not a copy of it
+    order = np.argsort(owner, kind="stable")
+    names = np.array(ops.channels.tolist(), dtype=object)
+    clicks = list(zip(times[order].tolist(), names[picks[order]].tolist()))
+    ends = np.cumsum(np.bincount(owner, minlength=B)).tolist()
     return [
         Trajectory(
-            records=tuple(per_traj[k]),
+            records=tuple(clicks[a:b]),
             horizon=float(horizon),
             terminal_state=finals[k],
             index=first_index + k,
         )
-        for k in range(B)
+        for k, (a, b) in enumerate(zip([0] + ends, ends))
     ]
+
+
+def _side_only_rounds(ops, rho0, horizon, cap, tape):
+    """Side-only rounds on one survival Component shared by every wait.
+
+    A side click leaves the ground state, so only a clock and a clicked flag
+    are kept per trajectory.  Weight row 0 is the ground state, with a
+    log-survival table to start Newton; the rows after it are rho0, one
+    state or the stack.  A trajectory waits on row 0 once it has clicked,
+    or from the start when its initial state is exactly the ground state,
+    and on its own initial row otherwise.  Each click's hazard
+    -S'(x) / S(x), its side-click rate, must exceed _JUMP_RATE_TOL.
+    """
+    B, g = len(tape.keys), ground_state()
+    stack = rho0 if rho0.ndim == 3 else rho0[None]
+    S = ops.survival(np.concatenate([g[None], stack]))
+    S.tabulate(0, cap)
+    first = np.where((stack == g).all(axis=(1, 2)), 0, 1 + np.arange(len(stack)))
+    first = np.broadcast_to(first, (B,))
+    clock, clicked = np.zeros(B), np.zeros(B, dtype=bool)
+    owner, times = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    rows = np.arange(B)
+    while rows.size:
+        which = np.where(clicked[rows], 0, first[rows])
+        waits = S.crossing(tape.draw(rows), cap, which)
+        t_new = clock[rows] + waits
+        # the ones that outlast the horizon freeze now
+        jumped = t_new < horizon
+        rows, which, waits, t_new = rows[jumped], which[jumped], waits[jumped], t_new[jumped]
+        if np.any(S.hazard(waits, which) <= _JUMP_RATE_TOL):
+            raise ArithmeticError("click drawn from a state with no rate in its channel")
+        clicked[rows], clock[rows] = True, t_new
+        owner.append(rows)
+        times.append(t_new)
+    owner = np.concatenate(owner)
+    states = np.where(clicked[:, None, None], g, np.broadcast_to(rho0, (B, 2, 2)))
+    return states, clock, owner, np.concatenate(times), np.zeros(owner.size, dtype=np.intp)
+
+
+def _two_channel_rounds(ops, rho0, horizon, cap, tape):
+    """Two-channel rounds: per round a survival of the active states, then
+    click-free evolution, the channel draw and the jump of each click."""
+    B = len(tape.keys)
+    states = np.broadcast_to(rho0, (B, 2, 2)).copy()
+    clock, active = np.zeros(B), np.ones(B, dtype=bool)
+    owner, times, picks = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [np.zeros(0, dtype=np.intp)]
+    while active.any():
+        rows = np.flatnonzero(active)
+        waits = ops.survival(states[rows]).crossing(tape.draw(rows), cap)
+        t_new = clock[rows] + waits
+        jumped = t_new < horizon
+        active[rows[~jumped]] = False
+        jrows = rows[jumped]
+        if jrows.size == 0:
+            continue
+        evolved = ops.evolve(states[jrows], waits[jumped])
+        uc = tape.draw(jrows)
+        rates = np.real(np.einsum("bij,cji->bc", evolved, ops.rate_ops))
+        # ties at equal floating rates break toward the side channel
+        pick = np.where(uc * rates.sum(axis=1) > rates[:, 1], 0, 1)
+        states[jrows] = ops.jump(evolved, pick)
+        clock[jrows] = t_new[jumped]
+        owner.append(jrows)
+        times.append(t_new[jumped])
+        picks.append(pick)
+    return states, clock, np.concatenate(owner), np.concatenate(times), np.concatenate(picks)
 
 
 def sample_trajectory(

@@ -339,6 +339,26 @@ def test_renewal_stats_rejects_malformed_rows(tmp_path, capsys, transform, messa
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+def test_renewal_stats_on_zero_trajectories_exits_one(tmp_path):
+    # a file of zero trajectories has no statistic: exit 1 with a message,
+    # and no numpy warning on the way (the interpreter runs with -W error)
+    cfg = _config(tmp_path, n_traj=0)
+    src = str(Path(resfluor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cli = [sys.executable, "-W", "error", "-m", "resfluor"]
+    common = dict(env=env, capture_output=True, text=True, timeout=120)
+    argv = ["trajectories", "--config", str(cfg), "--out", str(tmp_path / "t")]
+    proc = subprocess.run([*cli, *argv], **common)
+    assert proc.returncode == 0, proc.stderr
+    traj = tmp_path / "t" / "trajectories.csv"
+    assert "# n_traj=0" in traj.read_text().splitlines()
+    proc = subprocess.run([*cli, "renewal-stats", "--config", str(cfg), "--traj", str(traj),
+                           "--out", str(tmp_path / "r")], **common)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: the renewal battery needs at least one trajectory, got 0\n"
+    assert not (tmp_path / "r" / "renewal_report.json").exists()
+
+
 def test_module_entry_point(tmp_path):
     cfg = _config(tmp_path)
     src = str(Path(resfluor.__file__).resolve().parents[1])

@@ -26,6 +26,8 @@ from resfluor.trajectories import (
 )
 from resfluor.trajectories import _TAPE, _ModeOps, _UniformTape, _philox_doubles
 import resfluor.semigroup as semigroup
+import resfluor.trajectories as trajectories
+from resfluor.config import RunConfig
 
 SQ2 = 2.0 ** -0.5
 
@@ -159,12 +161,16 @@ def test_unnormalized_trace_equals_survival(sym_model):
 
 
 def test_side_click_leaves_the_ground_state_exactly(monkeypatch):
-    seen = []
+    # two-channel sampling jumps every click; side-only sampling sets clicked
+    # rows to the ground state and calls no jump, so its jump is checked on
+    # random states directly, as is the two-channel one
+    seen, modes = [], []
     real_jump = _ModeOps.jump
 
     def spy(self, rhos, pick):
         post = real_jump(self, rhos, pick)
         seen.append(post[self.channels[pick] == "side"])
+        modes.append(len(self.channels))
         return post
 
     monkeypatch.setattr(_ModeOps, "jump", spy)
@@ -178,6 +184,7 @@ def test_side_click_leaves_the_ground_state_exactly(monkeypatch):
     posts = np.concatenate(seen)
     assert len(posts) > 200
     assert np.array_equal(posts, np.broadcast_to(ground_state(), posts.shape))
+    assert modes and set(modes) == {2}
 
 
 def test_click_from_a_dead_state_raises(undriven_model):
@@ -411,20 +418,21 @@ def test_every_wait_is_certified(exceptional_model, monkeypatch, knob):
 def test_sampler_rounds_at_z_star_call_expm_a_bounded_number_of_times(exceptional_model, monkeypatch):
     # at z* each survival value is one expm; certified Newton needs the cap
     # value, a few steps and the certificate pair, where a fixed 41-step
-    # bisection needed 43 calls per round
+    # bisection needed 43 calls per round.  A round is one crossing call; the
+    # batch's route check, start table and terminal states count against it
     calls, rounds = [0], [0]
-    real_exp, real_survival = semigroup.superop_exp, _ModeOps.survival
+    real_exp, real_crossing = semigroup.superop_exp, semigroup.Component.crossing
 
     def count_exp(G, t):
         calls[0] += 1
         return real_exp(G, t)
 
-    def count_rounds(self, rhos):
+    def count_rounds(self, *args):
         rounds[0] += 1
-        return real_survival(self, rhos)
+        return real_crossing(self, *args)
 
     monkeypatch.setattr(semigroup, "superop_exp", count_exp)
-    monkeypatch.setattr(_ModeOps, "survival", count_rounds)
+    monkeypatch.setattr(semigroup.Component, "crossing", count_rounds)
     trajs = sample_batch(exceptional_model, maximally_mixed(), 20.0, 3, 200)
     assert sum(len(t.records) for t in trajs) > 200
     assert rounds[0] >= 4
@@ -450,3 +458,112 @@ def test_jump_equals_the_matrix_sandwich():
             want = un / np.trace(un, axis1=1, axis2=2).real[:, None, None]
             assert np.abs(post - want).max() < 1e-14
             assert np.array_equal(post, post.conj().transpose(0, 2, 1))
+
+
+def test_table_started_waits_are_certified_and_batch_independent(exceptional_model):
+    # side-only waits on the shared ground row start from its log-survival
+    # table; each still has S(x - 5e-11) >= u > S(x + 5e-11), and a wait
+    # depends on its own row and uniform only, on a complex model with a
+    # stacked rho0 and at z* (the table built from one stacked expm)
+    rng = np.random.default_rng(2031)
+    for m in (random_model(rng), exceptional_model):
+        cap = waiting_time_cap(m)
+        S = _ModeOps(m, "side-only").survival(
+            np.stack([ground_state()] + [_random_state(rng) for _ in range(6)]))
+        S.tabulate(0, cap)
+        u = rng.random(300)
+        u[:3] = (1 - 2.0**-53, 1e-9, 2.0**-53)
+        which = np.where(np.arange(300) % 3 == 0, 1 + np.arange(300) % 6, 0)
+        x = S.crossing(u, cap, which)
+        crossed = S._values(np.full(300, cap), which)[0] < u
+        assert S.last_crossing["waits"] == crossed.sum() > 290
+        assert np.all(np.isfinite(x[crossed]) & (x[crossed] >= 0) & (x[crossed] <= cap))
+        lo = S._values(np.maximum(x[crossed] - 5e-11, 0.0), which[crossed])[0]
+        hi = S._values(x[crossed] + 5e-11, which[crossed])[0]
+        assert np.all(lo >= u[crossed]) and np.all(hi < u[crossed])
+        for b in (0, 1, 2, 3, 150, 299):
+            assert S.crossing(u[b:b + 1], cap, which[b:b + 1])[0] == x[b]
+        stack = np.stack([ground_state() if k % 4 == 0 else _random_state(rng) for k in range(24)])
+        whole = sample_batch(m, stack, 40.0, 91, 24)
+        parts = sample_batch(m, stack[:10], 40.0, 91, 10) + sample_batch(
+            m, stack[10:], 40.0, 91, 14, first_index=10)
+        assert [t.records for t in whole] == [t.records for t in parts]
+        assert sum(len(t.records) for t in whole) > 24
+        for k in (0, 5, 23):
+            one = sample_trajectory(m, stack[k], 40.0, SeedSpec(91, k))
+            assert one.records == whole[k].records
+            assert np.array_equal(one.terminal_state, whole[k].terminal_state)
+
+
+@pytest.mark.parametrize("mode", ["side-only", "two-channel"])
+def test_single_trajectory_equals_its_batch_row(sym_model, exceptional_model, mode):
+    # records and terminal state bit for bit, from the ground state (every
+    # side-only wait on the table) and from a mixed state, at z* too
+    for m in (sym_model, exceptional_model):
+        for rho0 in (ground_state(), maximally_mixed()):
+            batch = sample_batch(m, rho0, 30.0, 404, 40, mode=mode, first_index=7)
+            assert sum(len(t.records) for t in batch) > 40
+            for k in (0, 13, 39):
+                one = sample_trajectory(m, rho0, 30.0, SeedSpec(404, 7 + k), mode=mode)
+                assert one.records == batch[k].records
+                assert np.array_equal(one.terminal_state, batch[k].terminal_state)
+
+
+def test_table_start_halves_the_newton_evaluations(monkeypatch):
+    # on the default config, the table start at least halves the Newton
+    # evaluations per wait from the ground state, in crossing itself and over
+    # a side-only batch, and no wait falls back to bisection
+    m = RunConfig().model()
+    cap = waiting_time_cap(m)
+    u = np.random.default_rng(5).random(20000)
+    per_wait = []
+    for table in (False, True):
+        S = _ModeOps(m, "side-only").survival(ground_state()[None])
+        if table:
+            S.tabulate(0, cap)
+        S.crossing(u, cap, np.zeros(u.size, dtype=int))
+        counts = S.last_crossing
+        assert counts["waits"] == u.size
+        assert counts["certificate_failures"] == counts["bisections"] == 0
+        per_wait.append(counts["newton_evals"] / counts["waits"])
+    assert per_wait[1] <= 0.5 * per_wait[0]
+
+    total = dict.fromkeys(counts, 0)
+    real_crossing = semigroup.Component.crossing
+
+    def add_counts(self, *args):
+        out = real_crossing(self, *args)
+        for key, n in self.last_crossing.items():
+            total[key] += n
+        return out
+
+    monkeypatch.setattr(semigroup.Component, "crossing", add_counts)
+    trajs = sample_batch(m, ground_state(), 50.0, 8, 500)
+    assert total["waits"] >= sum(len(t.records) for t in trajs) > 2000
+    assert total["certificate_failures"] == total["bisections"] == 0
+    assert total["newton_evals"] <= 0.5 * per_wait[0] * total["waits"]
+
+
+def test_side_only_terminal_state_evolves_from_ground_after_the_last_click():
+    # side-only keeps no state per click: a clicked trajectory's terminal
+    # state is evolve_no_jump from the ground state over horizon - last click,
+    # a click-free one's the evolution of rho0 over the horizon
+    rng = np.random.default_rng(17)
+    m, rho0, horizon = random_model(rng), _random_state(rng), 6.0
+    trajs = sample_batch(m, rho0, horizon, 23, 60)
+    clicked = [tr for tr in trajs if tr.records]
+    assert 0 < len(clicked) < len(trajs)
+    for tr in trajs:
+        last = tr.records[-1][0] if tr.records else None
+        start, x = (rho0, horizon) if last is None else (ground_state(), horizon - last)
+        assert np.array_equal(tr.terminal_state, evolve_no_jump(m, start, x))
+
+
+def test_side_click_at_or_below_the_rate_threshold_raises(sym_model, monkeypatch):
+    # the side-only sampler checks each click's hazard -S'/S as jump checks
+    # its rate; a threshold above every hazard makes the first click raise
+    monkeypatch.setattr(trajectories, "_JUMP_RATE_TOL", 1e3)
+    with pytest.raises(ArithmeticError, match="no rate"):
+        sample_batch(sym_model, ground_state(), 10.0, 1, 20)
+    monkeypatch.setattr(trajectories, "_JUMP_RATE_TOL", 1e-14)
+    assert sum(len(t.records) for t in sample_batch(sym_model, ground_state(), 10.0, 1, 20)) > 0
