@@ -7,10 +7,10 @@ whose destination is a config key (``--n`` is ``n_traj``, ``--seed`` is
 finished config.  A file's directory is made when the file is written.  All
 numeric output uses 17 significant digits, CSV for arrays and JSON for
 reports, and every file carries a tool-version/config-hash stamp, so
-identical config + seed reproduce byte-identical files.  ``--threads`` and
-the ``threads`` key are accepted and have no effect: the sampler runs one
-vectorised batch.  Exit codes: 0 success, 1 validation or usage error, 2
-failed verification.
+identical config + seed reproduce byte-identical files.  ``--threads`` is
+kept for scripts and has no effect (the sampler runs one vectorised batch);
+a config file's ``threads`` key is rejected as unknown.  Exit codes: 0
+success, 1 validation or usage error, 2 failed verification.
 
 ``trajectories.csv`` holds one ``trajectory_index,jump_index,time,channel``
 row per click.  ``renewal-stats`` reads it by these rules and exits 1 on any
@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
     def common(sp, out_required=True):
         sp.add_argument("--config", type=Path, default=None, help="JSON config file")
         sp.add_argument("--out", type=Path, required=out_required, help="output directory")
-        sp.add_argument("--threads", type=int, help="kept for old configs and scripts; no effect")
+        sp.add_argument("--threads", type=int, help="kept for scripts that pass it; no effect")
 
     sp = sub.add_parser("evolve", help="unconditioned evolution on the time grid")
     common(sp)

@@ -6,8 +6,9 @@ finite number or [re, im] pair (their serialized form); a bool or a string
 is no number.  ``mode``, ``initial_state``, ``horizon`` and ``master_seed``
 add their own rules.  Messages name the key, unknown keys are rejected, and
 every key has a default.  Floats serialize with 17 significant digits, so
-hash and round-trip are exact; the hash leaves out ``threads``, which is
-kept so that stored configs and ``--threads`` still load, and has no effect.
+hash and round-trip are exact.  There is no ``threads`` key: the sampler
+runs one vectorised batch, and a config that holds one is rejected as
+unknown.
 """
 
 import hashlib
@@ -78,7 +79,6 @@ class RunConfig:
     grid_start: float = 0.0
     grid_stop: float = 12.0
     grid_num: int = 241
-    threads: int = 1
 
     def __post_init__(self):
         if self.mode not in ("side-only", "two-channel"):
@@ -152,7 +152,5 @@ def _canonical(data: dict) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Hash of every key that can change an output; ``threads`` cannot."""
-    data = cfg.to_dict()
-    del data["threads"]
-    return hashlib.sha256(_canonical(data).encode()).hexdigest()[:16]
+    """Hash of the config's keys, every one of which can change an output."""
+    return hashlib.sha256(cfg.to_json().encode()).hexdigest()[:16]

@@ -19,9 +19,10 @@ integral-sum action to
 
 and because two adjacent absorption letters annihilate (V^dag is nilpotent),
 each gap between consecutive kept emission times holds at most one tau
-point, whose placement integral is one-dimensional.  Since D is diagonal,
-that integral has a closed form, derived from the kernel in
-:func:`_bridged`.
+point, whose placement integral is one-dimensional.  Every letter has one
+nonzero entry and D is diagonal, so each such word has one nonzero entry,
+given in closed form by :func:`_amplitude_batch`; the entrywise 2x2 product
+algebra below is the kernel's alone.
 
 The oracle counting map then integrates amp^dag A amp over the event's
 photon configurations sector by sector (explicitly truncated at the total
@@ -76,10 +77,10 @@ def _sector_order(order: int, ndim_total: int) -> int:
     return min(order, cap)
 
 
-# Batched 2x2 matrices are held entrywise as (m00, m01, m10, m11); each entry
-# is a scalar or a (B,) array, and None marks a structural zero.  The kernel's
-# letters and gap factors are diagonal or single-entry, so skipping the zeros
-# leaves about two of the eight scalar products per matrix product.
+# The kernel holds batched 2x2 matrices entrywise as (m00, m01, m10, m11);
+# each entry is a scalar or a (B,) array, and None marks a structural zero.
+# Its letters and free evolutions are diagonal or single-entry, so skipping
+# the zeros leaves about two of the eight scalar products per matrix product.
 
 
 def _entries(M) -> tuple:
@@ -120,30 +121,6 @@ def _free(x) -> tuple:
     return (np.exp(-np.asarray(x) / 2.0), None, None, 1.0)
 
 
-def _bridged(X: tuple, length) -> tuple:
-    """One letter X integrated across a gap: int_a^b D(b-u) X D(u-a) du.
-
-    D is diagonal with D_00(x) = e^(-x/2) and D_11(x) = 1, so entry (i, j) is
-    X_ij times phi_ij(L) = int_0^L D_ii(L-v) D_jj(v) dv with L = b - a:
-    phi_00 = L e^(-L/2) (the two decays multiply to e^(-L/2) for every v),
-    phi_11 = L, and phi_01 = phi_10 = int_0^L e^(-v/2) dv = -2 expm1(-L/2).
-    expm1 keeps full relative accuracy on gaps far shorter than one.
-    """
-    length = np.asarray(length, dtype=float)
-    edge = -2.0 * np.expm1(-length / 2.0)
-    phi = (length * np.exp(-length / 2.0), edge, edge, length)
-    return tuple(None if x is None else x * p for x, p in zip(X, phi))
-
-
-def _letter_table(m: Model) -> dict[str, tuple]:
-    return {
-        "sigma_f": _entries(m.V_f),
-        "sigma_s": _entries(m.V_s),
-        "tau_f": _entries(-m.V_f.conj().T),
-        "tau_s": _entries(-m.V_s.conj().T),
-    }
-
-
 def _checked_times(times, n: int) -> np.ndarray:
     """``times`` as a (B, n) float array of finite, strictly increasing rows."""
     times = np.asarray(times, dtype=float)
@@ -165,7 +142,12 @@ def integral_sum_kernel(m: Model, t: float, times, letters) -> np.ndarray:
     sets of a row are disjoint.  Rows with a time outside [0, t] give zero
     (the kernel's indicator).  Returns a (B, 2, 2) stack.
     """
-    table = _letter_table(m)
+    table = {
+        "sigma_f": _entries(m.V_f),
+        "sigma_s": _entries(m.V_s),
+        "tau_f": _entries(-m.V_f.conj().T),
+        "tau_s": _entries(-m.V_s.conj().T),
+    }
     letters = tuple(letters)
     if any(name not in table for name in letters):
         raise ValueError(f"letters must be among {sorted(table)}")
@@ -182,66 +164,63 @@ def integral_sum_kernel(m: Model, t: float, times, letters) -> np.ndarray:
     return out.T.reshape(B, 2, 2)
 
 
-def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels, table, gaps) -> np.ndarray:
+def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels, gaps) -> np.ndarray:
     """Driven-coherent-vector amplitudes for a batch of photon configurations.
 
-    ``times`` has shape (B, n) with rows sorted increasingly; ``labels`` is a
-    length-n tuple of 'f'/'s' channel tags shared by the whole batch, and
-    ``table`` is the model's :func:`_letter_table`.  ``gaps`` stores the gap
-    factors computed on ``times`` and may come filled from an earlier batch
-    on the same ``times``.  Returns a (4, B) array of the entries m00, m01,
-    m10, m11.  Each word is added entrywise, skipping its structural zeros,
-    since adding c*0 to a sum that starts at +0 never changes it.  A scalar
-    entry (only the empty configuration has them) is spread over the batch
-    before the product, because numpy's vectorised complex multiply may
-    fuse a multiply-add that scalar arithmetic rounds twice.
-    """
-    B = times.shape[0]
-    z = m.z
-    letter = {"f": table["sigma_f"], "s": table["sigma_s"]}
-    absorb = table["tau_f"]
+    ``times`` has shape (B, n) with rows sorted increasingly, and ``labels``
+    is a length-n tuple of 'f'/'s' channel tags shared by the whole batch.
+    ``gaps`` stores the gap factors computed on ``times`` and may come filled
+    from an earlier batch on the same ``times``.  Returns a (4, B) array of
+    the entries m00, m01, m10, m11.
 
-    # gap factors depend only on the pair of fixed times bounding the gap
-    # (None for the horizon ends), so every kept-emission mask shares them
-    def gap(lo, hi, with_tau):
-        key = (lo, hi, with_tau)
-        if key not in gaps:
-            a = 0.0 if lo is None else times[:, lo]
-            b = t if hi is None else times[:, hi]
-            gaps[key] = _bridged(absorb, b - a) if with_tau else _free(b - a)
-        return gaps[key]
+    Each word is one closed-form entry.  Emission letters have their one
+    entry kappa at (1, 0), the absorption letter -conj(kappa_f) at (0, 1),
+    and D is diagonal.  One absorption across a gap [a, b] integrates to
+    int_a^b D_00(b - u) D_11(u - a) du = phi(b - a), phi(L) = -2 expm1(-L/2)
+    (full relative accuracy on short gaps), and with its z carries
+    tau = -conj(kappa_f) z.  A word weighs z^#dropped prod kappa_label times
+    tau phi per interior gap (two emissions with only D between annihilate,
+    so every interior gap holds one absorption), and lands in m10 if its first gap is free
+    (e^(-x_0/2)) or m11 if bridged (tau phi(x_0)); a bridged last gap moves
+    it to m00 or m01.  The empty word is D(t) plus one bridge in m01.
+    """
+    z = m.z
+    tau = -np.conj(m.kappa_f) * z
+    kappa = {"f": m.kappa_f, "s": m.kappa_s}
+
+    # a gap between two fixed times (None for the horizon ends), bridged
+    # (phi) or free (e^(-x/2)), shared by every kept-emission mask
+    def gap(lo, hi, bridged=True):
+        if (lo, hi, bridged) not in gaps:
+            x = (t if hi is None else times[:, hi]) - (0.0 if lo is None else times[:, lo])
+            gaps[lo, hi, bridged] = -2.0 * np.expm1(-x / 2.0) if bridged else np.exp(-x / 2.0)
+        return gaps[lo, hi, bridged]
 
     f_slots = [i for i, lab in enumerate(labels) if lab == "f"]
-    out = np.zeros((4, B), dtype=complex)
+    out = np.zeros((4, times.shape[0]), dtype=complex)
     for kept_mask in itertools.product((True, False), repeat=len(f_slots)):
-        dropped = sum(1 for k in kept_mask if not k)
-        if z == 0 and dropped > 0:
-            continue
         kept_f = {slot for slot, k in zip(f_slots, kept_mask) if k}
         fixed = [i for i, lab in enumerate(labels) if lab == "s" or i in kept_f]
-        # gap g = 0..len(fixed) spans (fixed[g-1], fixed[g]), the horizon ends
-        # closing the first and last gaps.  Two emission letters with nothing
-        # but an exponential in between annihilate, so every interior gap
-        # holds one absorption and only the end gaps are free to hold none.
-        bounds = [None, *fixed, None]
-        n_interior = max(len(fixed) - 1, 0)
-        if fixed:
-            core = letter[labels[fixed[0]]]
-            for g in range(1, len(fixed)):
-                core = _mul(gap(bounds[g], bounds[g + 1], True), core)
-                core = _mul(letter[labels[fixed[g]]], core)
-        for tau_left in (False, True):
-            for tau_right in (False, True) if fixed else (False,):
-                n_tau = n_interior + tau_left + tau_right
-                if z == 0 and n_tau > 0:
-                    continue
-                word = gap(None, bounds[1], tau_left)
-                if fixed:
-                    word = _mul(gap(bounds[-2], None, tau_right), _mul(core, word))
-                c = z ** (dropped + n_tau)
-                for k, v in enumerate(word):
-                    if v is not None:
-                        out[k] += c * (v if np.ndim(v) else np.full(B, v, dtype=complex))
+        c = z ** (len(f_slots) - len(kept_f))
+        if not fixed:
+            out[0] += c * gap(None, None, False)
+            out[1] += c * tau * gap(None, None)
+            out[3] += c
+            continue
+        inner = 1.0
+        for lo, hi in zip(fixed, fixed[1:]):
+            inner = inner * gap(lo, hi)
+        for i in fixed:
+            c = c * kappa[labels[i]]
+        c = c * tau ** (len(fixed) - 1)
+        # real gap products first, then one complex weight per entry
+        free_first = inner * gap(None, fixed[0], False)
+        bridged_first = inner * gap(None, fixed[0])
+        last = gap(fixed[-1], None)
+        out[2] += c * free_first
+        out[3] += (c * tau) * bridged_first
+        out[0] += (c * tau) * (free_first * last)
+        out[1] += (c * tau * tau) * (bridged_first * last)
     return out
 
 
@@ -257,7 +236,7 @@ def driven_amplitude(m: Model, t: float, omega_f, omega_s) -> np.ndarray:
     if np.any((times < 0.0) | (times > t)):
         return np.zeros((2, 2), dtype=complex)
     labels = tuple(lab for _, lab in merged)
-    return _amplitude_batch(m, float(t), times, labels, _letter_table(m), {})[:, 0].reshape(2, 2)
+    return _amplitude_batch(m, float(t), times, labels, {})[:, 0].reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -372,7 +351,6 @@ def oracle_davies_map(
         )
     t = float(e.horizon)
     segments = _segment_edges(e)
-    table = _letter_table(m)
     store = _NodeStore()
     total = np.zeros((4, 4), dtype=complex)
     sectors = zero_sectors = nodes = 0
@@ -382,7 +360,7 @@ def oracle_davies_map(
             zero_sectors += 1
             continue
         part, n_nodes = _sector_integral(
-            m, t, segments, seg_words, labels, quad_order, table, store
+            m, t, segments, seg_words, labels, quad_order, store
         )
         total += part
         sectors += 1
@@ -445,11 +423,10 @@ class _NodeStore:
         return self._grid[1]
 
 
-def _sector_integral(m, t, segments, seg_words, labels, quad_order, table, store):
+def _sector_integral(m, t, segments, seg_words, labels, quad_order, store):
     """Tensor the per-segment simplex rules and integrate Ad[amp] over them.
 
-    ``table`` is the model's :func:`_letter_table` and ``store`` the call's
-    :class:`_NodeStore`: every sector that puts ndim photons in a segment at
+    ``store`` is the call's :class:`_NodeStore`: every sector that puts ndim photons in a segment at
     one order reads the same node set, and consecutive sectors on the same
     rules share the grid and its gap factors.  At z = 0 a sector of two or
     more photons integrates to exactly zero, and :func:`oracle_davies_map`
@@ -463,12 +440,12 @@ def _sector_integral(m, t, segments, seg_words, labels, quad_order, table, store
         if word
     )
     if not keys:
-        amp = _amplitude_batch(m, t, np.zeros((1, 0)), (), table, {})
+        amp = _amplitude_batch(m, t, np.zeros((1, 0)), (), {})
         return _ad_sum(np.ones(1), amp), 1
     out = np.zeros((4, 4), dtype=complex)
     n_nodes = 0
     for times, weights, gaps in store.grid(keys):
-        out += _ad_sum(weights, _amplitude_batch(m, t, times, labels, table, gaps))
+        out += _ad_sum(weights, _amplitude_batch(m, t, times, labels, gaps))
         n_nodes += len(weights)
     return out, n_nodes
 

@@ -6,10 +6,12 @@ otherwise independent route) -- over one or more (analytic, oracle) pairs.
 A row records its name, the hashes of the pair at the largest distance,
 that distance and its tolerance, and it passes iff distance <= tolerance.
 The jump-limit rows compare each jump map with the Richardson pair of two
-one-photon oracle maps.  The amplitude rows gate the oracle's driven
-amplitude against the factorised form :func:`resfluor.model.emission_amplitude`
-and against a brute-force quadrature of
-:func:`resfluor.guichardet.integral_sum_kernel`.
+one-photon oracle maps, and the truncated-dilation row the free/free oracle
+map with the Dyson route at one photon cap.  The amplitude rows gate the
+oracle's closed-form amplitude against the factorised form
+:func:`resfluor.model.emission_amplitude` and against a brute-force
+quadrature of :func:`resfluor.guichardet.integral_sum_kernel`, whose
+entrywise products the closed form does not use.
 """
 
 from __future__ import annotations
@@ -122,6 +124,19 @@ def _jump_limit_tolerance(m, J, t: float) -> float:
     return float(np.linalg.norm(J) * (a * t) ** 2)
 
 
+def _roundoff_tolerance(M) -> float:
+    """64 u ||M||_F (u = 2^-53), for a map two routes compute as one exact sum.
+
+    The oracle's Gauss-Legendre remainder on the cap-3 free/free map lies far
+    below it: along each cube axis of the simplex rule the integrand is a
+    polynomial of degree < 3 times exponentials of rate <= t, so p nodes leave
+    about C(2p, 2) t^(2p-2) (p!)^4 / ((2p+1) ((2p)!)^3) of its scale, 7e-20 at
+    p = 6 and 2e-111 at p = 24 (t = 0.3).  Measured: 2-5 u ||M||_F from p = 6
+    up, 7e-10 at p = 4.
+    """
+    return float(64.0 * 2.0**-53 * np.linalg.norm(M))
+
+
 def _check(name, pairs, tol, note=""):
     """One row: the largest distance over (analytic, oracle) pairs, gated at tol."""
     dist, analytic, oracle = max(
@@ -217,6 +232,14 @@ def run_battery(cfg: RunConfig) -> dict:
             ),
         )
     )
+
+    # truncated dilation: at one photon cap the free/free oracle map and the
+    # Dyson route are the same truncated sum, so only rounding separates them
+    cap = min(3, cfg.n_max)
+    ocap = oracle_davies_map(m, evf, n_max=cap, quad_order=cfg.quad_order).matrix
+    dcap = davies_map(m, evf, n_max=cap, expansion="dyson").matrix
+    note = f"photon cap {cap} on both routes"
+    checks.append(_check("truncated-dilation", [(dcap, ocap)], _roundoff_tolerance(dcap), note))
 
     # Dyson route against the exponential, explicitly truncated
     t3, cap = 0.15, min(cfg.n_max, 6)

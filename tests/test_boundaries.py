@@ -118,6 +118,29 @@ def test_oracle_takes_only_the_model_container_from_model():
     assert from_model == {"Model"}
 
 
+def test_closed_form_amplitude_uses_none_of_the_kernels_products():
+    # the amplitude-brute-* verify rows compare the closed-form words with
+    # integral_sum_kernel, so they must share no arithmetic: nothing the
+    # amplitude reaches, through module-level helpers too, names the
+    # kernel's entrywise product algebra
+    banned = {"_entries", "_dot", "_mul", "_dense"}
+    functions = {
+        node.name: node
+        for node in _tree(SRC / "guichardet.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert banned < set(functions)
+    seen, todo = set(), ["driven_amplitude", "_amplitude_batch"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        assert not used & banned, (name, sorted(used & banned))
+        todo.extend(used & set(functions))
+
+
 def test_only_run_loads_the_config_and_no_subcommand_makes_a_directory():
     # run builds the one config every subcommand gets, and a directory is
     # made only by the writer of a file inside it

@@ -64,6 +64,17 @@ def test_bad_input_exits_one(tmp_path):
     assert run(["evolve", "--config", str(unknown_key), "--out", str(tmp_path / "c")]) == 1
 
 
+def test_config_threads_key_exits_one_as_unknown(tmp_path, capsys):
+    # the key had no effect and is gone; the --threads flag stays a no-op
+    # (test_trajectories_identical_across_thread_counts)
+    cfg = _config(tmp_path, threads=1)
+    out = tmp_path / "t"
+    assert run(["trajectories", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown config key 'threads'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "events, config",
     [
@@ -167,14 +178,14 @@ def test_config_round_trips_with_every_key_off_its_default():
 @pytest.mark.parametrize(
     "flag, key, value",
     [("--n", "n_traj", 7), ("--seed", "master_seed", 11),
-     ("--mode", "mode", "two-channel"), ("--threads", "threads", 3)],
+     ("--mode", "mode", "two-channel")],
 )
 def test_trajectories_flag_overrides_the_config_file(tmp_path, monkeypatch, flag, key, value):
     seen = []
     monkeypatch.setitem(
         resfluor.cli._COMMANDS, "trajectories", lambda cfg, args: seen.append(cfg) or 0
     )
-    cfg = _config(tmp_path, master_seed=5, mode="side-only", threads=2)
+    cfg = _config(tmp_path, master_seed=5, mode="side-only")
     argv = ["trajectories", "--config", str(cfg), "--out", str(tmp_path / "t")]
     assert run(argv) == 0
     assert run([*argv, flag, str(value)]) == 0
@@ -401,6 +412,7 @@ def test_verify_passes_every_check(verify_outcome):
         "jump-limit-side",
         "composition-cocycle",
         "isometry-truncation",
+        "truncated-dilation",
         "dyson-vs-exponential",
         "zero-count-davies",
         "amplitude-one-forward",
@@ -427,9 +439,10 @@ def test_battery_passes_quad_order_to_every_oracle_call(tmp_path, monkeypatch):
     monkeypatch.setattr(resfluor.verify, "oracle_davies_map", spy)
     cfg = _config(tmp_path, quad_order=12)
     run(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
-    # eight call sites: one in a loop over three horizons, and one in a loop
-    # over the two jump-limit channels and the Richardson pair's two horizons
-    assert seen == [12] * 13
+    # nine call sites: one in a loop over three horizons, one in a loop over
+    # the two jump-limit channels and the Richardson pair's two horizons, and
+    # the truncated-dilation row's
+    assert seen == [12] * 14
 
 
 def test_verify_failing_battery_exits_two(tmp_path, monkeypatch):

@@ -19,7 +19,6 @@ from resfluor.events import (
     zero_photons,
 )
 from resfluor.guichardet import (
-    _letter_table,
     _NodeStore,
     _sector_integral,
     _sector_order,
@@ -341,10 +340,9 @@ def _sector_parts(m, e, n_max, quad_order):
     """Every sector's words and integral, each on a fresh rule, none skipped."""
     t = float(e.horizon)
     segments = _segment_edges(e)
-    table = _letter_table(m)
     for words in _sectors(e, segments, n_max):
         labels = tuple(lab for word in words for lab in word)
-        part, _ = _sector_integral(m, t, segments, words, labels, quad_order, table, _NodeStore())
+        part, _ = _sector_integral(m, t, segments, words, labels, quad_order, _NodeStore())
         yield words, part
 
 

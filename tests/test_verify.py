@@ -11,12 +11,18 @@ from resfluor.events import Event, exact_count, free_channel, zero_photons
 from resfluor.guichardet import OracleResult, oracle_davies_map
 from resfluor.linalg import frobenius_dist
 from resfluor.model import build_model, forward_jump, side_jump
-from resfluor.verify import _jump_limit_tolerance, amplitude_by_region_quadrature
+from resfluor.verify import (
+    _jump_limit_tolerance,
+    _roundoff_tolerance,
+    amplitude_by_region_quadrature,
+)
 
-# configs on which the battery's one-side-photon row failed while the
-# oracle was capped at four photons (1.03e-7 and 9.7e-7 against 1e-7), and
-# z = 2, the largest drive the battery is run at (2.44e-8 at cap 6)
+# the default config; configs on which the battery's one-side-photon row
+# failed while the oracle was capped at four photons (1.03e-7 and 9.7e-7
+# against 1e-7); and z = 2, the largest drive the battery is run at (2.44e-8
+# at cap 6)
 _CONFIGS = {
+    "default": RunConfig(),
     "complex": RunConfig(
         kappa_f=0.3 + 0.5j, kappa_s=-0.4 + 1j * 2.0 ** -0.5, z=0.6 - 0.9j, initial_state="mixed"
     ),
@@ -59,6 +65,23 @@ def test_jump_limit_richardson_pair_passes(name, channel):
     assert frobenius_dist(target, 2.0 * q(t / 2) - q(t)) <= tol
 
 
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_truncated_dilation_row_passes_with_tenfold_margin(name):
+    # the battery's truncated-dilation row: at cap 3 the free/free oracle map
+    # and the Dyson route are the same truncated sum (measured 2.2e-16 to
+    # 4.6e-16 against about 1.2e-14); four Gauss-Legendre nodes per axis
+    # leave a quadrature error the row sees
+    cfg = _CONFIGS[name]
+    m, cap = cfg.model(), min(3, cfg.n_max)
+    ev = Event(forward=free_channel(), side=free_channel(), horizon=0.3)
+    dyson = davies_map(m, ev, n_max=cap, expansion="dyson").matrix
+    tol = _roundoff_tolerance(dyson)
+    ora = oracle_davies_map(m, ev, n_max=cap, quad_order=cfg.quad_order).matrix
+    assert 10.0 * frobenius_dist(dyson, ora) <= tol
+    coarse = oracle_davies_map(m, ev, n_max=cap, quad_order=4).matrix
+    assert frobenius_dist(dyson, coarse) > tol
+
+
 def test_battery_gives_the_oracle_the_config_cap(monkeypatch):
     seen = []
 
@@ -68,9 +91,10 @@ def test_battery_gives_the_oracle_the_config_cap(monkeypatch):
 
     monkeypatch.setattr(resfluor.verify, "oracle_davies_map", spy)
     resfluor.verify.run_battery(RunConfig(n_max=7, quad_order=12))
-    # eight call sites: one in a loop over three horizons, and one in a loop
-    # over the two jump-limit channels and the Richardson pair's two horizons
-    assert seen == [(7, 12)] * 13
+    # nine call sites: one in a loop over three horizons, one in a loop over
+    # the two jump-limit channels and the Richardson pair's two horizons, and
+    # the truncated-dilation row's, capped at three photons
+    assert seen == [(7, 12)] * 13 + [(3, 12)]
 
 
 def test_brute_force_amplitude_reaches_the_kernel(monkeypatch):
