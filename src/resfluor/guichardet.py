@@ -21,8 +21,7 @@ and because two adjacent absorption letters annihilate (V^dag is nilpotent),
 each gap between consecutive kept emission times holds at most one tau
 point, whose placement integral is one-dimensional.  Every letter has one
 nonzero entry and D is diagonal, so each such word has one nonzero entry,
-given in closed form by :func:`_amplitude_batch`; the entrywise 2x2 product
-algebra below is the kernel's alone.
+given in closed form by :func:`_amplitude_batch`.
 
 The oracle counting map then integrates amp^dag A amp over the event's
 photon configurations sector by sector (explicitly truncated at the total
@@ -77,50 +76,6 @@ def _sector_order(order: int, ndim_total: int) -> int:
     return min(order, cap)
 
 
-# The kernel holds batched 2x2 matrices entrywise as (m00, m01, m10, m11);
-# each entry is a scalar or a (B,) array, and None marks a structural zero.
-# Its letters and free evolutions are diagonal or single-entry, so skipping
-# the zeros leaves about two of the eight scalar products per matrix product.
-
-
-def _entries(M) -> tuple:
-    """A constant 2x2 matrix in entrywise form."""
-    return tuple(None if v == 0 else complex(v) for v in np.asarray(M).ravel())
-
-
-def _dot(x1, y1, x2, y2):
-    """x1*y1 + x2*y2 with None as zero."""
-    p = None if x1 is None or y1 is None else x1 * y1
-    q = None if x2 is None or y2 is None else x2 * y2
-    if p is None:
-        return q
-    return p if q is None else p + q
-
-
-def _mul(a, b) -> tuple:
-    """Matrix product of two entrywise 2x2 batches."""
-    return (
-        _dot(a[0], b[0], a[1], b[2]),
-        _dot(a[0], b[1], a[1], b[3]),
-        _dot(a[2], b[0], a[3], b[2]),
-        _dot(a[2], b[1], a[3], b[3]),
-    )
-
-
-def _dense(a, B: int) -> np.ndarray:
-    """Entrywise batch as a (4, B) complex array, rows m00, m01, m10, m11."""
-    out = np.zeros((4, B), dtype=complex)
-    for k, v in enumerate(a):
-        if v is not None:
-            out[k] = v
-    return out
-
-
-def _free(x) -> tuple:
-    """exp(-(x/2) V^dag V) = D(x) = diag(e^(-x/2), 1)."""
-    return (np.exp(-np.asarray(x) / 2.0), None, None, 1.0)
-
-
 def _checked_times(times, n: int) -> np.ndarray:
     """``times`` as a (B, n) float array of finite, strictly increasing rows."""
     times = np.asarray(times, dtype=float)
@@ -141,27 +96,42 @@ def integral_sum_kernel(m: Model, t: float, times, letters) -> np.ndarray:
     is strictly increasing, so the columns are in time order and the four
     sets of a row are disjoint.  Rows with a time outside [0, t] give zero
     (the kernel's indicator).  Returns a (B, 2, 2) stack.
+
+    Every letter has at most one nonzero entry per column and D is diagonal,
+    so column ``col`` of a word is one entry followed from row ``col``: a
+    letter moves it to the row of its nonzero entry in that column and
+    multiplies it by that entry, or zeroes the column; a free evolution
+    multiplies it by e^(-dt/2) while it sits in row 0.
     """
     table = {
-        "sigma_f": _entries(m.V_f),
-        "sigma_s": _entries(m.V_s),
-        "tau_f": _entries(-m.V_f.conj().T),
-        "tau_s": _entries(-m.V_s.conj().T),
+        "sigma_f": m.V_f,
+        "sigma_s": m.V_s,
+        "tau_f": -m.V_f.conj().T,
+        "tau_s": -m.V_s.conj().T,
     }
     letters = tuple(letters)
     if any(name not in table for name in letters):
         raise ValueError(f"letters must be among {sorted(table)}")
     times = _checked_times(times, len(letters))
     B = times.shape[0]
-    out = (1.0, None, None, 1.0)
-    prev = 0.0
-    for k, name in enumerate(letters):
-        out = _mul(table[name], _mul(_free(times[:, k] - prev), out))
-        prev = times[:, k]
-    out = _dense(_mul(_free(t - prev), out), B)
+    # decay[:, k] is D_00 over the gap before letter k; the last, up to t
+    edges = np.concatenate([np.zeros((B, 1)), times, np.full((B, 1), float(t))], axis=1)
+    decay = np.exp(-np.diff(edges, axis=1) / 2.0)
+    out = np.zeros((2, 2, B), dtype=complex)
+    for col in (0, 1):
+        row, value = col, 1.0
+        for k, name in enumerate(letters):
+            if row == 0:
+                value = decay[:, k] * value
+            (rows,) = np.nonzero(table[name][:, row])
+            if not rows.size:
+                break
+            value, row = table[name][rows[0], row] * value, rows[0]
+        else:
+            out[row, col] = decay[:, -1] * value if row == 0 else value
     inside = np.all((times >= 0.0) & (times <= t), axis=1)
-    out = np.where(inside, out, 0.0)
-    return out.T.reshape(B, 2, 2)
+    out[:, :, ~inside] = 0.0
+    return out.transpose(2, 0, 1)
 
 
 def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels, gaps) -> np.ndarray:

@@ -8,6 +8,14 @@ import sys
 from pathlib import Path
 
 import resfluor
+from resfluor.cli import read_trajectory_csv, run
+from resfluor.davies import davies_map
+from resfluor.events import Event, exact_count, free_channel
+from resfluor.guichardet import oracle_davies_map
+from resfluor.linalg import ground_state
+from resfluor.model import build_model
+from resfluor.quadrature import simplex_nodes
+from resfluor.trajectories import sample_batch
 
 SRC = Path(resfluor.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
@@ -120,25 +128,30 @@ def test_oracle_takes_only_the_model_container_from_model():
 
 def test_closed_form_amplitude_uses_none_of_the_kernels_products():
     # the amplitude-brute-* verify rows compare the closed-form words with
-    # integral_sum_kernel, so they must share no arithmetic: nothing the
-    # amplitude reaches, through module-level helpers too, names the
-    # kernel's entrywise product algebra
-    banned = {"_entries", "_dot", "_mul", "_dense"}
-    functions = {
+    # integral_sum_kernel, so they must share no arithmetic: no module-level
+    # function or class is reachable from both, through helpers of helpers,
+    # except the input check on the times
+    defs = {
         node.name: node
         for node in _tree(SRC / "guichardet.py").body
-        if isinstance(node, ast.FunctionDef)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    assert banned < set(functions)
-    seen, todo = set(), ["driven_amplitude", "_amplitude_batch"]
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
-        assert not used & banned, (name, sorted(used & banned))
-        todo.extend(used & set(functions))
+
+    def reach(*roots):
+        seen, todo = set(), list(roots)
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(
+                    node.id for node in ast.walk(defs[name])
+                    if isinstance(node, ast.Name) and node.id in defs
+                )
+        return seen
+
+    kernel = reach("integral_sum_kernel")
+    amplitude = reach("driven_amplitude", "_amplitude_batch")
+    assert kernel & amplitude == {"_checked_times"}, sorted(kernel & amplitude)
 
 
 def test_only_run_loads_the_config_and_no_subcommand_makes_a_directory():
@@ -203,3 +216,38 @@ def test_every_traced_target_resolves():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, attr)
+
+
+def test_benchmark_reads_keep_their_shapes(tmp_path):
+    """The call signatures and result shapes that ``benchmark/`` reads.
+
+    ``test_every_traced_target_resolves`` checks only that the traced names
+    exist; this pins what the workloads, checks and tracer counters take
+    from the results, so a ``src/`` change that breaks one fails here and not
+    in a benchmark run.  ROADMAP item 7 sheds several of these (``quad_order``
+    and ``quad_error`` in ``davies``, ``--threads``, the middle of
+    ``simplex_nodes``) in one change to ``src/`` and ``benchmark/``; that
+    change updates this test with them.
+    """
+    m = build_model(2.0 ** -0.5, 2.0 ** -0.5, 1.0)
+    event = Event(forward=free_channel(), side=exact_count(0.0, 0.3, 1), horizon=0.3)
+    assert davies_map(m, event, n_max=6, quad_order=24).quad_error == 0.0
+    assert oracle_davies_map(m, event, n_max=3, quad_order=12).tail_bound > 0.0
+    # the tracer's node counter reads the weights as the third item
+    result = simplex_nodes(2, 1.0, 5)
+    assert len(result) == 3 and result[2].shape == (25,)
+    # its click counter takes len() of the batch and of each .records
+    batch = sample_batch(m, ground_state(), 5.0, 3, 4, mode="two-channel")
+    assert len(batch) == 4
+    assert all(isinstance(t, float) and isinstance(c, str) for tr in batch for t, c in tr.records)
+    # the workloads append --threads 1 to every subcommand; the row counter
+    # sums len() over the reader's items
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"n_traj": 20, "horizon": 5.0, "mode": "two-channel"}')
+    out = tmp_path / "traj"
+    assert run(["trajectories", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+    lines = (out / "trajectories.csv").read_text().splitlines()
+    side_rows = sum(line.endswith(",side") for line in lines)
+    items = read_trajectory_csv(out / "trajectories.csv")
+    assert len(items) == 20 and side_rows > 0
+    assert sum(len(a) for a in items) == side_rows

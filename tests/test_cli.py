@@ -129,6 +129,24 @@ def test_malformed_input_exits_one_with_message(tmp_path, capsys, events, config
     assert all(repr(key) in err for key in config)
 
 
+@pytest.mark.parametrize(
+    "config, events, message",
+    [
+        ('{"horizon": -1}', "[]", "config key 'horizon' must be >= 0"),
+        ("[1, 2]", "[]", "config JSON must be an object"),
+        ("{}", '{"horizon": 1.0}', "events file must hold a JSON list of events"),
+    ],
+    ids=["negative-horizon", "config-not-object", "events-not-list"],
+)
+def test_rejected_input_exits_one_with_its_message(tmp_path, capsys, config, events, message):
+    cfg, path, out = tmp_path / "config.json", tmp_path / "events.json", tmp_path / "out"
+    cfg.write_text(config)
+    path.write_text(events)
+    assert run(["event-prob", "--config", str(cfg), "--events", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # per field type, JSON values of the wrong type; a str key takes no number
 MISTYPED = {
     int: [1.5, "1", True, None, [1]],

@@ -200,6 +200,8 @@ def test_multi_window_event_splits_counts(sym_model):
 def test_zero_horizon_is_identity(sym_model):
     res = davies_map(sym_model, _zero_event(0.0))
     assert frobenius_dist(res.matrix, np.eye(4)) == 0.0
+    # and no jump fits in it: the Dyson tail is exactly zero at every cap
+    assert [dyson_truncation_tail(sym_model, 0.0, n) for n in range(4)] == [0.0] * 4
 
 
 @pytest.mark.parametrize("expansion", ["resum", "dyson"])

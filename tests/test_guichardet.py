@@ -98,6 +98,10 @@ def test_kernel_indicator_vanishes_outside(sym_model):
     assert np.all(out == 0)
     out2 = integral_sum_kernel(sym_model, 1.0, [[-0.1]], ["sigma_f"])
     assert np.all(out2 == 0)
+    # the amplitude keeps the indicator: one emission outside [0, t] zeroes it
+    for omega_f, omega_s in (([1.5], []), ([], [-0.1]), ([0.3], [1.2]), ([0.2, 0.4], [1.0 + 1e-12])):
+        amp = driven_amplitude(sym_model, 1.0, omega_f, omega_s)
+        assert amp.shape == (2, 2) and np.all(amp == 0), (omega_f, omega_s)
 
 
 def test_kernel_adjacent_emissions_annihilate(sym_model):
@@ -131,24 +135,43 @@ def kernel_by_products(m, t, times, letters):
 @pytest.mark.parametrize("seed", range(6))
 def test_kernel_batch_matches_scalar_kernel(seed):
     rng = np.random.default_rng(seed)
-    m = random_model(rng)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
+    # a random model, and two whose side or forward letters are zero matrices
+    models = [
+        random_model(rng),
+        build_model(phases[0], 0.0, phases[2]),
+        build_model(0.0, phases[1], 0.8 * phases[2]),
+    ]
     t = rng.uniform(0.5, 3.0)
     n = seed % 5
-    # emissions and absorptions alternate (adjacent equal kinds annihilate),
-    # each on a random channel
+    # emissions and absorptions alternate, each on a random channel or all
+    # on one; the last word repeats a kind, and adjacent equal kinds annihilate
     first = rng.integers(0, 2)
-    letters = [("sigma_", "tau_")[(first + k) % 2] + "fs"[rng.integers(0, 2)] for k in range(n)]
-    times = np.sort(rng.uniform(0.0, t, size=(40, n)), axis=1)
-    if n:
-        times[-1, -1] = t + 0.5  # outside [0, t]: the indicator zeroes the row
-    batch = integral_sum_kernel(m, t, times, letters)
-    assert batch.shape == (40, 2, 2)
-    for row, k_row in zip(times, batch):
-        if row.size and row[-1] > t:
-            assert np.all(k_row == 0)
-        else:
-            assert np.abs(k_row).max() > 0
-            assert frobenius_dist(k_row, kernel_by_products(m, t, row, letters)) <= 1e-14
+    alternating = [(first + k) % 2 for k in range(n)]
+    repeating = rng.integers(0, 2, size=n + 2)
+    repeating[1] = repeating[0]
+    words = [
+        [("sigma_", "tau_")[k] + "fs"[rng.integers(0, 2)] for k in kinds]
+        for kinds in (alternating, repeating)
+    ]
+    for m in models:
+        dead = {"f": m.kappa_f == 0, "s": m.kappa_s == 0}
+        live = "s" if dead["f"] else "f"
+        for letters in (words[0], [name[:-1] + live for name in words[0]], words[1]):
+            zero = any(dead[name[-1]] for name in letters) or any(
+                a[:-1] == b[:-1] for a, b in zip(letters, letters[1:])
+            )
+            times = np.sort(rng.uniform(0.0, t, size=(40, len(letters))), axis=1)
+            if letters:
+                times[-1, -1] = t + 0.5  # outside [0, t]: the indicator zeroes the row
+            batch = integral_sum_kernel(m, t, times, letters)
+            assert batch.shape == (40, 2, 2)
+            for row, k_row in zip(times, batch):
+                if row.size and row[-1] > t:
+                    assert np.all(k_row == 0)
+                    continue
+                assert np.all(k_row == 0) == zero, letters
+                assert frobenius_dist(k_row, kernel_by_products(m, t, row, letters)) <= 1e-14
 
 
 def test_guichardet_point_validation(sym_model):

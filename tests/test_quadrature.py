@@ -36,3 +36,9 @@ def test_simplex_exponential_integral():
     exact = T - 1.0 + np.exp(-T)
     assert val == pytest.approx(exact, rel=1e-13)
 
+
+def test_invalid_order_or_dimension_raises():
+    with pytest.raises(ValueError, match="order"):
+        gauss_legendre_01(0)
+    with pytest.raises(ValueError, match="ndim"):
+        simplex_nodes(-1, 1.0, 4)

@@ -75,6 +75,8 @@ def test_waiting_time_inverts_survival(sym_model):
 
 def test_waiting_time_cap_value(sym_model):
     assert waiting_time_cap(sym_model) == pytest.approx(50.0 * (1 + 2.0))
+    # no side channel: the side survival never falls, so the search is uncapped
+    assert waiting_time_cap(build_model(1.0, 0.0, 1.0)) == np.inf
 
 
 def test_apply_side_jump(sym_model):
@@ -227,6 +229,11 @@ def test_trajectory_corners(undriven_model):
     m = build_model(0.0, 1.0, 0.0)
     tr2 = sample_trajectory(m, excited_state(), 2000.0, SeedSpec(5, 1))
     assert len(tr2.records) == 1
+    # no side channel: a side-only batch records no clicks from any state
+    m0 = build_model(1.0, 0.0, 1.0)
+    for rho0 in (g, excited_state()):
+        batch = sample_batch(m0, rho0, 20.0, 7, 16)
+        assert len(batch) == 16 and all(tr.records == () for tr in batch)
 
 
 def test_determinism_across_batching(sym_model):
@@ -336,6 +343,9 @@ def test_conditioning_consistency_split_resume(sym_model):
 def test_initial_state_stack_validation(sym_model):
     with pytest.raises(ValueError):
         sample_batch(sym_model, np.zeros((3, 2, 2)), 1.0, 1, 4)
+    # valid states, but one per trajectory is required
+    with pytest.raises(ValueError, match="initial-state stack"):
+        sample_batch(sym_model, np.stack([ground_state()] * 3), 1.0, 1, 4)
 
 
 def test_sampler_at_exceptional_drive(exceptional_model):
