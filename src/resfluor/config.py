@@ -3,8 +3,9 @@
 A key's rules follow from its field type (``_RULES``): ``int`` keys take a
 JSON integer >= 0, ``float`` keys a finite JSON number, ``complex`` keys a
 finite number or [re, im] pair (their serialized form); a bool or a string
-is no number.  ``mode``, ``initial_state``, ``horizon`` and ``master_seed``
-add their own rules.  Messages name the key, unknown keys are rejected, and
+is no number.  ``mode``, ``initial_state`` and ``master_seed`` add their
+own rules; ``horizon``, ``grid_start`` and ``grid_stop`` must be >= 0, and
+``quad_order`` >= 1.  Messages name the key, unknown keys are rejected, and
 every key has a default.  Floats serialize with 17 significant digits, so
 hash and round-trip are exact.  There is no ``threads`` key: the sampler
 runs one vectorised batch, and a config that holds one is rejected as
@@ -89,8 +90,9 @@ class RunConfig:
             rule = _RULES.get(f.type)
             if rule and not rule.ok(getattr(self, f.name)):
                 raise ValueError(f"config key {f.name!r} must be {rule.need}")
-        if self.horizon < 0:
-            raise ValueError("config key 'horizon' must be >= 0")
+        for key, low in (("horizon", 0), ("grid_start", 0), ("grid_stop", 0), ("quad_order", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"config key {key!r} must be >= {low}")
         SeedSpec(self.master_seed)
 
     def model(self) -> Model:

@@ -108,8 +108,6 @@ def dyson_truncation_tail(m: Model, horizon: float, n_cap: int) -> float:
     a generous overestimate.
     """
     lam = (2.0 * abs(m.z) ** 2 + 1.0) * float(horizon)
-    if lam == 0.0:
-        return 0.0
     term = math.exp(-lam)
     cdf = 0.0
     for n in range(n_cap + 1):

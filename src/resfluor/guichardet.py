@@ -32,10 +32,11 @@ channel words, the photons of a segment in time order.  Two kinds of work
 that cannot change the result are skipped.  At z = 0 (exactly) a sector with
 two or more photons is exactly zero: each interior gap needs an absorption
 letter, and each absorption carries a factor z, so those sectors are not
-integrated at all.  And the sectors of one call share their node sets: all
-words that put the same number of photons in one segment at one order read
-one stored rule, and consecutive sectors on the same rules also share the
-gap factors computed on them.  Both leave every returned bit as it was.
+integrated at all.  And the sectors that put the same number of photons in
+each segment form a group that shares one tensor grid, with the gap factors
+computed on it, built once per call from simplex rules that are also built
+once per call; each sector keeps its own integral, and the integrals are
+summed in the generator's order.  Both leave every returned bit as it was.
 None of this shares code paths with the analytic semigroup/jump
 construction -- from :mod:`resfluor.model` it takes only the ``Model``
 container -- so agreement between the two pipelines, which
@@ -223,7 +224,8 @@ class OracleResult:
     skipped because they are exactly zero at z = 0 (two or more photons);
     ``nodes``, the amplitudes evaluated over the integrated sectors; and
     ``node_sets``, the distinct simplex rules built, one per (segment,
-    photons in it, order) and shared by every sector that needs it.
+    photons in it, order) and read by the grid of every sector group that
+    needs it.
     """
 
     matrix: np.ndarray
@@ -238,8 +240,6 @@ class OracleResult:
 
 
 def _coherent_tail(lam: float, n_cap: int) -> float:
-    if lam <= 0.0:
-        return 0.0
     term = np.exp(-lam)
     cdf = 0.0
     for n in range(n_cap + 1):
@@ -313,7 +313,12 @@ def oracle_davies_map(
     event admits, truncating total photon number at ``n_max``; the returned
     truncation estimate is the coherent weight beyond the cap.  At z = 0 the
     sectors of two or more photons are exact zeros and are counted, not
-    integrated; the others share their node sets (see :class:`_NodeStore`).
+    integrated.  The others are integrated in groups of equal photon counts
+    per segment: a group reads one simplex rule per (segment, photons,
+    order), each built once per call, and builds its tensor grid once; each
+    of its sectors integrates over that grid into its own 4x4.  Summing the
+    sectors in :func:`_sectors` order keeps the bits of a fresh grid per
+    sector.
     """
     if e.total_count > n_max:
         raise ValueError(
@@ -321,103 +326,67 @@ def oracle_davies_map(
         )
     t = float(e.horizon)
     segments = _segment_edges(e)
-    store = _NodeStore()
-    total = np.zeros((4, 4), dtype=complex)
-    sectors = zero_sectors = nodes = 0
+    parts = {}  # sector -> its integral, in _sectors order
+    groups: dict[tuple[int, ...], list] = {}
+    zero_sectors = nodes = 0
     for seg_words in _sectors(e, segments, n_max):
-        labels = tuple(lab for word in seg_words for lab in word)
-        if m.z == 0 and len(labels) >= 2:
+        counts = tuple(map(len, seg_words))
+        if m.z == 0 and sum(counts) >= 2:
             zero_sectors += 1
             continue
-        part, n_nodes = _sector_integral(
-            m, t, segments, seg_words, labels, quad_order, store
-        )
-        total += part
-        sectors += 1
-        nodes += n_nodes
-    total *= np.exp(-t * abs(m.z) ** 2)
+        parts[seg_words] = None
+        groups.setdefault(counts, []).append(seg_words)
+    rules = {}
+    for counts, members in groups.items():
+        order = _sector_order(quad_order, sum(counts))
+        for (a, b), ndim in zip(segments, counts):
+            if ndim and (a, ndim, order) not in rules:
+                x, _, w = simplex_nodes(ndim, b - a, order)
+                rules[a, ndim, order] = (x + a, w)
+        chunks = _tensor_grid([rules[a, n, order] for (a, _), n in zip(segments, counts) if n])
+        for seg_words in members:
+            labels = tuple(lab for word in seg_words for lab in word)
+            part = np.zeros((4, 4), dtype=complex)
+            for times, weights, gaps in chunks:
+                part += _ad_sum(weights, _amplitude_batch(m, t, times, labels, gaps))
+                nodes += len(weights)
+            parts[seg_words] = part
+    total = sum(parts.values(), np.zeros((4, 4), dtype=complex))
     return OracleResult(
-        total,
+        total * np.exp(-t * abs(m.z) ** 2),
         _coherent_tail(t * abs(m.z) ** 2, n_max),
         _coherent_tail(t * (2.0 * abs(m.z) ** 2 + 1.0), n_max),
         MappingProxyType({
-            "sectors": sectors,
+            "sectors": len(parts),
             "zero_sectors": zero_sectors,
             "nodes": nodes,
-            "node_sets": len(store.rules),
+            "node_sets": len(rules),
         }),
     )
 
 
-class _NodeStore:
-    """The quadrature grids of one oracle call, built once and shared.
+def _tensor_grid(per_seg: list) -> list:
+    """The tensor grid, in C order, over per-segment (times, weights) rules.
 
-    ``rules`` maps (ndim, a, b, order) to the simplex rule ``(times + a,
-    weights)`` for ndim photons on segment [a, b), so every sector that
-    needs a rule reads one node set.  The tensor grid over a tuple of rules
-    -- its chunks of times and weights, each with the gap factors the
-    amplitudes compute on it -- is kept while consecutive sectors ask for
-    the same tuple, as all the words of one photon count in a segment do.
-    Only the last grid is kept.  Everything here is deterministic, so a
-    shared grid gives the bits a fresh one would.
+    Returns [(times, weights, gap factors)] per chunk of ``_CHUNK`` nodes,
+    each gap-factor dict empty for the words integrated on it to fill.  No
+    rule (the empty sector) gives one node at no time.
     """
-
-    def __init__(self):
-        self.rules: dict[tuple, tuple] = {}
-        self._grid: tuple = ((), [])
-
-    def rule(self, ndim: int, a: float, b: float, order: int) -> tuple:
-        key = (ndim, a, b, order)
-        if key not in self.rules:
-            times, _, w = simplex_nodes(ndim, b - a, order)
-            self.rules[key] = (times + a, w)
-        return key
-
-    def grid(self, keys: tuple) -> list:
-        """[(times, weights, gap factors)] per chunk of the tensor grid."""
-        if self._grid[0] != keys:
-            self._grid = ((), [])  # free the old grid before building the next
-            per_seg = [self.rules[k] for k in keys]
-            sizes = [times.shape[0] for times, _ in per_seg]
-            n_nodes = int(np.prod(sizes))
-            chunks = []
-            for flat_start in range(0, n_nodes, _CHUNK):
-                flat = np.arange(flat_start, min(flat_start + _CHUNK, n_nodes))
-                idx = np.unravel_index(flat, sizes)
-                times = np.concatenate([v[i] for (v, _), i in zip(per_seg, idx)], axis=1)
-                weights = np.ones(len(flat))
-                for (_, w), i in zip(per_seg, idx):
-                    weights = weights * w[i]
-                chunks.append((times, weights, {}))
-            self._grid = (keys, chunks)
-        return self._grid[1]
-
-
-def _sector_integral(m, t, segments, seg_words, labels, quad_order, store):
-    """Tensor the per-segment simplex rules and integrate Ad[amp] over them.
-
-    ``store`` is the call's :class:`_NodeStore`: every sector that puts ndim photons in a segment at
-    one order reads the same node set, and consecutive sectors on the same
-    rules share the grid and its gap factors.  At z = 0 a sector of two or
-    more photons integrates to exactly zero, and :func:`oracle_davies_map`
-    does not call this for it.  Returns the 4x4 integral and the number of
-    quadrature nodes.
-    """
-    order = _sector_order(quad_order, len(labels))
-    keys = tuple(
-        store.rule(len(word), a, b, order)
-        for (a, b), word in zip(segments, seg_words)
-        if word
-    )
-    if not keys:
-        amp = _amplitude_batch(m, t, np.zeros((1, 0)), (), {})
-        return _ad_sum(np.ones(1), amp), 1
-    out = np.zeros((4, 4), dtype=complex)
-    n_nodes = 0
-    for times, weights, gaps in store.grid(keys):
-        out += _ad_sum(weights, _amplitude_batch(m, t, times, labels, gaps))
-        n_nodes += len(weights)
-    return out, n_nodes
+    sizes = [len(w) for _, w in per_seg]
+    n_nodes = int(np.prod(sizes))
+    chunks = []
+    for start in range(0, n_nodes, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, n_nodes))
+        times = [np.zeros((len(flat), 0))]
+        weights = np.ones(len(flat))
+        stride = n_nodes
+        for (v, w), size in zip(per_seg, sizes):
+            stride //= size
+            i = flat // stride % size
+            times.append(v[i])
+            weights = weights * w[i]
+        chunks.append((np.concatenate(times, axis=1), weights, {}))
+    return chunks
 
 
 def _ad_sum(w: np.ndarray, amp: np.ndarray) -> np.ndarray:

@@ -135,8 +135,12 @@ def test_malformed_input_exits_one_with_message(tmp_path, capsys, events, config
         ('{"horizon": -1}', "[]", "config key 'horizon' must be >= 0"),
         ("[1, 2]", "[]", "config JSON must be an object"),
         ("{}", '{"horizon": 1.0}', "events file must hold a JSON list of events"),
+        ('{"grid_start": -1}', "[]", "config key 'grid_start' must be >= 0"),
+        ('{"grid_stop": -0.5}', "[]", "config key 'grid_stop' must be >= 0"),
+        ('{"quad_order": 0}', "[]", "config key 'quad_order' must be >= 1"),
     ],
-    ids=["negative-horizon", "config-not-object", "events-not-list"],
+    ids=["negative-horizon", "config-not-object", "events-not-list", "negative-grid-start",
+         "negative-grid-stop", "zero-quad-order"],
 )
 def test_rejected_input_exits_one_with_its_message(tmp_path, capsys, config, events, message):
     cfg, path, out = tmp_path / "config.json", tmp_path / "events.json", tmp_path / "out"
@@ -172,9 +176,11 @@ def test_mistyped_config_value_exits_one_naming_the_key(tmp_path, capsys, field)
     "field", [f for f in FIELDS if f.type is not str], ids=lambda f: f.name
 )
 def test_numeric_config_key_rejects_out_of_range_values(field):
-    bad = -1 if field.type is int else float("nan")
-    with pytest.raises(ValueError, match=repr(field.name)):
-        RunConfig.from_dict({field.name: bad})
+    # beyond its type's rule, a key may have a lower bound of its own
+    below = {"horizon": [-1.0], "grid_start": [-1.0], "grid_stop": [-1e-300], "quad_order": [0]}
+    for bad in [-1 if field.type is int else float("nan"), *below.get(field.name, [])]:
+        with pytest.raises(ValueError, match=repr(field.name)):
+            RunConfig.from_dict({field.name: bad})
 
 
 def test_config_round_trips_with_every_key_off_its_default():

@@ -19,8 +19,8 @@ from resfluor.events import (
     zero_photons,
 )
 from resfluor.guichardet import (
-    _NodeStore,
-    _sector_integral,
+    _ad_sum,
+    _amplitude_batch,
     _sector_order,
     _sectors,
     _segment_edges,
@@ -44,7 +44,8 @@ from resfluor.model import (
     no_jump_operator,
     side_jump,
 )
-from resfluor.verify import amplitude_by_region_quadrature
+from resfluor.quadrature import simplex_nodes
+from resfluor.verify import _roundoff_tolerance, amplitude_by_region_quadrature
 
 SQ2 = 2.0 ** -0.5
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -357,15 +358,45 @@ def test_oracle_diagnostics_count_sectors_and_nodes(sym_model):
     assert dict(res3.diagnostics) == {
         "sectors": 3, "zero_sectors": 124, "nodes": 1 + 2 * 12, "node_sets": 1
     }
+    # and no coherent photon is missed at z = 0
+    assert res3.truncation_error == 0.0
+    # zero horizon: no segment, so the one sector is the empty word on a
+    # one-node grid, the map is the identity and both tails vanish
+    res4 = oracle_davies_map(sym_model, Event(free_channel(), free_channel(), 0.0), n_max=3)
+    assert np.array_equal(res4.matrix, np.eye(4))
+    assert (res4.truncation_error, res4.tail_bound) == (0.0, 0.0)
+    assert dict(res4.diagnostics) == {"sectors": 1, "zero_sectors": 0, "nodes": 1, "node_sets": 0}
 
 
 def _sector_parts(m, e, n_max, quad_order):
-    """Every sector's words and integral, each on a fresh rule, none skipped."""
+    """Every sector's words and integral, each on its own grid, none skipped.
+
+    The reference for the oracle's shared grids: every sector builds its own
+    simplex rules, tensors them in C order and cuts the grid into chunks of
+    the oracle's ``_CHUNK`` nodes, each with fresh gap factors.
+    """
     t = float(e.horizon)
     segments = _segment_edges(e)
+    chunk = resfluor.guichardet._CHUNK
     for words in _sectors(e, segments, n_max):
         labels = tuple(lab for word in words for lab in word)
-        part, _ = _sector_integral(m, t, segments, words, labels, quad_order, _NodeStore())
+        order = _sector_order(quad_order, len(labels))
+        rules = []
+        for (a, b), word in zip(segments, words):
+            if word:
+                x, _, w = simplex_nodes(len(word), b - a, order)
+                rules.append((x + a, w))
+        idx = list(itertools.product(*(range(len(w)) for _, w in rules)))
+        idx = np.array(idx, dtype=int).reshape(len(idx), len(rules)).T
+        times = np.zeros((idx.shape[1], 0))
+        weights = np.ones(idx.shape[1])
+        for (x, w), i in zip(rules, idx):
+            times = np.concatenate([times, x[i]], axis=1)
+            weights = weights * w[i]
+        part = np.zeros((4, 4), dtype=complex)
+        for lo in range(0, len(weights), chunk):
+            amp = _amplitude_batch(m, t, times[lo:lo + chunk], labels, {})
+            part += _ad_sum(weights[lo:lo + chunk], amp)
         yield words, part
 
 
@@ -439,6 +470,43 @@ def test_oracle_builds_one_rule_per_segment_ndim_and_order(monkeypatch):
             )
             fresh = _summed(m, e, _sector_parts(m, e, n_max, 6))
             assert res.matrix.tobytes() == fresh.tobytes(), (e, n_max)
+
+
+def test_oracle_chunked_grids_match_the_per_sector_reference(monkeypatch):
+    # at 7 nodes a chunk every grid of two or more photons spans several
+    # chunks; chunking only splits each sector's node sum into partial sums,
+    # whose reordering moves the map by roundoff of its own size
+    rng = np.random.default_rng(33)
+    for e, caps in _SKIP_CASES:
+        for n_max in caps[:2]:
+            m = random_model(rng)
+            whole = oracle_davies_map(m, e, n_max=n_max, quad_order=6)
+            monkeypatch.setattr(resfluor.guichardet, "_CHUNK", 7)
+            res = oracle_davies_map(m, e, n_max=n_max, quad_order=6)
+            fresh = _summed(m, e, _sector_parts(m, e, n_max, 6))
+            monkeypatch.undo()
+            assert res.matrix.tobytes() == fresh.tobytes(), (e, n_max)
+            assert res.diagnostics == whole.diagnostics
+            assert frobenius_dist(res.matrix, whole.matrix) <= _roundoff_tolerance(whole.matrix)
+
+
+def test_oracle_builds_each_group_grid_once(monkeypatch):
+    # sectors with equal photon counts per segment share one grid, however
+    # the sector walk interleaves them: 20 and 78 groups on these events
+    grids = []  # holds every times array, so no id is reused
+    real = resfluor.guichardet._amplitude_batch
+
+    def spy(m, t, times, labels, gaps):
+        grids.append(times)
+        return real(m, t, times, labels, gaps)
+
+    monkeypatch.setattr(resfluor.guichardet, "_amplitude_batch", spy)
+    m = random_model(np.random.default_rng(34))
+    for (e, _), expected in zip(_SKIP_CASES[1:], (20, 78)):
+        grids.clear()
+        oracle_davies_map(m, e, n_max=4, quad_order=6)
+        groups = {tuple(map(len, words)) for words in _sectors(e, _segment_edges(e), 4)}
+        assert len({id(times) for times in grids}) == len(groups) == expected
 
 
 def _obeys(e, segments, words):
