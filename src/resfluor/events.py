@@ -17,6 +17,7 @@ right end of the window is a fixed shift.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -64,11 +65,9 @@ class ChannelEvent:
         if self.outside not in (OUTSIDE_ZERO, OUTSIDE_FREE):
             raise ValueError(f"unknown outside policy {self.outside!r}")
         object.__setattr__(self, "windows", tuple(sorted(self.windows, key=lambda w: w.a)))
-        prev_end = None
-        for w in self.windows:
-            if prev_end is not None and w.a < prev_end:
+        for w, later in zip(self.windows, self.windows[1:]):
+            if later.a < w.b:
                 raise ValueError("channel windows must be disjoint")
-            prev_end = w.b
 
     @property
     def total_count(self) -> int:
@@ -178,14 +177,24 @@ def event_to_json(e: Event) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _json_number(value, key: str, count: bool = False):
+    """``value`` if a finite JSON number, or for a count an integer >= 0; a bool is neither."""
+    kinds, need = (int, "an integer >= 0") if count else ((int, float), "a finite number")
+    if isinstance(value, bool) or not isinstance(value, kinds) or not (
+            value >= 0 if count else -math.inf < value < math.inf):
+        raise ValueError(f"event key {key!r} must be {need}, got {value!r}")
+    return value
+
+
 def event_from_json(text: str) -> Event:
     """Parse the schema of :func:`event_to_json`; malformed input raises ValueError.
 
-    A window record's optional ``channel`` must name the channel it is listed under.
+    ``horizon`` and ``window`` ends are finite JSON numbers and ``count`` a JSON
+    integer >= 0; a window's optional ``channel`` names the channel it is under.
     """
     payload = json.loads(text)
     try:
-        horizon = float(payload["horizon"])
+        horizon = float(_json_number(payload["horizon"], "horizon"))
         channels = {}
         for name in ("forward", "side"):
             ch = payload["channels"][name]
@@ -193,8 +202,8 @@ def event_from_json(text: str) -> Event:
             for rec in ch["windows"]:
                 if rec.get("channel", name) != name:
                     raise ValueError(f"window listed under {name!r} has channel {rec['channel']!r}")
-                a, b = rec["window"]
-                windows.append(Window(float(a), float(b), int(rec["count"])))
+                a, b = (float(_json_number(x, "window")) for x in rec["window"])
+                windows.append(Window(a, b, _json_number(rec["count"], "count", count=True)))
             channels[name] = ChannelEvent(windows=tuple(windows), outside=ch["outside"])
     except KeyError as exc:
         raise ValueError(f"event JSON missing key: {exc.args[0]!r}") from exc

@@ -20,23 +20,22 @@ integral-sum action to
 and because two adjacent absorption letters annihilate (V^dag is nilpotent),
 each gap between consecutive kept emission times holds at most one tau
 point, whose placement integral is one-dimensional.  Every letter has one
-nonzero entry and D is diagonal, so each such word has one nonzero entry,
-given in closed form by :func:`_amplitude_batch`.
+nonzero entry and D is diagonal, so each such word has one nonzero entry in
+closed form; :func:`_amplitude_batch` sums them by one recursion over the
+last kept emission, in O(n^2) vector steps for n emissions.
 
 The oracle counting map then integrates amp^dag A amp over the event's
 photon configurations sector by sector (explicitly truncated at the total
 photon cap, with Gauss-Legendre rules on the ordered time simplices) and
 multiplies by the coherent normalization e^{-t|z|^2}.  The event is cut into
 segments, and one generator yields each sector as a tuple of per-segment
-channel words, the photons of a segment in time order.  Two kinds of work
-that cannot change the result are skipped.  At z = 0 (exactly) a sector with
-two or more photons is exactly zero: each interior gap needs an absorption
-letter, and each absorption carries a factor z, so those sectors are not
-integrated at all.  And the sectors that put the same number of photons in
-each segment form a group that shares one tensor grid, with the gap factors
-computed on it, built once per call from simplex rules that are also built
-once per call; each sector keeps its own integral, and the integrals are
-summed in the generator's order.  Both leave every returned bit as it was.
+channel words, the photons of a segment in time order.  At z = 0 (exactly)
+a sector with two or more photons is exactly zero: each interior gap needs
+an absorption letter, and each absorption carries a factor z, so those
+sectors are counted, not integrated.  The sectors that put the same number
+of photons in each segment form a group that shares one tensor grid, with
+the gap factors computed on it, built once per call from simplex rules also
+built once per call, and each sector's integral is added to the total.
 None of this shares code paths with the analytic semigroup/jump
 construction -- from :mod:`resfluor.model` it takes only the ``Model``
 container -- so agreement between the two pipelines, which
@@ -73,8 +72,7 @@ _SECTOR_NODE_BUDGET = 40_000
 def _sector_order(order: int, ndim_total: int) -> int:
     if ndim_total <= 0:
         return order
-    cap = max(4, int(_SECTOR_NODE_BUDGET ** (1.0 / ndim_total)))
-    return min(order, cap)
+    return min(order, max(4, int(_SECTOR_NODE_BUDGET ** (1.0 / ndim_total))))
 
 
 def _checked_times(times, n: int) -> np.ndarray:
@@ -144,54 +142,55 @@ def _amplitude_batch(m: Model, t: float, times: np.ndarray, labels, gaps) -> np.
     from an earlier batch on the same ``times``.  Returns a (4, B) array of
     the entries m00, m01, m10, m11.
 
-    Each word is one closed-form entry.  Emission letters have their one
-    entry kappa at (1, 0), the absorption letter -conj(kappa_f) at (0, 1),
-    and D is diagonal.  One absorption across a gap [a, b] integrates to
-    int_a^b D_00(b - u) D_11(u - a) du = phi(b - a), phi(L) = -2 expm1(-L/2)
-    (full relative accuracy on short gaps), and with its z carries
-    tau = -conj(kappa_f) z.  A word weighs z^#dropped prod kappa_label times
-    tau phi per interior gap (two emissions with only D between annihilate,
-    so every interior gap holds one absorption), and lands in m10 if its first gap is free
-    (e^(-x_0/2)) or m11 if bridged (tau phi(x_0)); a bridged last gap moves
-    it to m00 or m01.  The empty word is D(t) plus one bridge in m01.
+    Emission letters have their one entry kappa at (1, 0), the absorption
+    letter -conj(kappa_f) at (0, 1), and D is diagonal.  One absorption
+    across a gap [a, b] integrates to int_a^b D_00(b - u) D_11(u - a) du =
+    phi(b - a), phi(L) = -2 expm1(-L/2) (full relative accuracy on short
+    gaps), and with its z carries tau = -conj(kappa_f) z.  A kept set K
+    (every side letter, any forward ones) weighs z^#dropped prod kappa
+    tau^(|K|-1) prod phi(interior gap), as two emissions with only D between
+    annihilate; it lands in m10 if its first gap is free (e^(-x_first/2)) or
+    m11 if bridged (tau phi(x_first)), and a bridged last gap moves it to m00
+    or m01.  The empty set (no side letter) is D(t) plus one bridge in m01.
+
+    The 2^(#forward) sets are summed by one recursion over their last
+    element: heads[j] holds, over the sets ending at j, the weight with the
+    drops up to j times (e^(-x_first/2), tau phi(x_first)).  It starts a set
+    at j if no side letter precedes j and extends each heads[i] from the
+    last side letter before j on; a set ends at j if no side letter follows.
+    That is at most n(n-1)/2 vector steps per word.
     """
     z = m.z
     tau = -np.conj(m.kappa_f) * z
     kappa = {"f": m.kappa_f, "s": m.kappa_s}
 
-    # a gap between two fixed times (None for the horizon ends), bridged
-    # (phi) or free (e^(-x/2)), shared by every kept-emission mask
+    # a bridged (phi) or free (e^(-x/2)) gap, None at the horizon ends
     def gap(lo, hi, bridged=True):
         if (lo, hi, bridged) not in gaps:
             x = (t if hi is None else times[:, hi]) - (0.0 if lo is None else times[:, lo])
             gaps[lo, hi, bridged] = -2.0 * np.expm1(-x / 2.0) if bridged else np.exp(-x / 2.0)
         return gaps[lo, hi, bridged]
 
-    f_slots = [i for i, lab in enumerate(labels) if lab == "f"]
+    n = len(labels)
+    sides = [i for i, lab in enumerate(labels) if lab == "s"]
     out = np.zeros((4, times.shape[0]), dtype=complex)
-    for kept_mask in itertools.product((True, False), repeat=len(f_slots)):
-        kept_f = {slot for slot, k in zip(f_slots, kept_mask) if k}
-        fixed = [i for i, lab in enumerate(labels) if lab == "s" or i in kept_f]
-        c = z ** (len(f_slots) - len(kept_f))
-        if not fixed:
-            out[0] += c * gap(None, None, False)
-            out[1] += c * tau * gap(None, None)
-            out[3] += c
-            continue
-        inner = 1.0
-        for lo, hi in zip(fixed, fixed[1:]):
-            inner = inner * gap(lo, hi)
-        for i in fixed:
-            c = c * kappa[labels[i]]
-        c = c * tau ** (len(fixed) - 1)
-        # real gap products first, then one complex weight per entry
-        free_first = inner * gap(None, fixed[0], False)
-        bridged_first = inner * gap(None, fixed[0])
-        last = gap(fixed[-1], None)
-        out[2] += c * free_first
-        out[3] += (c * tau) * bridged_first
-        out[0] += (c * tau) * (free_first * last)
-        out[1] += (c * tau * tau) * (bridged_first * last)
+    if not sides:
+        out[0] += z**n * gap(None, None, False)
+        out[1] += z**n * tau * gap(None, None)
+        out[3] += z**n
+    heads = []
+    # a kept set starts at or before the first side letter and skips none
+    first, start = (sides[0] if sides else n), 0
+    for j, lab in enumerate(labels):
+        head = z**j * np.stack([gap(None, j, False), tau * gap(None, j)]) if j <= first else 0.0
+        for i in range(start, j):
+            head = head + (z ** (j - i - 1) * tau) * gap(i, j) * heads[i]
+        heads.append(kappa[lab] * head)
+        start = j if lab == "s" else start
+    for j in range(sides[-1] if sides else 0, n):
+        tail = z ** (n - 1 - j) * heads[j]
+        out[2:] += tail
+        out[:2] += tau * gap(j, None) * tail
     return out
 
 
@@ -316,17 +315,13 @@ def oracle_davies_map(
     integrated.  The others are integrated in groups of equal photon counts
     per segment: a group reads one simplex rule per (segment, photons,
     order), each built once per call, and builds its tensor grid once; each
-    of its sectors integrates over that grid into its own 4x4.  Summing the
-    sectors in :func:`_sectors` order keeps the bits of a fresh grid per
-    sector.
+    of its sectors integrates over that grid into its own 4x4, which is
+    added to the total.
     """
     if e.total_count > n_max:
-        raise ValueError(
-            f"event pins {e.total_count} photons, beyond the oracle cap {n_max}"
-        )
+        raise ValueError(f"event pins {e.total_count} photons, beyond the oracle cap {n_max}")
     t = float(e.horizon)
     segments = _segment_edges(e)
-    parts = {}  # sector -> its integral, in _sectors order
     groups: dict[tuple[int, ...], list] = {}
     zero_sectors = nodes = 0
     for seg_words in _sectors(e, segments, n_max):
@@ -334,9 +329,9 @@ def oracle_davies_map(
         if m.z == 0 and sum(counts) >= 2:
             zero_sectors += 1
             continue
-        parts[seg_words] = None
         groups.setdefault(counts, []).append(seg_words)
     rules = {}
+    total = np.zeros((4, 4), dtype=complex)
     for counts, members in groups.items():
         order = _sector_order(quad_order, sum(counts))
         for (a, b), ndim in zip(segments, counts):
@@ -350,14 +345,13 @@ def oracle_davies_map(
             for times, weights, gaps in chunks:
                 part += _ad_sum(weights, _amplitude_batch(m, t, times, labels, gaps))
                 nodes += len(weights)
-            parts[seg_words] = part
-    total = sum(parts.values(), np.zeros((4, 4), dtype=complex))
+            total += part
     return OracleResult(
         total * np.exp(-t * abs(m.z) ** 2),
         _coherent_tail(t * abs(m.z) ** 2, n_max),
         _coherent_tail(t * (2.0 * abs(m.z) ** 2 + 1.0), n_max),
         MappingProxyType({
-            "sectors": len(parts),
+            "sectors": sum(map(len, groups.values())),
             "zero_sectors": zero_sectors,
             "nodes": nodes,
             "node_sets": len(rules),

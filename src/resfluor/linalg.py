@@ -186,15 +186,11 @@ def frobenius_dist(A, B) -> float:
 
 
 def choi_matrix(S) -> np.ndarray:
-    """Choi matrix sum_ij E_ij (x) S(E_ij); positive semidefinite iff S is CP."""
-    S = np.asarray(S, dtype=complex)
-    blocks = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            Eij = np.zeros((2, 2), dtype=complex)
-            Eij[i, j] = 1.0
-            blocks[i][j] = apply_superop(S, Eij)
-    return np.block(blocks)
+    """Choi matrix sum_ij E_ij (x) S(E_ij); positive semidefinite iff S is CP.
+
+    Column stacking makes it an index permutation: C[2i+k, 2j+l] = S[k+2l, i+2j].
+    """
+    return np.asarray(S, dtype=complex).reshape(2, 2, 2, 2).transpose(3, 1, 2, 0).reshape(4, 4)
 
 
 def is_completely_positive(S, tol: float = 1e-10) -> bool:

@@ -75,6 +75,18 @@ def test_config_threads_key_exits_one_as_unknown(tmp_path, capsys):
     assert not out.exists()
 
 
+def _side_event(horizon=1.0, window=(0.1, 0.5), count=1) -> dict:
+    """Event JSON with one side window and a free forward channel."""
+    return {
+        "horizon": horizon,
+        "channels": {
+            "forward": {"outside": "unconstrained-outside", "windows": []},
+            "side": {"outside": "exactly-zero-outside",
+                     "windows": [{"channel": "side", "window": list(window), "count": count}]},
+        },
+    }
+
+
 @pytest.mark.parametrize(
     "events, config",
     [
@@ -113,11 +125,22 @@ def test_config_threads_key_exits_one_as_unknown(tmp_path, capsys):
         ([], {"n_traj": "3"}),
         ([], {"n_traj": True}),
         ([], {"horizon": "2.5"}),
+        ([_side_event(count=1.5)], {}),
+        ([_side_event(count=1.0)], {}),
+        ([_side_event(count=True)], {}),
+        ([_side_event(count="1")], {}),
+        ([_side_event(count=-1)], {}),
+        ([_side_event(horizon="1")], {}),
+        ([_side_event(horizon=float("inf"))], {}),
+        ([_side_event(window=(True, 0.8))], {}),
+        ([_side_event(window=(0.1, "0.8"))], {}),
     ],
     ids=["event-not-object", "channels-list", "window-one-end", "window-wrong-channel",
          "null-n-traj", "infinite-horizon", "nan-horizon", "nan-z", "nan-kappa-f",
          "negative-seed", "seed-beyond-u64", "float-n-traj", "string-n-traj",
-         "bool-n-traj", "string-horizon"],
+         "bool-n-traj", "string-horizon", "float-count", "integral-float-count",
+         "bool-count", "string-count", "negative-count", "string-event-horizon",
+         "infinite-event-horizon", "bool-window-end", "string-window-end"],
 )
 def test_malformed_input_exits_one_with_message(tmp_path, capsys, events, config):
     cfg = _config(tmp_path, **config)

@@ -50,6 +50,11 @@ def test_event_json_roundtrip():
     )
     back = event_from_json(event_to_json(ev))
     assert back == ev
+    # JSON integers are numbers, so integral times parse too
+    payload = json.loads(event_to_json(ev))
+    payload["horizon"], payload["channels"]["forward"]["windows"][0]["window"] = 1, [0, 1]
+    back = event_from_json(json.dumps(payload))
+    assert back.forward == exact_count(0.0, 1.0, 2, ev.forward.outside)
 
 
 def test_event_json_window_channel_must_match_its_listing():
@@ -60,6 +65,28 @@ def test_event_json_window_channel_must_match_its_listing():
     assert event_from_json(json.dumps(payload)) == ev
     rec["channel"] = "side"
     with pytest.raises(ValueError, match="under 'forward' has channel 'side'"):
+        event_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("count", 1.5), ("count", 1.0), ("count", True), ("count", "1"), ("count", -1),
+     ("horizon", "1"), ("horizon", float("inf")), ("horizon", float("nan")), ("horizon", False),
+     ("window", True), ("window", "0.8"), ("window", float("-inf")), ("window", None)],
+)
+def test_event_json_numbers_are_strict(key, value):
+    # no coercion: a count is a JSON integer, a horizon or window end a
+    # finite JSON number, and the message names the key
+    ev = Event(forward=zero_photons(), side=exact_count(0.25, 0.75, 1), horizon=1.0)
+    payload = json.loads(event_to_json(ev))
+    rec = payload["channels"]["side"]["windows"][0]
+    if key == "horizon":
+        payload["horizon"] = value
+    elif key == "count":
+        rec["count"] = value
+    else:
+        rec["window"][0] = value
+    with pytest.raises(ValueError, match=f"event key '{key}' must be"):
         event_from_json(json.dumps(payload))
 
 

@@ -281,7 +281,8 @@ def test_amplitude_matches_the_factorised_semigroup_form():
     for _ in range(4):
         m = random_model(rng)
         t = rng.uniform(0.5, 3.0)
-        for n_f, n_s in ((0, 0), (1, 0), (0, 1), (3, 2), (6, 0), (0, 6), (6, 6)):
+        # (20, 0) and (24, 4) hold 2^20 and 2^24 kept-emission subsets
+        for n_f, n_s in ((0, 0), (1, 0), (0, 1), (3, 2), (6, 0), (0, 6), (6, 6), (20, 0), (24, 4)):
             omega_f, omega_s = rng.uniform(0.0, t, n_f), rng.uniform(0.0, t, n_s)
             exact = emission_amplitude(m, t, omega_f, omega_s)
             amp = driven_amplitude(m, t, omega_f, omega_s)
@@ -401,9 +402,16 @@ def _sector_parts(m, e, n_max, quad_order):
 
 
 def _summed(m, e, parts):
-    """The oracle's map from sector integrals, summed in the oracle's order."""
+    """The oracle's map from sector integrals, summed in the oracle's order.
+
+    That order is by group, the sectors with equal photons per segment, in
+    the order the walk first meets each group, and by the walk inside one.
+    """
+    groups = {}
+    for words, part in parts:
+        groups.setdefault(tuple(map(len, words)), []).append(part)
     total = np.zeros((4, 4), dtype=complex)
-    for _, part in parts:
+    for part in itertools.chain.from_iterable(groups.values()):
         total += part
     return total * np.exp(-float(e.horizon) * abs(m.z) ** 2)
 

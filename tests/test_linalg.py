@@ -164,6 +164,11 @@ def test_ad_map_preserves_hermiticity_and_is_cp(seed):
     C = choi_matrix(ad_map(M))
     assert np.linalg.eigvalsh((C + C.conj().T) / 2).min() >= -1e-12
     assert is_completely_positive(ad_map(M), tol=1e-12)
+    # on a map that is not CP, the Choi matrix is still exactly its defining sum
+    S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    assert not is_completely_positive(S)
+    defining = sum(np.kron(E, apply_superop(S, E)) for E in map(devec, np.eye(4)))
+    assert np.array_equal(choi_matrix(S), defining)
 
 
 def test_frobenius_dist_examples():
