@@ -7,17 +7,20 @@ whose destination is a config key (``--n`` is ``n_traj``, ``--seed`` is
 finished config.  A file's directory is made when the file is written.  All
 numeric output uses 17 significant digits, CSV for arrays and JSON for
 reports, and every file carries a tool-version/config-hash stamp, so
-identical config + seed reproduce byte-identical files.  ``--threads`` is
-kept for scripts and has no effect (the sampler runs one vectorised batch);
-a config file's ``threads`` key is rejected as unknown.  Exit codes: 0
-success, 1 validation or usage error, 2 failed verification.
+identical config + seed reproduce byte-identical files; one writer writes
+every CSV from columns, a block of rows at a time.  ``--threads`` is kept for
+scripts and has no effect (the sampler runs one vectorised batch); a config
+file's ``threads`` key is rejected as unknown.  Exit codes: 0 success, 1
+validation or usage error, 2 failed verification.
 
 ``trajectories.csv`` holds one ``trajectory_index,jump_index,time,channel``
-row per click.  ``renewal-stats`` reads it by these rules and exits 1 on any
-other file: ``#`` lines are comments; a ``# n_traj=N`` line (N counts every
-trajectory, click-free ones too) and the header, if any, come before the
-first row; rows come in any order, each an index in [0, N), a jump index, a
-finite time and a channel, side or forward; forward rows are then ignored.
+row per click, from the sampler's click table, which also gives
+``summary.json`` its counts and terminal populations.  ``renewal-stats``
+reads the CSV by these rules and exits 1 on any other file: ``#`` lines are
+comments; a ``# n_traj=N`` line (N counts every trajectory, click-free ones
+too) and the header, if any, come before the first row; rows come in any
+order, each an index in [0, N), a jump index, a finite time and a channel,
+side or forward; forward rows are then ignored.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = ["main", "run"]
 _TRAJ_HEADER = "trajectory_index,jump_index,time,channel"
 _TRAJ_ROW = np.dtype([("index", "i8"), ("jump", "i8"), ("time", "f8"), ("side", "?")])
 _IS_SIDE = {SIDE: True, FORWARD: False}
+_BLOCK = 256  # rows per formatted block of a CSV file
 
 
 class _UsageError(Exception):
@@ -100,17 +104,22 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _write_csv(path: Path, header: list[str], fmt: str, rows, cfg: RunConfig, comments=()):
-    """Write the stamp, comment lines, header, and each row as ``fmt % row``."""
-    lines = [f"# {TOOL_VERSION} config={config_hash(cfg)}", *(f"# {c}" for c in comments)]
-    lines.append(",".join(header))
-    lines += [fmt % tuple(row) for row in rows]
+def _write_csv(path: Path, header: list[str], fmt: str, columns, cfg: RunConfig, comments=()):
+    """Write the stamp, comment lines, header, and row i as ``fmt % (c[i] for c in columns)``.
+
+    Rows are formatted ``_BLOCK`` at a time, by one ``%`` per block.
+    """
+    head = [f"{TOOL_VERSION} config={config_hash(cfg)}", *comments]
+    k, n = len(columns), len(columns[0])
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _float_format(header: list[str]) -> str:
-    return ",".join(["%.17g"] * len(header))
+    with open(path, "w") as fh:
+        fh.write("".join(f"# {c}\n" for c in head) + ",".join(header) + "\n")
+        for a in range(0, n, _BLOCK):
+            rows = min(_BLOCK, n - a)
+            flat = [None] * (k * rows)
+            for j, col in enumerate(columns):
+                flat[j::k] = col[a:a + rows].tolist()
+            fh.write((fmt + "\n") * rows % tuple(flat))
 
 
 def _write_json(path: Path, payload: dict, cfg: RunConfig):
@@ -138,12 +147,12 @@ def _cmd_evolve(cfg: RunConfig, args) -> int:
     def re_im(stack):
         return np.stack([stack.real, stack.imag], axis=-1).reshape(n, 8)
 
-    rows = np.column_stack([grid, re_im(rho_t), re_im(TP), pop]).tolist()
+    columns = np.column_stack([grid, re_im(rho_t), re_im(TP), pop]).T
     header = ["t"]
     header += [f"rho_{i}{j}_{p}" for i in (1, 2) for j in (1, 2) for p in ("re", "im")]
     header += [f"heis_proj_{i}{j}_{p}" for i in (1, 2) for j in (1, 2) for p in ("re", "im")]
     header += ["excited_population"]
-    _write_csv(args.out / "evolve.csv", header, _float_format(header), rows, cfg)
+    _write_csv(args.out / "evolve.csv", header, ",".join(["%.17g"] * len(header)), columns, cfg)
     return 0
 
 
@@ -171,27 +180,22 @@ def _cmd_event_prob(cfg: RunConfig, args) -> int:
 def _cmd_trajectories(cfg: RunConfig, args) -> int:
     n = cfg.n_traj
     trajs = sample_batch(cfg.model(), cfg.rho0(), cfg.horizon, cfg.master_seed, n, mode=cfg.mode)
-    _write_csv(
-        args.out / "trajectories.csv",
-        _TRAJ_HEADER.split(","),
-        "%d,%d,%.17g,%s",
-        ((tr.index, k, float(t), c) for tr in trajs for k, (t, c) in enumerate(tr.records)),
-        cfg,
-        comments=[f"n_traj={n}"],
-    )
-    counts = np.array([len(t.records) for t in trajs], dtype=int)
-    hist = np.bincount(counts)
-    terminal_pop = [float(np.real(t.terminal_state[0, 0])) for t in trajs]
+    _write_csv(args.out / "trajectories.csv", _TRAJ_HEADER.split(","), "%d,%d,%.17g,%s",
+               [trajs.index, trajs.jump, trajs.time, trajs.channel], cfg,
+               comments=[f"n_traj={n}"])
+    counts = np.diff(trajs.offsets)
+    # one contiguous array, summed in the order the per-trajectory list was
+    terminal_pop = np.ascontiguousarray(trajs.terminal[:, 0, 0].real)
     _write_json(
         args.out / "summary.json",
         {
             "n_traj": n,
             "mode": cfg.mode,
-            "counts_histogram": {str(k): int(v) for k, v in enumerate(hist)},
-            "mean_clicks": format_float(float(counts.mean()) if len(counts) else 0.0),
+            "counts_histogram": {str(k): int(v) for k, v in enumerate(np.bincount(counts))},
+            "mean_clicks": format_float(counts.mean() if n else 0.0),
             "terminal_excited_population": {
-                "mean": format_float(float(np.mean(terminal_pop)) if terminal_pop else 0.0),
-                "max": format_float(float(np.max(terminal_pop)) if terminal_pop else 0.0),
+                "mean": format_float(terminal_pop.mean() if n else 0.0),
+                "max": format_float(terminal_pop.max() if n else 0.0),
             },
         },
         cfg,
@@ -206,9 +210,9 @@ def _write_waiting(path: Path, cfg: RunConfig):
     dens = waiting_densities(m, rho0, grid)
     f_later = theoretical_cdf(m, rho0, "later", grid)
     f_first = theoretical_cdf(m, rho0, "first", grid)
-    rows = np.column_stack([grid, dens.z, dens.z_first, dens.z_last, f_later, f_first])
+    columns = [grid, dens.z, dens.z_first, dens.z_last, f_later, f_first]
     header = ["x", "z", "z_first", "z_last", "F_later", "F_first"]
-    _write_csv(path, header, _float_format(header), rows.tolist(), cfg)
+    _write_csv(path, header, ",".join(["%.17g"] * len(header)), columns, cfg)
 
 
 def _cmd_waiting_time(cfg: RunConfig, args) -> int:
@@ -220,7 +224,7 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
     """Sorted side-click times per trajectory, read by the module docstring's rules.
 
     One streamed ``np.loadtxt`` call reads every row into a flat table; its
-    side rows, sorted by (index, time), are split at each trajectory's end.
+    side rows, sorted by (index, time), are sliced at each trajectory's end.
     """
     n = None
     with open(path) as fh:
@@ -241,8 +245,8 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
         raise ValueError(f"{path} has a trajectory index outside [0, {n}) or a non-finite time")
     side = rows[rows["side"]]
     times = side["time"][np.lexsort((side["time"], side["index"]))]
-    # n + 1 pieces, the last one empty
-    return np.split(times, np.cumsum(np.bincount(side["index"], minlength=n)))[:-1]
+    ends = np.cumsum(np.bincount(side["index"], minlength=n)).tolist()
+    return [times[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _cmd_renewal_stats(cfg: RunConfig, args) -> int:

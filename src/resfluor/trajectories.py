@@ -44,6 +44,9 @@ computed for all rows at once by a numpy Philox4x64-10, bit for bit, so each
 trajectory is a pure function of its seed pair, independent of the batch it
 runs in.
 
+A batch's clicks stay in one table of arrays, a :class:`Batch`; its
+:class:`Trajectory` views build their (time, channel) records only when read.
+
 Uniform-draw discipline (fixed so streams are portable): one uniform per
 waiting-time attempt, and in two-channel mode one further uniform per
 realized click for the channel choice.
@@ -52,6 +55,7 @@ realized click for the channel choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,6 +66,7 @@ from .semigroup import Component, SemigroupCache
 __all__ = [
     "SeedSpec",
     "Trajectory",
+    "Batch",
     "survival",
     "sample_waiting_time",
     "apply_side_jump",
@@ -101,19 +106,46 @@ class SeedSpec:
             raise ValueError("trajectory_index must be >= 0")
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Ordered click records plus the conditional state at the horizon."""
+    """A view over one trajectory's rows of a :class:`Batch`; ``records`` are built when read."""
 
-    records: tuple[tuple[float, str], ...]
-    horizon: float
-    terminal_state: np.ndarray
-    index: int = 0
+    __slots__ = ("table", "row")
+
+    def __init__(self, table, row: int):
+        self.table, self.row = table, row
+
+    index = property(lambda self: self.table.first_index + self.row)
+    horizon = property(lambda self: self.table.horizon)
+    terminal_state = property(lambda self: self.table.terminal[self.row])
+
+    @property
+    def records(self) -> tuple[tuple[float, str], ...]:
+        t = self.table
+        a, b = t.offsets[self.row:self.row + 2].tolist()
+        return tuple(zip(t.time[a:b].tolist(), t.channel[a:b].tolist()))
 
     def times(self, channel: str | None = None) -> np.ndarray:
-        return np.array(
-            [t for t, c in self.records if channel is None or c == channel]
-        )
+        return np.array([t for t, c in self.records if channel is None or c == channel])
+
+
+class Batch(list):
+    """A batch's :class:`Trajectory` views, over its click table and terminal states.
+
+    One table entry per click, sorted by (trajectory, time): ``index``,
+    ``jump`` (rank in its trajectory), ``time`` and ``channel`` (its name).
+    Row k owns entries ``offsets[k]:offsets[k + 1]`` and the state
+    ``terminal[k]`` at the horizon.
+    """
+
+    def __init__(self, owner, time, channel, terminal, horizon: float, first_index: int):
+        B = len(terminal)
+        self.offsets = np.searchsorted(owner, np.arange(B + 1))
+        self.index, self.time, self.channel = first_index + owner, time, channel
+        self.jump = np.arange(len(owner)) - self.offsets[owner]
+        self.terminal = terminal
+        self.horizon, self.first_index = float(horizon), first_index
+        table = SimpleNamespace(**vars(self))  # views of self would make a reference cycle
+        super().__init__([Trajectory(table, k) for k in range(B)])
 
 
 def waiting_time_cap(m: Model) -> float:
@@ -141,7 +173,7 @@ class _ModeOps:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.sg = SemigroupCache(gen)
-        self.channels = np.array(channels)
+        self.channels = np.array(channels, dtype=object)
         self.jumps = np.stack(jumps)
         self.rate_ops = np.stack([C.conj().T @ C for C in jumps])
 
@@ -308,7 +340,7 @@ def sample_batch(
     n_traj: int,
     mode: str = "side-only",
     first_index: int = 0,
-) -> list[Trajectory]:
+) -> Batch:
     """Sample ``n_traj`` trajectories with indices first_index..first_index+n-1.
 
     All trajectories advance in lockstep rounds (one waiting-time inversion
@@ -316,6 +348,8 @@ def sample_batch(
     so the result is identical to sampling them one at a time.  ``rho0`` may
     also be a stack of n_traj initial states (one per trajectory), which is
     how a batch resumes from previously computed conditional states.
+    The result, a :class:`Batch`, is the list of :class:`Trajectory` views
+    plus the click table they read; a view builds ``records`` when read.
     """
     if not 0.0 <= horizon < np.inf:
         raise ValueError("horizon must be finite and >= 0")
@@ -333,21 +367,10 @@ def sample_batch(
     # terminal conditional states: click-free stretch to the horizon
     finals = ops.evolve(states, np.maximum(horizon - clock, 0.0))
 
-    # clicks grouped by trajectory in round order, which is time order; each
-    # record holds one of the mode's channel strings, not a copy of it
+    # clicks grouped by trajectory in round order, which is time order
     order = np.argsort(owner, kind="stable")
-    names = np.array(ops.channels.tolist(), dtype=object)
-    clicks = list(zip(times[order].tolist(), names[picks[order]].tolist()))
-    ends = np.cumsum(np.bincount(owner, minlength=B)).tolist()
-    return [
-        Trajectory(
-            records=tuple(clicks[a:b]),
-            horizon=float(horizon),
-            terminal_state=finals[k],
-            index=first_index + k,
-        )
-        for k, (a, b) in enumerate(zip([0] + ends, ends))
-    ]
+    return Batch(owner[order], times[order], ops.channels[picks[order]], finals, horizon,
+                 first_index)
 
 
 def _side_only_rounds(ops, rho0, horizon, cap, tape):

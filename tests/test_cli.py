@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -11,11 +12,12 @@ import pytest
 import resfluor
 import resfluor.cli
 from resfluor.cli import read_trajectory_csv, run
-from resfluor.config import RunConfig, config_hash, format_float
+from resfluor.config import TOOL_VERSION, RunConfig, config_hash, format_float
 from resfluor.model import master_map
 from resfluor.events import Event, event_to_json, exact_count, free_channel
 from resfluor.trajectories import sample_batch
 
+_BLOCK = resfluor.cli._BLOCK
 SMALL = {"grid_stop": 2.0, "grid_num": 11, "n_traj": 40, "horizon": 5.0}
 
 
@@ -248,6 +250,93 @@ def test_trajectories_at_exceptional_drive(tmp_path):
     cfg = _config(tmp_path, z=Z_STAR, n_traj=20)
     traj = _trajectories(cfg, tmp_path / "traj")
     assert traj.read_text().count(",side") > 0
+
+
+# sha256 of each file written by the row-by-row writer, before the block
+# writer, on PINNED: 312 side-only rows, 1,436 two-channel rows, and 601
+# evolve and waiting rows, each more than one block
+PINNED = {"horizon": 10.0, "n_traj": 150, "grid_num": 601}
+PINNED_DIGESTS = {
+    "evolve/evolve.csv": "542e4a98220db39b6b799a49b2245d1222e5069816b665485a68353e21583481",
+    "side-only/summary.json": "4165fb55ffcf350d5d24dd3ac0ea90b66bc0ee554661643330d3aae0170c30d5",
+    "side-only/trajectories.csv":
+        "620900acd2d82fd4d1b7c79666587b4189678be32c8c51a5a3044cdb67d30a51",
+    "two-channel/summary.json":
+        "2c760becc8860d24a3010d2aca49a0ff01894c2102e76e15c464b38b34e0d574",
+    "two-channel/trajectories.csv":
+        "fdd4a6252decb3c2b320de890ad9f642e27f200bc712155526ff44045f0f5685",
+    "waiting/waiting.csv": "de3a07ae94707cfb67b7d75467f7e876bcf26f4752b8cd0d321e0f7642ea9a3b",
+}
+
+
+def test_output_files_keep_their_bytes(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(PINNED))
+    for mode in ("side-only", "two-channel"):
+        _trajectories(cfg, tmp_path / mode, "--mode", mode)
+    for sub in ("evolve", "waiting-time"):
+        assert run([sub, "--config", str(cfg), "--out", str(tmp_path / sub.split("-")[0])]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED_DIGESTS}
+    assert got == PINNED_DIGESTS
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_block_writer_matches_the_row_by_row_text(tmp_path, n):
+    rng = np.random.default_rng(n)
+    columns = [np.arange(n), rng.integers(0, 9, n), rng.exponential(size=n),
+               np.array(["side", "forward"], dtype=object)[rng.integers(0, 2, n)]]
+    fmt, cfg = "%d,%d,%.17g,%s", RunConfig()
+    path = tmp_path / "out" / "table.csv"
+    resfluor.cli._write_csv(path, ["a", "b", "t", "c"], fmt, columns, cfg, comments=["note"])
+    rows = [fmt % row for row in zip(*(c.tolist() for c in columns))]
+    head = [f"# {TOOL_VERSION} config={config_hash(cfg)}", "# note", "a,b,t,c"]
+    assert path.read_text() == "\n".join(head + rows) + "\n"
+
+
+def test_trajectory_views_read_the_click_table_and_the_file(tmp_path):
+    cfg = _config(tmp_path, mode="two-channel")
+    rows = _trajectories(cfg, tmp_path / "traj").read_text().splitlines()[3:]
+    rc = RunConfig.from_json(cfg.read_text())
+    batch = sample_batch(rc.model(), rc.rho0(), rc.horizon, rc.master_seed, rc.n_traj,
+                         mode="two-channel")
+    names = batch.channel.tolist()
+    assert {"side", "forward"} <= set(names) and len(rows) == len(names)
+    for k, tr in enumerate(batch):
+        a, b = batch.offsets[k], batch.offsets[k + 1]
+        assert (batch.index[a:b] == k).all() and (batch.jump[a:b] == np.arange(b - a)).all()
+        assert tr.records == tuple(zip(batch.time[a:b].tolist(), names[a:b]))
+        assert tr.times().tobytes() == batch.time[a:b].tobytes()
+        for c in ("side", "forward"):
+            assert tr.times(c).tolist() == [t for t, n in tr.records if n == c]
+        assert rows[a:b] == [f"{k},{j},{'%.17g' % t},{c}" for j, (t, c) in enumerate(tr.records)]
+        assert tr.horizon == rc.horizon and tr.index == k
+
+
+def test_zero_trajectories_give_an_empty_table_and_the_zero_summary(tmp_path):
+    m = RunConfig().model()
+    batch = sample_batch(m, RunConfig().rho0(), 5.0, 1, 0)
+    assert len(batch) == 0 and batch.offsets.tolist() == [0] and batch.terminal.shape == (0, 2, 2)
+    assert all(len(c) == 0 for c in (batch.index, batch.jump, batch.time, batch.channel))
+    out = tmp_path / "traj"
+    _trajectories(_config(tmp_path, n_traj=0), out)
+    assert out.joinpath("trajectories.csv").read_text().splitlines()[1:] == [
+        "# n_traj=0", "trajectory_index,jump_index,time,channel"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["counts_histogram"] == {} and summary["mean_clicks"] == "0"
+    assert summary["terminal_excited_population"] == {"mean": "0", "max": "0"}
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_verify_passes_at_the_smallest_caps(tmp_path, n_max):
+    assert run(["verify", "--config", str(_config(tmp_path, n_max=n_max))]) == 0
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_verify_rejects_a_cap_below_two_naming_n_max(tmp_path, capsys, n_max):
+    assert run(["verify", "--config", str(_config(tmp_path, n_max=n_max))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'n_max'" in err and "Traceback" not in err
 
 
 def test_trajectories_identical_across_thread_counts(tmp_path):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -577,3 +580,19 @@ def test_side_click_at_or_below_the_rate_threshold_raises(sym_model, monkeypatch
         sample_batch(sym_model, ground_state(), 10.0, 1, 20)
     monkeypatch.setattr(trajectories, "_JUMP_RATE_TOL", 1e-14)
     assert sum(len(t.records) for t in sample_batch(sym_model, ground_state(), 10.0, 1, 20)) > 0
+
+
+def test_a_batch_is_freed_without_the_cycle_collector(sym_model):
+    # views that referred to their batch would form a cycle, and an
+    # in-process caller's batches would pile up until a collection
+    batch = sample_batch(sym_model, ground_state(), 10.0, 5, 50)
+    tr = batch[3]
+    ref = weakref.ref(batch)
+    gc.disable()
+    try:
+        del batch
+        assert ref() is None
+    finally:
+        gc.enable()
+    # a view outlives its batch and still reads the table
+    assert len(tr.records) == len(tr.times()) and tr.index == 3

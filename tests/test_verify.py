@@ -33,7 +33,8 @@ _CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(_CONFIGS))
 def test_one_side_photon_cross_passes_at_the_config_cap(name):
-    # the battery's one-side-photon-cross row, with the oracle at cfg.n_max
+    # the oracle at cfg.n_max against the all-orders map: at cap 6 the
+    # truncation alone sits below the one-side-photon-cross row's tolerance
     cfg = _CONFIGS[name]
     m, t = cfg.model(), 0.075
     ev = Event(forward=free_channel(), side=exact_count(0.0, t, 1), horizon=t)
@@ -41,6 +42,20 @@ def test_one_side_photon_cross_passes_at_the_config_cap(name):
     dav = davies_map(m, ev, n_max=cfg.n_max)
     assert cfg.n_max == 6
     assert frobenius_dist(dav.matrix, ora.matrix) <= 1e-7
+
+
+@pytest.mark.parametrize("cap", [2, 3, 6])
+def test_one_side_photon_cross_compares_like_with_like_at_every_cap(cap):
+    # the battery's row compares the oracle with the Dyson route at the same
+    # cap (measured 7.0e-18, 1.1e-18 and 7.1e-18); against the all-orders map
+    # the cap-2 truncation alone (9.2e-5) would fail the row's 1e-7
+    m, t = RunConfig().model(), 0.075
+    ev = Event(forward=free_channel(), side=exact_count(0.0, t, 1), horizon=t)
+    ora = oracle_davies_map(m, ev, n_max=cap, quad_order=24).matrix
+    dyson = davies_map(m, ev, n_max=cap, expansion="dyson").matrix
+    assert frobenius_dist(dyson, ora) <= 1e-15
+    if cap == 2:
+        assert frobenius_dist(davies_map(m, ev, n_max=cap).matrix, ora) > 1e-7
 
 
 @pytest.mark.parametrize("channel", ["forward", "side"])
