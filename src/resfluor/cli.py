@@ -235,8 +235,8 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
                 break
         else:
             line = ""  # no rows, on which np.loadtxt would warn
-        if n is None:
-            raise ValueError(f"{path} has no '# n_traj=N' line before its rows")
+        if n is None or n < 0:
+            raise ValueError(f"{path} has no '# n_traj=N' line with N >= 0 before its rows")
         rows = np.zeros(0, _TRAJ_ROW)
         if line:
             rows = np.loadtxt(itertools.chain([line], fh), dtype=_TRAJ_ROW, delimiter=",",

@@ -14,15 +14,15 @@ on the diagonal blocks and J_c on the blocks that raise channel c's count,
 and the (0, n) block of exp(t A) is the map for exactly n counts, evaluated
 by :func:`resfluor.linalg.superop_exp`.
 
-The horizon is cut into segments at all window edges.  Within a segment a
-channel is pinned (inside one of its windows: its jumps raise its count,
-capped at the window's count), silent (outside its windows, exactly zero
-outside: no jumps), or free (outside its windows, unconstrained).  At each
-window end the block row is projected onto the window's count and that
-channel's count restarts at 0.  All of an event's segment generators share
-one lattice, so :func:`davies_map` exponentiates them in one stacked
-``superop_exp`` call per event and then applies the products and restarts in
-segment order.
+:meth:`Event.segments`, the one place an event is cut, cuts the horizon into
+segments at all window edges.  Within a segment a channel is pinned (inside
+one of its windows: its jumps raise its count, capped at the window's count),
+silent (outside its windows, exactly zero outside: no jumps), or free
+(outside its windows, unconstrained).  At each window end the block row is
+projected onto the window's count and that channel's count restarts at 0.
+All of an event's segment generators share one lattice, so
+:func:`davies_map` exponentiates them in one stacked ``superop_exp`` call per
+event and then applies the products and restarts in segment order.
 
 ``expansion="resum"`` (the default) puts a free channel's jumps on the
 diagonal, which sums them to all orders.  ``expansion="dyson"`` lets them
@@ -59,24 +59,6 @@ class DaviesResult:
 
     def __call__(self, A) -> np.ndarray:
         return apply_superop(self.matrix, A)
-
-
-def _segments(e: Event) -> list[tuple[float, float, int | None, int | None]]:
-    """(start, end, forward window, side window) per segment; None outside windows."""
-    cuts = {0.0, float(e.horizon)}
-    for ch in (e.forward, e.side):
-        for w in ch.windows:
-            cuts.update((float(w.a), float(w.b)))
-    cuts = sorted(cuts)
-    out = []
-    for a, b in zip(cuts, cuts[1:]):
-        mid = 0.5 * (a + b)
-        owners = [
-            next((i for i, w in enumerate(ch.windows) if w.a <= mid < w.b), None)
-            for ch in (e.forward, e.side)
-        ]
-        out.append((a, b, *owners))
-    return out
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -145,18 +127,18 @@ def davies_map(
     eye = np.eye(math.prod(shape))
     base = _kron(eye, no_jump_generator(m))
 
-    segments = _segments(e)
+    segments = e.segments()
     gens = np.repeat(base[None], len(segments), axis=0)
-    for A, (_, _, *owners) in zip(gens, segments):
+    for A, (_, _, owners) in zip(gens, segments):
         for axis, (ch, owner, J) in enumerate(zip(channels, owners, jumps)):
             if owner is not None:
                 A += _kron(_raise(shape, axis, ch.windows[owner].count), J)
             elif ch.free:
                 A += _kron(eye if expansion == "resum" else _raise(shape, 2, extra), J)
-    exps = superop_exp(gens, [b - a for a, b, *_ in segments])
+    exps = superop_exp(gens, [b - a for a, b, _ in segments])
 
     row = _kron(np.eye(1, len(eye)), np.eye(4, dtype=complex))
-    for E, (a, b, *owners) in zip(exps, segments):
+    for E, (_, b, owners) in zip(exps, segments):
         row = row @ E
         for axis, (ch, owner) in enumerate(zip(channels, owners)):
             if owner is not None and b == ch.windows[owner].b:

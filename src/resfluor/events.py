@@ -87,8 +87,8 @@ class Event:
     horizon: float
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise ValueError("event horizon must be >= 0")
+        if not 0 <= self.horizon < math.inf:
+            raise ValueError(f"event horizon must be finite and >= 0, got {self.horizon}")
         for name in ("forward", "side"):
             ch: ChannelEvent = getattr(self, name)
             for w in ch.windows:
@@ -100,6 +100,24 @@ class Event:
     @property
     def total_count(self) -> int:
         return self.forward.total_count + self.side.total_count
+
+    def segments(self) -> list[tuple[float, float, tuple[int | None, int | None]]]:
+        """The horizon cut at every window edge, as (a, b, owners) in time order.
+
+        ``owners`` holds, for the forward and then the side channel, the index
+        of the window holding the segment's midpoint, or None.  A zero horizon
+        gives no segments unless a window overhangs it.  This is the one place
+        an event is cut.
+        """
+        channels = (self.forward, self.side)
+        cuts = sorted({0.0, float(self.horizon)}.union(
+            float(x) for ch in channels for w in ch.windows for x in (w.a, w.b)))
+
+        def owner(ch: ChannelEvent, mid: float) -> int | None:
+            return next((i for i, w in enumerate(ch.windows) if w.a <= mid < w.b), None)
+
+        return [(a, b, tuple(owner(ch, 0.5 * (a + b)) for ch in channels))
+                for a, b in zip(cuts, cuts[1:])]
 
 
 def zero_photons() -> ChannelEvent:

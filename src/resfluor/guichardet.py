@@ -27,16 +27,16 @@ last kept emission, in O(n^2) vector steps for n emissions.
 The oracle counting map then integrates amp^dag A amp over the event's
 photon configurations sector by sector (explicitly truncated at the total
 photon cap, with Gauss-Legendre rules on the ordered time simplices) and
-multiplies by the coherent normalization e^{-t|z|^2}.  The event is cut into
-segments, and one generator yields each sector as a tuple of per-segment
-channel words, the photons of a segment in time order.  At z = 0 (exactly)
-a sector with two or more photons is exactly zero: each interior gap needs
-an absorption letter, and each absorption carries a factor z, so those
-sectors are counted, not integrated.  The sectors that put the same number
-of photons in each segment form a group that shares one tensor grid, with
-the gap factors computed on it, built once per call from simplex rules also
-built once per call, and each sector's integral is added to the total.
-None of this shares code paths with the analytic semigroup/jump
+multiplies by the coherent normalization e^{-t|z|^2}.  :meth:`Event.segments`,
+the one place an event is cut, gives its segments and the window owning each,
+and one generator yields each sector as a tuple of per-segment channel words,
+the photons of a segment in time order.  At z = 0 (exactly) a sector with two
+or more photons is exactly zero: each interior gap needs an absorption
+letter, and each absorption carries a factor z, so those sectors are counted,
+not integrated.  The sectors that put the same number of photons in each
+segment form a group that shares one tensor grid, with the gap factors
+computed on it, built once per call from simplex rules also built once per
+call, and each sector's integral is added to the total.  None of this shares code paths with the analytic semigroup/jump
 construction -- from :mod:`resfluor.model` it takes only the ``Model``
 container -- so agreement between the two pipelines, which
 :mod:`resfluor.verify` compares, checks the formulas, not the integrator.
@@ -247,16 +247,6 @@ def _coherent_tail(lam: float, n_cap: int) -> float:
     return float(max(0.0, 1.0 - cdf))
 
 
-def _segment_edges(e: Event) -> list[tuple[float, float]]:
-    edges = {0.0, float(e.horizon)}
-    for ch in (e.forward, e.side):
-        for w in ch.windows:
-            edges.add(float(w.a))
-            edges.add(float(w.b))
-    cuts = sorted(edges)
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1e-15]
-
-
 def _sectors(e: Event, segments, n_max: int):
     """Every photon sector the event admits, as a tuple of per-segment words.
 
@@ -265,17 +255,13 @@ def _sectors(e: Event, segments, n_max: int):
     count, and admits a word when a channel has letters outside its windows
     only if it is free, every window's letters over its segments sum to its
     count (so a window's last segment takes what is left of it), and all
-    words together hold at most ``n_max`` letters.  A segment belongs to the
-    window holding its midpoint.  Counts are keyed by (channel, window
-    index), not by the window: a forward and a side window with equal
-    bounds and count compare equal.
+    words together hold at most ``n_max`` letters.  ``segments`` is
+    ``e.segments()``, whose owner indices name each segment's windows.
+    Counts are keyed by (channel, window index), not by the window: a
+    forward and a side window with equal bounds and count compare equal.
     """
     channels = (e.forward, e.side)
-    owners = [
-        [next(((c, i) for i, w in enumerate(ch.windows) if w.a <= 0.5 * (a + b) < w.b), None)
-         for c, ch in enumerate(channels)]
-        for a, b in segments
-    ]
+    owners = [[None if i is None else (c, i) for c, i in enumerate(own)] for *_, own in segments]
     last = {key: k for k, own in enumerate(owners) for key in own if key}
 
     def walk(k, budget, left):
@@ -321,7 +307,7 @@ def oracle_davies_map(
     if e.total_count > n_max:
         raise ValueError(f"event pins {e.total_count} photons, beyond the oracle cap {n_max}")
     t = float(e.horizon)
-    segments = _segment_edges(e)
+    segments = e.segments()
     groups: dict[tuple[int, ...], list] = {}
     zero_sectors = nodes = 0
     for seg_words in _sectors(e, segments, n_max):
@@ -334,11 +320,11 @@ def oracle_davies_map(
     total = np.zeros((4, 4), dtype=complex)
     for counts, members in groups.items():
         order = _sector_order(quad_order, sum(counts))
-        for (a, b), ndim in zip(segments, counts):
+        for (a, b, _), ndim in zip(segments, counts):
             if ndim and (a, ndim, order) not in rules:
                 x, _, w = simplex_nodes(ndim, b - a, order)
                 rules[a, ndim, order] = (x + a, w)
-        chunks = _tensor_grid([rules[a, n, order] for (a, _), n in zip(segments, counts) if n])
+        chunks = _tensor_grid([rules[a, n, order] for (a, *_), n in zip(segments, counts) if n])
         for seg_words in members:
             labels = tuple(lab for word in seg_words for lab in word)
             part = np.zeros((4, 4), dtype=complex)

@@ -354,6 +354,8 @@ def sample_batch(
     if not 0.0 <= horizon < np.inf:
         raise ValueError("horizon must be finite and >= 0")
     SeedSpec(master_seed, first_index)
+    if isinstance(n_traj, bool) or not isinstance(n_traj, (int, np.integer)) or n_traj < 0:
+        raise ValueError(f"n_traj must be an integer >= 0, got {n_traj!r}")
     B = int(n_traj)
     rho0 = require_density_matrix(rho0)
     if rho0.ndim == 3 and rho0.shape != (B, 2, 2):

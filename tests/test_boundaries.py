@@ -154,6 +154,25 @@ def test_closed_form_amplitude_uses_none_of_the_kernels_products():
     assert kernel & amplitude == {"_checked_times"}, sorted(kernel & amplitude)
 
 
+def test_only_events_cuts_an_event_into_segments():
+    # Event.segments() is the one place an event is cut: no other module
+    # defines a segmentation or reads a window's start, and the lattice map
+    # and the kernel oracle both call it
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "events.py":
+            continue
+        tree = _tree(path)
+        defs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not [name for name in defs if "segment" in name], path.name
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "a"], path.name
+        if any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "segments"
+               for node in ast.walk(tree)):
+            callers.add(path.name)
+    assert {"davies.py", "guichardet.py"} <= callers, callers
+
+
 def test_only_run_loads_the_config_and_no_subcommand_makes_a_directory():
     # run builds the one config every subcommand gets, and a directory is
     # made only by the writer of a file inside it
@@ -224,7 +243,7 @@ def test_benchmark_reads_keep_their_shapes(tmp_path):
     ``test_every_traced_target_resolves`` checks only that the traced names
     exist; this pins what the workloads, checks and tracer counters take
     from the results, so a ``src/`` change that breaks one fails here and not
-    in a benchmark run.  ROADMAP item 7 sheds several of these (``quad_order``
+    in a benchmark run.  ROADMAP item 6 sheds several of these (``quad_order``
     and ``quad_error`` in ``davies``, ``--threads``, the middle of
     ``simplex_nodes``) in one change to ``src/`` and ``benchmark/``; that
     change updates this test with them.

@@ -486,6 +486,16 @@ def test_renewal_stats_rejects_malformed_rows(tmp_path, capsys, transform, messa
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rows", ["", "0,0,0.5,side\n"], ids=["no-rows", "one-row"])
+def test_renewal_stats_rejects_a_negative_trajectory_count(tmp_path, capsys, rows):
+    traj = tmp_path / "negative.csv"
+    traj.write_text("# n_traj=-1\ntrajectory_index,jump_index,time,channel\n" + rows)
+    argv = ["renewal-stats", "--config", str(_config(tmp_path)), "--traj", str(traj)]
+    assert run([*argv, "--out", str(tmp_path / "renewal")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {traj} has no '# n_traj=N' line with N >= 0 before its rows\n")
+
+
 def test_renewal_stats_on_zero_trajectories_exits_one(tmp_path):
     # a file of zero trajectories has no statistic: exit 1 with a message,
     # and no numpy warning on the way (the interpreter runs with -W error)

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from resfluor.events import (
+    OUTSIDE_FREE,
     ChannelEvent,
     Event,
     Window,
@@ -38,8 +40,35 @@ def test_channel_event_sorts_windows():
 def test_event_horizon_containment():
     with pytest.raises(ValueError):
         Event(forward=exact_count(0.0, 2.0, 1), side=zero_photons(), horizon=1.0)
-    with pytest.raises(ValueError):
-        Event(forward=zero_photons(), side=zero_photons(), horizon=-1.0)
+    for horizon in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            Event(forward=zero_photons(), side=zero_photons(), horizon=horizon)
+
+
+def test_segments_cut_the_horizon_at_every_window_edge():
+    # each segment names the window of each channel that holds it, or None;
+    # adjacent windows sharing an edge give one cut there
+    e = Event(ChannelEvent((Window(0.0, 0.5, 0), Window(0.5, 1.0, 1))), free_channel(), 1.0)
+    assert e.segments() == [(0.0, 0.5, (0, None)), (0.5, 1.0, (1, None))]
+    # windows on both channels interleave
+    e = Event(
+        ChannelEvent((Window(0.1, 0.4, 1), Window(0.6, 0.9, 0))),
+        ChannelEvent((Window(0.3, 0.7, 2),), OUTSIDE_FREE),
+        1.0,
+    )
+    assert e.segments() == [
+        (0.0, 0.1, (None, None)), (0.1, 0.3, (0, None)), (0.3, 0.4, (0, 0)),
+        (0.4, 0.6, (None, 0)), (0.6, 0.7, (1, 0)), (0.7, 0.9, (1, None)),
+        (0.9, 1.0, (None, None)),
+    ]
+    # a zero horizon has no segment
+    assert Event(free_channel(), zero_photons(), 0.0).segments() == []
+    # a window may overhang the horizon by 1e-15; it owns the sliver past it
+    b = 0.3 + 2e-16
+    e = Event(free_channel(), exact_count(0.1, b, 1), 0.3)
+    assert b > 0.3 and e.segments() == [
+        (0.0, 0.1, (None, None)), (0.1, 0.3, (None, 0)), (0.3, b, (None, 0)),
+    ]
 
 
 def test_event_json_roundtrip():

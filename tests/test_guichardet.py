@@ -23,7 +23,6 @@ from resfluor.guichardet import (
     _amplitude_batch,
     _sector_order,
     _sectors,
-    _segment_edges,
     driven_amplitude,
     integral_sum_kernel,
     oracle_davies_map,
@@ -377,13 +376,13 @@ def _sector_parts(m, e, n_max, quad_order):
     the oracle's ``_CHUNK`` nodes, each with fresh gap factors.
     """
     t = float(e.horizon)
-    segments = _segment_edges(e)
+    segments = e.segments()
     chunk = resfluor.guichardet._CHUNK
     for words in _sectors(e, segments, n_max):
         labels = tuple(lab for word in words for lab in word)
         order = _sector_order(quad_order, len(labels))
         rules = []
-        for (a, b), word in zip(segments, words):
+        for (a, b, _), word in zip(segments, words):
             if word:
                 x, _, w = simplex_nodes(len(word), b - a, order)
                 rules.append((x + a, w))
@@ -461,7 +460,7 @@ def test_oracle_builds_one_rule_per_segment_ndim_and_order(monkeypatch):
     monkeypatch.setattr(resfluor.guichardet, "simplex_nodes", spy)
     rng = np.random.default_rng(32)
     for e, caps in _SKIP_CASES:
-        segments = _segment_edges(e)
+        segments = e.segments()
         for n_max in caps[:2]:
             m = random_model(rng)
             expected = {
@@ -513,7 +512,7 @@ def test_oracle_builds_each_group_grid_once(monkeypatch):
     for (e, _), expected in zip(_SKIP_CASES[1:], (20, 78)):
         grids.clear()
         oracle_davies_map(m, e, n_max=4, quad_order=6)
-        groups = {tuple(map(len, words)) for words in _sectors(e, _segment_edges(e), 4)}
+        groups = {tuple(map(len, words)) for words in _sectors(e, e.segments(), 4)}
         assert len({id(times) for times in grids}) == len(groups) == expected
 
 
@@ -521,7 +520,7 @@ def _obeys(e, segments, words):
     """The event's rules, checked on one tuple of per-segment words."""
     for label, ch in (("f", e.forward), ("s", e.side)):
         in_window = [0] * len(ch.windows)
-        for (a, b), word in zip(segments, words):
+        for (a, b, _), word in zip(segments, words):
             k = word.count(label)
             owner = [i for i, w in enumerate(ch.windows) if w.a <= a and b <= w.b]
             if owner:
@@ -577,16 +576,29 @@ def test_sectors_equal_a_brute_force_filter():
         e = Event(_random_channel(rng), _random_channel(rng), 1.0)
         cases += [(e, n) for n in range(e.total_count, 4)]
     for e, n_max in cases:
-        segments = _segment_edges(e)
+        segments = e.segments()
         got = Counter(_sectors(e, segments, n_max))
         assert got == _brute_force_sectors(e, segments, n_max), (e, n_max)
     # the equal windows pin one photon each into the middle segment
     e = _SECTOR_CASES[0][0]
-    assert sorted(_sectors(e, _segment_edges(e), 2)) == [((), tuple(w), ()) for w in ("fs", "sf")]
+    assert sorted(_sectors(e, e.segments(), 2)) == [((), tuple(w), ()) for w in ("fs", "sf")]
     # free/free at cap n: every word of at most n letters in one segment
     for n in range(7):
         e = Event(free_channel(), free_channel(), 1.0)
-        assert len(list(_sectors(e, _segment_edges(e), n))) == 2 ** (n + 1) - 1
+        assert len(list(_sectors(e, e.segments(), n))) == 2 ** (n + 1) - 1
+
+
+def test_oracle_agrees_with_dyson_on_a_window_overhanging_the_horizon(sym_model):
+    # both routes read the sliver past the horizon from Event.segments(), so
+    # they agree to roundoff on it, and the oracle integrates its sectors too
+    for forward in (free_channel(), zero_photons()):
+        e = Event(forward, exact_count(0.1, 0.3 + 2e-16, 1, OUTSIDE_FREE), 0.3)
+        assert len(e.segments()) == 3
+        for cap in (3, 4):
+            dyson = davies_map(sym_model, e, n_max=cap, expansion="dyson").matrix
+            oracle = oracle_davies_map(sym_model, e, n_max=cap)
+            assert oracle.diagnostics["sectors"] == len(list(_sectors(e, e.segments(), cap)))
+            assert frobenius_dist(oracle.matrix, dyson) <= _roundoff_tolerance(dyson), cap
 
 
 def test_oracle_capacity_error(sym_model):

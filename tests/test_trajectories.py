@@ -206,6 +206,13 @@ def test_non_finite_horizon_rejected(sym_model):
             sample_batch(sym_model, ground_state(), horizon, 1, 0)
 
 
+@pytest.mark.parametrize("n_traj", [-1, 2.5, 2.0, True, "3"])
+def test_n_traj_must_be_an_integer_at_least_zero(sym_model, n_traj):
+    with pytest.raises(ValueError, match="n_traj"):
+        sample_batch(sym_model, ground_state(), 1.0, 1, n_traj)
+    assert len(sample_batch(sym_model, ground_state(), 1.0, 1, np.int64(2))) == 2
+
+
 def test_out_of_range_seed_rejected(sym_model):
     # a zero-trajectory batch draws nothing, so only the seed check can raise
     for seed in (-1, 2**64):
