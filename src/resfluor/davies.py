@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -108,7 +108,9 @@ def davies_map(
     """Heisenberg-picture counting map for a cylinder event.
 
     One stacked exponential covers every segment of the event; an event
-    with no segments (a zero horizon) gives the identity.  ``n_max`` caps
+    with no segments (a zero horizon) gives the identity.  Each lattice term,
+    a channel's pinned or free jumps, is formed once per call and added to
+    every segment generator that needs it.  ``n_max`` caps
     the total count: an event pinning more photons raises, and the Dyson
     route truncates there.  ``quad_order`` is accepted and ignored; the map
     is computed exactly, so ``quad_error`` is 0.0.
@@ -127,14 +129,21 @@ def davies_map(
     eye = np.eye(math.prod(shape))
     base = _kron(eye, no_jump_generator(m))
 
+    @cache
+    def term(axis: int, cap: int | None) -> np.ndarray:
+        # channel ``axis``'s jumps: pinned below count ``cap``, or free if None
+        if cap is None:
+            return _kron(eye if expansion == "resum" else _raise(shape, 2, extra), jumps[axis])
+        return _kron(_raise(shape, axis, cap), jumps[axis])
+
     segments = e.segments()
     gens = np.repeat(base[None], len(segments), axis=0)
     for A, (_, _, owners) in zip(gens, segments):
-        for axis, (ch, owner, J) in enumerate(zip(channels, owners, jumps)):
+        for axis, (ch, owner) in enumerate(zip(channels, owners)):
             if owner is not None:
-                A += _kron(_raise(shape, axis, ch.windows[owner].count), J)
+                A += term(axis, ch.windows[owner].count)
             elif ch.free:
-                A += _kron(eye if expansion == "resum" else _raise(shape, 2, extra), J)
+                A += term(axis, None)
     exps = superop_exp(gens, [b - a for a, b, _ in segments])
 
     row = _kron(np.eye(1, len(eye)), np.eye(4, dtype=complex))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -50,8 +51,10 @@ class Window:
     def __post_init__(self):
         if not (self.a < self.b):
             raise ValueError(f"window requires a < b, got [{self.a}, {self.b})")
-        if self.count < 0:
-            raise ValueError("window count must be >= 0")
+        count = self.count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise ValueError(f"window count must be an integer >= 0, got {count!r}")
+        object.__setattr__(self, "count", int(count))  # a numpy integer becomes a JSON one
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,8 @@ class Event:
         for name in ("forward", "side"):
             ch: ChannelEvent = getattr(self, name)
             for w in ch.windows:
-                if w.a < 0 or w.b > self.horizon + 1e-15:
+                # a window must start inside the horizon; its end may overhang by 1e-15
+                if w.a < 0 or w.a >= self.horizon or w.b > self.horizon + 1e-15:
                     raise ValueError(
                         f"{name} window [{w.a}, {w.b}) not contained in [0, {self.horizon})"
                     )
@@ -106,8 +110,7 @@ class Event:
 
         ``owners`` holds, for the forward and then the side channel, the index
         of the window holding the segment's midpoint, or None.  A zero horizon
-        gives no segments unless a window overhangs it.  This is the one place
-        an event is cut.
+        gives no segments.  This is the one place an event is cut.
         """
         channels = (self.forward, self.side)
         cuts = sorted({0.0, float(self.horizon)}.union(

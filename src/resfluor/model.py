@@ -14,6 +14,10 @@ time.  This module builds every generator and semigroup used elsewhere:
 * ``no_side_count_map``    -- Z_t = exp(t(L0 + J_f)), forward channel unobserved
 * ``master_generator`` / ``master_map`` -- unconditioned driven evolution
 
+The constant generators L0, J_f and J_s are computed once per ``Model``
+instance, on first use, and returned read-only: every later call, and every
+generator built from them, reuses that array, and sharing it is still safe.
+
 Conventions: basis vector e1 is the excited state, e2 the ground state, and
 superoperators act in the Heisenberg picture (on observables).
 """
@@ -21,6 +25,7 @@ superoperators act in the Heisenberg picture (on observables).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 
 import numpy as np
 
@@ -56,7 +61,9 @@ class Model:
     ``V`` is the lowering operator, ``V_f = kappa_f V`` and ``V_s = kappa_s V``
     the channel decay operators, and ``P = V^dag V`` the excited-state
     projector.  Instances are immutable and safe to share between workers;
-    they compare and hash by their amplitudes alone.
+    they compare and hash by their amplitudes alone.  The generators L0, J_f
+    and J_s are computed once per instance and kept read-only beside these
+    fields, so sharing an instance shares them too.
     """
 
     kappa_f: complex
@@ -100,6 +107,29 @@ def build_model(kappa_f, kappa_s, z) -> Model:
     return Model(kappa_f=complex(kappa_f), kappa_s=complex(kappa_s), z=complex(z))
 
 
+def _once_per_model(build):
+    """Compute ``build(m)`` once per Model instance and return it read-only.
+
+    The array is kept in the instance's ``__dict__``, as
+    ``functools.cached_property`` keeps its value, so it is keyed by the
+    instance and not by model equality: models at z = 0.0 and z = -0.0
+    compare equal, and each still gets the array of its own amplitudes.
+    """
+    key = f"_{build.__name__}"
+
+    @wraps(build)
+    def cached(m: Model) -> np.ndarray:
+        out = m.__dict__.get(key)
+        if out is None:
+            out = build(m)
+            out.setflags(write=False)
+            # first callers racing in threads all get the array stored first
+            out = m.__dict__.setdefault(key, out)
+        return out
+
+    return cached
+
+
 def _left_mul(M: np.ndarray) -> np.ndarray:
     # superoperator of A -> M A under column-stacking
     return np.kron(I2, M)
@@ -125,6 +155,7 @@ def no_jump_matrix_generator(m: Model) -> np.ndarray:
     return -0.5 * (abs(m.z) ** 2 * I2 + m.P + 2.0 * m.z * m.V_f.conj().T)
 
 
+@_once_per_model
 def no_jump_generator(m: Model) -> np.ndarray:
     """Generator L0 of the no-count semigroup: L0(A) = G^dag A + A G."""
     G = no_jump_matrix_generator(m)
@@ -145,6 +176,7 @@ def no_count_map(m: Model, t: float) -> np.ndarray:
     return ad_map(no_jump_operator(m, t))
 
 
+@_once_per_model
 def forward_jump(m: Model) -> np.ndarray:
     """Forward-channel jump J_f(A) = (zI + V_f)^dag A (zI + V_f).
 
@@ -154,6 +186,7 @@ def forward_jump(m: Model) -> np.ndarray:
     return ad_map(m.z * I2 + m.V_f)
 
 
+@_once_per_model
 def side_jump(m: Model) -> np.ndarray:
     """Side-channel jump J_s(A) = V_s^dag A V_s = |kappa_s|^2 A_22 P.
 

@@ -14,7 +14,16 @@ import resfluor.cli
 from resfluor.cli import read_trajectory_csv, run
 from resfluor.config import TOOL_VERSION, RunConfig, config_hash, format_float
 from resfluor.model import master_map
-from resfluor.events import Event, event_to_json, exact_count, free_channel
+from resfluor.events import (
+    OUTSIDE_FREE,
+    ChannelEvent,
+    Event,
+    Window,
+    event_to_json,
+    exact_count,
+    free_channel,
+    zero_photons,
+)
 from resfluor.trajectories import sample_batch
 
 _BLOCK = resfluor.cli._BLOCK
@@ -163,9 +172,14 @@ def test_malformed_input_exits_one_with_message(tmp_path, capsys, events, config
         ('{"grid_start": -1}', "[]", "config key 'grid_start' must be >= 0"),
         ('{"grid_stop": -0.5}', "[]", "config key 'grid_stop' must be >= 0"),
         ('{"quad_order": 0}', "[]", "config key 'quad_order' must be >= 1"),
+        ("{}", json.dumps([_side_event(window=(1.0, 1.0 + 8e-16))]),
+         "side window [1.0, 1.0000000000000009) not contained in [0, 1.0)"),
+        ("{}", json.dumps([_side_event(horizon=0.0, window=(0.0, 8e-16))]),
+         "side window [0.0, 8e-16) not contained in [0, 0.0)"),
     ],
     ids=["negative-horizon", "config-not-object", "events-not-list", "negative-grid-start",
-         "negative-grid-stop", "zero-quad-order"],
+         "negative-grid-stop", "zero-quad-order", "window-past-horizon",
+         "window-on-zero-horizon"],
 )
 def test_rejected_input_exits_one_with_its_message(tmp_path, capsys, config, events, message):
     cfg, path, out = tmp_path / "config.json", tmp_path / "events.json", tmp_path / "out"
@@ -254,8 +268,18 @@ def test_trajectories_at_exceptional_drive(tmp_path):
 
 # sha256 of each file written by the row-by-row writer, before the block
 # writer, on PINNED: 312 side-only rows, 1,436 two-channel rows, and 601
-# evolve and waiting rows, each more than one block
+# evolve and waiting rows, each more than one block; and of event_prob.json on
+# PINNED_EVENTS, computed before the generators were kept per model and each
+# lattice term formed once per map
 PINNED = {"horizon": 10.0, "n_traj": 150, "grid_num": 601}
+PINNED_EVENTS = [
+    Event(free_channel(), exact_count(0.5, 2.0, 1), 3.0),
+    Event(exact_count(0.2, 0.7, 1, OUTSIDE_FREE), exact_count(0.5, 1.0, 1), 1.0),
+    Event(exact_count(0.2, 1.2, 1), exact_count(0.2, 1.2, 1, OUTSIDE_FREE), 2.0),
+    Event(free_channel(), ChannelEvent((Window(0.5, 1.5, 1), Window(2.5, 3.0, 1))), 4.0),
+    Event(zero_photons(), zero_photons(), 1.5),
+    Event(exact_count(0.0, 2.5, 2, OUTSIDE_FREE), free_channel(), 5.0),
+]
 PINNED_DIGESTS = {
     "evolve/evolve.csv": "542e4a98220db39b6b799a49b2245d1222e5069816b665485a68353e21583481",
     "side-only/summary.json": "4165fb55ffcf350d5d24dd3ac0ea90b66bc0ee554661643330d3aae0170c30d5",
@@ -266,6 +290,7 @@ PINNED_DIGESTS = {
     "two-channel/trajectories.csv":
         "fdd4a6252decb3c2b320de890ad9f642e27f200bc712155526ff44045f0f5685",
     "waiting/waiting.csv": "de3a07ae94707cfb67b7d75467f7e876bcf26f4752b8cd0d321e0f7642ea9a3b",
+    "event/event_prob.json": "f77d248361a6c7e3d93e32bd4b784a3d5e83f38546c3550ad11505b16f81745a",
 }
 
 
@@ -276,6 +301,10 @@ def test_output_files_keep_their_bytes(tmp_path):
         _trajectories(cfg, tmp_path / mode, "--mode", mode)
     for sub in ("evolve", "waiting-time"):
         assert run([sub, "--config", str(cfg), "--out", str(tmp_path / sub.split("-")[0])]) == 0
+    events = tmp_path / "events.json"
+    events.write_text("[" + ", ".join(event_to_json(e) for e in PINNED_EVENTS) + "]")
+    out = tmp_path / "event"
+    assert run(["event-prob", "--config", str(cfg), "--events", str(events), "--out", str(out)]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PINNED_DIGESTS}
     assert got == PINNED_DIGESTS

@@ -205,6 +205,19 @@ def test_zero_horizon_is_identity(sym_model):
 
 
 @pytest.mark.parametrize("expansion", ["resum", "dyson"])
+def test_map_does_not_depend_on_the_maps_built_before_it(expansion):
+    # the model's generators are built once and reused: a map from a model
+    # that has served another event equals one from a fresh model, bit for bit
+    args = (0.6, 0.8j, 1.0 - 0.5j)
+    a = Event(exact_count(0.2, 0.9, 2, OUTSIDE_FREE), free_channel(), 1.0)
+    b = Event(free_channel(), ChannelEvent((Window(0.1, 0.4, 1), Window(0.6, 0.8, 1))), 1.2)
+    m = build_model(*args)
+    davies_map(m, a, expansion=expansion)
+    got = davies_map(m, b, expansion=expansion).matrix
+    assert got.tobytes() == davies_map(build_model(*args), b, expansion=expansion).matrix.tobytes()
+
+
+@pytest.mark.parametrize("expansion", ["resum", "dyson"])
 def test_one_stacked_exponential_per_event(sym_model, monkeypatch, expansion):
     # the stacked call gives each segment the exponential of its single call,
     # so the map equals one computed segment by segment, bit for bit

@@ -24,6 +24,14 @@ def test_window_validation():
         Window(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         Window(0.0, 1.0, -1)
+    # a count is an integer, as in event_from_json; a bool is not one
+    for count in (True, 1.5, 2.0, "1"):
+        with pytest.raises(ValueError, match="count"):
+            Window(0.1, 0.5, count)
+    w = Window(0.1, 0.5, np.int64(2))
+    assert type(w.count) is int and w.count == 2
+    assert event_to_json(Event(free_channel(), ChannelEvent((w,)), 1.0)) == event_to_json(
+        Event(free_channel(), exact_count(0.1, 0.5, 2), 1.0))
 
 
 def test_channel_event_overlap_rejected():
@@ -40,6 +48,10 @@ def test_channel_event_sorts_windows():
 def test_event_horizon_containment():
     with pytest.raises(ValueError):
         Event(forward=exact_count(0.0, 2.0, 1), side=zero_photons(), horizon=1.0)
+    # a window must start inside the horizon, on a zero horizon too
+    for ch, horizon in ((exact_count(1.0, 1.0 + 8e-16, 1), 1.0), (exact_count(0.0, 8e-16, 1), 0.0)):
+        with pytest.raises(ValueError, match=rf"side window \[{ch.windows[0].a}, "):
+            Event(forward=free_channel(), side=ch, horizon=horizon)
     for horizon in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="horizon"):
             Event(forward=zero_photons(), side=zero_photons(), horizon=horizon)

@@ -64,6 +64,26 @@ def test_model_equality_and_hash_follow_the_amplitudes():
     assert table[b] == "first"
 
 
+@pytest.mark.parametrize("gen", [no_jump_generator, forward_jump, side_jump],
+                         ids=lambda g: g.__name__)
+def test_generators_are_built_once_per_model_and_read_only(gen):
+    m = build_model(0.6, 0.8j, 1.0 - 0.5j)
+    a = gen(m)
+    assert gen(m) is a and not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        a += 0.0
+    assert a.tobytes() == gen.__wrapped__(m).tobytes()
+    # keyed by instance, not by equality: equal models each get the array of
+    # their own amplitudes
+    plus, minus = build_model(0.6, 0.8, 0.0), build_model(0.6, 0.8, -0.0)
+    assert plus == minus and math.copysign(1.0, minus.z.real) == -1.0
+    for m in (plus, minus):
+        assert gen(m).tobytes() == gen.__wrapped__(m).tobytes()
+    assert gen(plus) is not gen(minus)
+
+
 def test_build_model_renormalizes_small_drift():
     m = build_model(SQ2 * (1 + 4e-10), SQ2, 1.0)
     assert abs(abs(m.kappa_f) ** 2 + abs(m.kappa_s) ** 2 - 1.0) < 1e-15
