@@ -53,12 +53,10 @@ from .linalg import (
 )
 from .model import (
     Model,
-    bounded_rate_check,
     build_model,
     drive_commutator_form,
     emission_amplitude,
     forward_jump,
-    interaction_rate_constant,
     lindblad_generator,
     master_generator,
     master_map,
@@ -82,12 +80,8 @@ from .renewal import (
 from .trajectories import (
     SeedSpec,
     Trajectory,
-    apply_side_jump,
-    evolve_no_jump,
     sample_batch,
     sample_trajectory,
-    sample_waiting_time,
-    survival,
 )
 from .verify import run_battery
 

@@ -4,14 +4,16 @@ Subcommands: evolve, event-prob, trajectories, waiting-time, renewal-stats,
 verify.  Only :func:`run` parses arguments and builds the config; a flag
 whose destination is a config key (``--n`` is ``n_traj``, ``--seed`` is
 ``master_seed``) overrides the file's value, and each subcommand gets the
-finished config.  A file's directory is made when the file is written.  All
-numeric output uses 17 significant digits, CSV for arrays and JSON for
-reports, and every file carries a tool-version/config-hash stamp, so
-identical config + seed reproduce byte-identical files; one writer writes
-every CSV from columns, a block of rows at a time.  ``--threads`` is kept for
-scripts and has no effect (the sampler runs one vectorised batch); a config
-file's ``threads`` key is rejected as unknown.  Exit codes: 0 success, 1
-validation or usage error, 2 failed verification.
+finished config.  A file's directory is made when the file is written.  CSV
+holds arrays and JSON reports; numbers are written with 17 significant
+digits, except the distances and tolerances of ``verify_report.json``, which
+are JSON numbers in Python's shortest round-trip form (``1e-09``).  Every
+file carries a tool-version/config-hash stamp, so identical config + seed
+reproduce byte-identical files; one writer writes every CSV from columns, a
+block of rows at a time.  ``--threads`` is kept for scripts and has no effect
+(the sampler runs one vectorised batch); a config file's ``threads`` key is
+rejected as unknown.  Exit codes: 0 success, 1 validation or usage error, 2
+failed verification.
 
 ``trajectories.csv`` holds one ``trajectory_index,jump_index,time,channel``
 row per click, from the sampler's click table, which also gives
@@ -19,8 +21,8 @@ row per click, from the sampler's click table, which also gives
 reads the CSV by these rules and exits 1 on any other file: ``#`` lines are
 comments; a ``# n_traj=N`` line (N counts every trajectory, click-free ones
 too) and the header, if any, come before the first row; rows come in any
-order, each an index in [0, N), a jump index, a finite time and a channel,
-side or forward; forward rows are then ignored.
+order, each an index in [0, N), a jump index, a finite time >= 0 and a
+channel, side or forward; forward rows are then ignored.
 """
 
 from __future__ import annotations
@@ -230,7 +232,10 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
     with open(path) as fh:
         for line in iter(fh.readline, ""):
             if line.startswith("# n_traj="):
-                n = int(line.removeprefix("# n_traj="))
+                try:
+                    n = int(line.removeprefix("# n_traj="))
+                except ValueError:
+                    n = -1  # not an integer: rejected below as a count < 0
             elif not line.startswith("#") and line.strip() not in ("", _TRAJ_HEADER):
                 break
         else:
@@ -241,8 +246,10 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
         if line:
             rows = np.loadtxt(itertools.chain([line], fh), dtype=_TRAJ_ROW, delimiter=",",
                               converters={3: _IS_SIDE.__getitem__}, ndmin=1)
-    if not ((0 <= rows["index"]) & (rows["index"] < n) & np.isfinite(rows["time"])).all():
-        raise ValueError(f"{path} has a trajectory index outside [0, {n}) or a non-finite time")
+    index, time = rows["index"], rows["time"]
+    if not ((0 <= index) & (index < n) & (0 <= time) & (time < np.inf)).all():
+        raise ValueError(f"{path} has a trajectory index outside [0, {n}) or a negative or "
+                         "non-finite time")
     side = rows[rows["side"]]
     times = side["time"][np.lexsort((side["time"], side["index"]))]
     ends = np.cumsum(np.bincount(side["index"], minlength=n)).tolist()

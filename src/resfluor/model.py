@@ -3,7 +3,7 @@
 The atom decays through two channels with amplitudes kappa_f ("forward",
 carrying the coherent drive of amplitude z) and kappa_s ("side"), normalized
 so that |kappa_f|^2 + |kappa_s|^2 = 1; the total decay rate sets the unit of
-time.  This module builds every generator and semigroup used elsewhere:
+time.  This module builds the generators and maps used elsewhere:
 
 * ``lindblad_generator``   -- undriven relaxation generator L
 * ``no_jump_generator``    -- generator L0 of the no-count semigroup
@@ -17,6 +17,8 @@ time.  This module builds every generator and semigroup used elsewhere:
 The constant generators L0, J_f and J_s are computed once per ``Model``
 instance, on first use, and returned read-only: every later call, and every
 generator built from them, reuses that array, and sharing it is still safe.
+The eigen forms of the semigroups (``SemigroupCache``) are built by their
+readers, the sampler's ``_ModeOps`` and the renewal battery.
 
 Conventions: basis vector e1 is the excited state, e2 the ground state, and
 superoperators act in the Heisenberg picture (on observables).
@@ -47,8 +49,6 @@ __all__ = [
     "master_generator",
     "master_map",
     "drive_commutator_form",
-    "interaction_rate_constant",
-    "bounded_rate_check",
 ]
 
 _NORM_TOL = 1e-9
@@ -262,36 +262,3 @@ def drive_commutator_form(m: Model) -> np.ndarray:
     C = m.z * m.V_f.conj().T - np.conj(m.z) * m.V_f
     commutator = _left_mul(C) - _right_mul(C)
     return -_anticomm_half(m.P) + commutator + ad_map(m.V)
-
-
-def interaction_rate_constant(m: Model) -> float:
-    """The advertised interaction-rate constant K = 2|z|^2|kappa_f|^2 + 1."""
-    return 2.0 * abs(m.z) ** 2 * abs(m.kappa_f) ** 2 + 1.0
-
-
-def bounded_rate_check(m: Model, t_grid, slack_tol: float = 1e-10) -> dict:
-    """Check the operator bound I - B_t^dag B_t <= t*K*I on a time grid.
-
-    For each t the smallest eigenvalue of t*K*I - (I - B_t^dag B_t) is
-    recorded; the bound holds at t when that eigenvalue is >= -slack_tol.
-    Returns a report dict with per-time slacks and an overall flag.
-
-    Note: with K = 2|z|^2|kappa_f|^2 + 1 the bound genuinely fails at small t
-    whenever the cross term z*kappa_f is appreciable (the small-t click rate
-    reaches |z|^2 + (1 + sqrt(1 + 4|z|^2|kappa_f|^2))/2, which exceeds K for
-    e.g. |kappa_f|^2 = 1/2).  The report states what the eigenvalues say; the
-    looser constant 2|z|^2 + 1 always works and is exposed for reference.
-    """
-    K = interaction_rate_constant(m)
-    entries = []
-    for t in t_grid:
-        B = no_jump_operator(m, t)
-        defect = I2 - B.conj().T @ B
-        slack = float(np.linalg.eigvalsh(t * K * I2 - (defect + defect.conj().T) / 2).min())
-        entries.append({"t": float(t), "min_slack_eig": slack, "holds": slack >= -slack_tol})
-    return {
-        "constant": K,
-        "trace_bound_constant": 2.0 * abs(m.z) ** 2 + 1.0,
-        "entries": entries,
-        "all_hold": all(e["holds"] for e in entries),
-    }

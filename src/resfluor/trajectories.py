@@ -67,10 +67,6 @@ __all__ = [
     "SeedSpec",
     "Trajectory",
     "Batch",
-    "survival",
-    "sample_waiting_time",
-    "apply_side_jump",
-    "evolve_no_jump",
     "sample_trajectory",
     "sample_batch",
     "waiting_time_cap",
@@ -227,54 +223,6 @@ class _ModeOps:
         post.real[:, 1, 0], post.imag[:, 1, 0] = off.real / trs, off.imag / trs
         post[:, 0, 1] = post[:, 1, 0].conj()
         return post
-
-
-def survival(m: Model, rho, x, mode: str = "side-only") -> float:
-    """No-click survival probability Tr(rho * E_x(I)) for the given mode.
-
-    In side-only mode E is the Z semigroup (forward channel unobserved); in
-    two-channel mode it is the no-count map.  Monotone nonincreasing in x,
-    equal to 1 at x = 0.
-    """
-    rho = require_density_matrix(rho)
-    return float(_ModeOps(m, mode).survival(rho[None])(float(x))[0])
-
-
-def sample_waiting_time(m: Model, rho, u: float, mode: str = "side-only") -> float:
-    """Inverse-transform waiting time: the x with survival(x) = u.
-
-    ``u`` must lie in (0, 1).  Returns ``inf`` when the survival never
-    reaches u within :func:`waiting_time_cap` (undriven corners).
-    """
-    if not (0.0 < u < 1.0):
-        raise ValueError("u must lie strictly between 0 and 1")
-    rho = require_density_matrix(rho)
-    S = _ModeOps(m, mode).survival(rho[None])
-    return float(S.crossing(np.array([u]), waiting_time_cap(m))[0])
-
-
-def apply_side_jump(m: Model, rho) -> np.ndarray:
-    """State after a side click: V_s rho V_s^dag / Tr(rho V_s^dag V_s) = ground, exactly.
-
-    Raises when the side-click rate is below threshold; the sampler never
-    requests a jump from a de-excited state, so hitting this signals an
-    inconsistency upstream.
-    """
-    rho = require_density_matrix(rho)
-    try:
-        return _ModeOps(m, "side-only").jump(rho[None], np.array([0]))[0]
-    except ArithmeticError as exc:
-        raise ValueError("side jump requested from a de-excited state") from exc
-
-
-def evolve_no_jump(m: Model, rho, x: float, mode: str = "side-only") -> np.ndarray:
-    """Conditional state after x units of click-free evolution, renormalized.
-
-    The unnormalized trace equals the survival probability; both are
-    computed from the same dual semigroup.
-    """
-    rho = require_density_matrix(rho)
-    return _ModeOps(m, mode).evolve(rho[None], np.array([float(x)]))[0]
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

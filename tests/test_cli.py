@@ -499,12 +499,13 @@ def test_reader_without_header_or_rows(tmp_path):
         (lambda rows: ["-1,0,0.5,side", *rows], "outside [0, 40)"),
         (lambda rows: [*rows, "40,0,0.5,side"], "outside [0, 40)"),
         (lambda rows: [*rows, "3,0,nan,side"], "non-finite time"),
+        (lambda rows: [*rows, "3,0,-1.5,side"], "negative or non-finite time"),
         (lambda rows: [*rows, "3,0,0.5"], "4 columns but 3"),
         (lambda rows: [*rows, "3,0,half,side"], "could not convert string 'half'"),
         (lambda rows: [*rows, "3,0,0.5,up"], "could not convert string 'up'"),
     ],
-    ids=["negative-index", "index-past-n", "nan-time", "three-fields", "text-time",
-         "unknown-channel"],
+    ids=["negative-index", "index-past-n", "nan-time", "negative-time", "three-fields",
+         "text-time", "unknown-channel"],
 )
 def test_renewal_stats_rejects_malformed_rows(tmp_path, capsys, transform, message):
     cfg = _config(tmp_path)
@@ -523,6 +524,31 @@ def test_renewal_stats_rejects_a_negative_trajectory_count(tmp_path, capsys, row
     assert run([*argv, "--out", str(tmp_path / "renewal")]) == 1
     assert capsys.readouterr().err == (
         f"error: {traj} has no '# n_traj=N' line with N >= 0 before its rows\n")
+
+
+@pytest.mark.parametrize("count", ["abc", "2.5"])
+def test_renewal_stats_rejects_a_non_integer_trajectory_count(tmp_path, capsys, count):
+    traj = tmp_path / "non-integer.csv"
+    traj.write_text(f"# n_traj={count}\ntrajectory_index,jump_index,time,channel\n0,0,0.5,side\n")
+    argv = ["renewal-stats", "--config", str(_config(tmp_path)), "--traj", str(traj)]
+    assert run([*argv, "--out", str(tmp_path / "renewal")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {traj} has no '# n_traj=N' line with N >= 0 before its rows\n")
+
+
+def test_renewal_battery_passes_on_two_channel_output(tmp_path):
+    # the side clicks of a two-channel record follow the side-only laws; the
+    # command exits 0 whatever the tests say, so the report is read
+    out = tmp_path / "traj"
+    argv = ["--mode", "two-channel", "--n", "1500", "--seed", "11"]
+    assert run(["trajectories", "--out", str(out), *argv]) == 0
+    assert ",forward" in (out / "trajectories.csv").read_text()
+    argv = ["renewal-stats", "--traj", str(out / "trajectories.csv")]
+    assert run([*argv, "--out", str(tmp_path / "renewal")]) == 0
+    report = json.loads((tmp_path / "renewal" / "renewal_report.json").read_text())
+    assert report["n_traj"] == 1500 and report["underpowered"] is False
+    assert report["passed"] == dict.fromkeys(["ks_first", "ks_later", "ks_third", "independence"],
+                                             True)
 
 
 def test_renewal_stats_on_zero_trajectories_exits_one(tmp_path):

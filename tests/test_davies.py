@@ -143,6 +143,29 @@ def test_dyson_and_resum_agree_on_pinned_events(sym_model):
     assert frobenius_dist(a, b) < dyson_truncation_tail(sym_model, 0.2, 5) + 1e-9
 
 
+def test_rate_constant_of_the_tails_bounds_the_click_rate(sym_model):
+    # dyson_truncation_tail and the oracle's tail_bound take K = 2|z|^2 + 1 as
+    # the click rate: I - B_t^dag B_t <= tK I, with slack at least -1e-12
+    rng = np.random.default_rng(24)
+    ts = np.geomspace(1e-4, 3, 12)
+
+    def slack(m, K, t):
+        B = no_jump_operator(m, t)
+        return np.linalg.eigvalsh(t * K * I2 - (I2 - B.conj().T @ B)).min()
+
+    # undriven, forward-only and random models
+    models = [build_model(SQ2, SQ2, 0.0), sym_model]
+    models += [build_model(1.0, 0.0, rng.uniform(0.2, 2.0) * np.exp(1j * rng.uniform(0, 6)))
+               for _ in range(3)]
+    for m in models + [random_model(rng) for _ in range(30)]:
+        assert min(slack(m, 2 * abs(m.z) ** 2 + 1, t) for t in ts) >= -1e-12
+    # the constant 2|z|^2|kappa_f|^2 + 1 undershoots the small-t click rate
+    # |z|^2 + (1 + sqrt(1 + 4|z|^2|kappa_f|^2)) / 2 of the symmetric atom:
+    # slack / t tends to 2 - (3 + sqrt 3) / 2
+    K = 2 * abs(sym_model.z) ** 2 * abs(sym_model.kappa_f) ** 2 + 1
+    assert slack(sym_model, K, 1e-3) / 1e-3 == pytest.approx(2 - (3 + np.sqrt(3)) / 2, abs=5e-3)
+
+
 def test_capacity_and_validation_errors(sym_model):
     with pytest.raises(ValueError):
         davies_map(sym_model, Event(

@@ -15,12 +15,10 @@ from resfluor.linalg import (
 )
 from resfluor.model import (
     Model,
-    bounded_rate_check,
     build_model,
     drive_commutator_form,
     emission_amplitude,
     forward_jump,
-    interaction_rate_constant,
     lindblad_generator,
     master_generator,
     master_map,
@@ -195,8 +193,6 @@ def test_negative_times_raise_through_superop_exp(sym_model):
             f(sym_model, -0.5)
     with pytest.raises(ValueError, match="t >= 0"):
         master_map(sym_model, np.array([0.5, -0.5]))
-    with pytest.raises(ValueError, match="t >= 0"):
-        bounded_rate_check(sym_model, [0.5, -0.5])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -242,48 +238,3 @@ def test_master_generator_identities(sym_model, undriven_model):
         assert frobenius_dist(master_generator(mm), drive_commutator_form(mm)) < 1e-12
         T = master_map(mm, 0.7)
         assert frobenius_dist(apply_superop(T, I2), I2) < 1e-10
-
-
-def test_interaction_rate_constant(sym_model):
-    assert interaction_rate_constant(sym_model) == pytest.approx(2.0)
-
-
-def test_bounded_rate_check_undriven_and_zero():
-    m0 = build_model(SQ2, SQ2, 0.0)
-    rep = bounded_rate_check(m0, [0.0, 0.1, 0.5, 1.0])
-    assert rep["all_hold"]  # 1 - e^-t <= t
-    assert rep["entries"][0]["min_slack_eig"] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_bounded_rate_check_forward_only_holds():
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        m = build_model(1.0, 0.0, rng.uniform(0.2, 2.0) * np.exp(1j * rng.uniform(0, 6)))
-        rep = bounded_rate_check(m, np.geomspace(1e-3, 1.0, 7))
-        assert rep["all_hold"]
-
-
-def test_bounded_rate_check_reports_true_eigenvalues(sym_model):
-    # the advertised constant K = 2|z|^2|kappa_f|^2 + 1 undershoots the
-    # small-t click rate for the symmetric driven atom; the checker must
-    # report that honestly, matching a direct eigenvalue computation
-    ts = [1e-3, 1e-2, 1e-1]
-    rep = bounded_rate_check(sym_model, ts)
-    assert not rep["all_hold"]
-    K = rep["constant"]
-    for entry, t in zip(rep["entries"], ts):
-        B = no_jump_operator(sym_model, t)
-        direct = np.linalg.eigvalsh(
-            t * K * I2 - (I2 - B.conj().T @ B)
-        ).min()
-        assert entry["min_slack_eig"] == pytest.approx(direct, abs=1e-14)
-    # the small-t rate itself: slack/t approaches K - lambda_max < 0
-    lam_max = (3.0 + np.sqrt(3.0)) / 2.0
-    assert rep["entries"][0]["min_slack_eig"] / ts[0] == pytest.approx(
-        K - lam_max, abs=5e-3
-    )
-    # the trace-bound constant 2|z|^2 + 1 does hold
-    K2 = rep["trace_bound_constant"]
-    for t in ts:
-        B = no_jump_operator(sym_model, t)
-        assert np.linalg.eigvalsh(t * K2 * I2 - (I2 - B.conj().T @ B)).min() >= -1e-12

@@ -14,7 +14,7 @@ from resfluor.renewal import (
     theoretical_cdf,
     waiting_densities,
 )
-from resfluor.trajectories import sample_batch, survival
+from resfluor.trajectories import sample_batch
 
 SQ2 = 2.0 ** -0.5
 
@@ -65,9 +65,9 @@ def test_hazard_ratio_is_side_weight(sym_model):
 
 def test_factorized_probability_corners(sym_model):
     g = ground_state()
-    # no clicks: plain survival
+    # no clicks: plain survival, 1 - F_first
     val = factorized_probability(sym_model, g, [1.2])
-    assert val == pytest.approx(survival(sym_model, g, 1.2), abs=1e-12)
+    assert val == pytest.approx(1.0 - theoretical_cdf(sym_model, g, "first", 1.2), abs=1e-12)
     # one click then an immediate horizon end
     dens = waiting_densities(sym_model, g, np.array([0.7]))
     expected = dens.z_first[0] * abs(sym_model.kappa_s) ** 2

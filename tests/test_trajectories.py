@@ -17,16 +17,8 @@ from resfluor.linalg import (
     vec,
 )
 from resfluor.model import build_model, no_count_map, no_side_count_map, side_jump
-from resfluor.trajectories import (
-    SeedSpec,
-    apply_side_jump,
-    evolve_no_jump,
-    sample_batch,
-    sample_trajectory,
-    sample_waiting_time,
-    survival,
-    waiting_time_cap,
-)
+from resfluor.renewal import theoretical_cdf
+from resfluor.trajectories import SeedSpec, sample_batch, sample_trajectory, waiting_time_cap
 from resfluor.trajectories import _TAPE, _ModeOps, _UniformTape, _philox_doubles
 import resfluor.semigroup as semigroup
 import resfluor.trajectories as trajectories
@@ -35,45 +27,62 @@ from resfluor.config import RunConfig
 SQ2 = 2.0 ** -0.5
 
 
+def _survival(m, rhos, mode="side-only"):
+    # the sampler's survivals x -> Tr(rho_b E_x(I)), one weight row per state
+    return _ModeOps(m, mode).survival(np.stack(rhos))
+
+
+def _wait(m, rho, u):
+    # the sampler's side-only waiting time for uniforms u, all from rho
+    u = np.atleast_1d(u)
+    return _survival(m, [rho]).crossing(u, waiting_time_cap(m), np.zeros(u.size, dtype=int))
+
+
+def _evolve(m, rho, x, mode="side-only"):
+    # the sampler's renormalised click-free state after x
+    return _ModeOps(m, mode).evolve(rho[None], np.array([float(x)]))[0]
+
+
 def test_survival_corners(sym_model, undriven_model):
-    assert survival(sym_model, excited_state(), 0.0) == pytest.approx(1.0)
-    assert survival(undriven_model, ground_state(), 5.0) == pytest.approx(1.0)
+    assert _survival(sym_model, [excited_state()])(0.0)[0] == pytest.approx(1.0)
     x = 2.0
     ks2 = abs(undriven_model.kappa_s) ** 2
-    assert survival(undriven_model, excited_state(), x) == pytest.approx(
-        (1 - ks2) + ks2 * np.exp(-x), abs=1e-12
-    )
+    ground_at_5, excited_at_x = _survival(undriven_model, [ground_state(), excited_state()])(
+        np.array([5.0, x]))
+    assert ground_at_5 == pytest.approx(1.0)
+    assert excited_at_x == pytest.approx((1 - ks2) + ks2 * np.exp(-x), abs=1e-12)
 
 
 def test_survival_monotone(sym_model):
     xs = np.linspace(0, 6, 40)
-    vals = [survival(sym_model, maximally_mixed(), float(x)) for x in xs]
+    vals = _survival(sym_model, [maximally_mixed()])(xs)
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-    for x in xs:
-        assert -1e-12 <= vals[0] <= 1.0 + 1e-12
+    assert np.all((-1e-12 <= vals) & (vals <= 1.0 + 1e-12))
+    # side-only survival is 1 - F_first, the integral of the X_1 density
+    want = 1.0 - theoretical_cdf(sym_model, maximally_mixed(), "first", xs)
+    assert np.abs(vals - want).max() < 1e-12
 
 
 def test_waiting_time_corners(sym_model, undriven_model):
     # u -> 1 gives x -> 0
-    assert sample_waiting_time(sym_model, excited_state(), 1 - 1e-12) < 1e-9
+    assert _wait(sym_model, excited_state(), 1 - 1e-12)[0] < 1e-9
     # pure exponential corner
     m = build_model(0.0, 1.0, 0.0)
     u = 0.37
-    assert sample_waiting_time(m, excited_state(), u) == pytest.approx(
-        -np.log(u), abs=1e-9
-    )
+    assert _wait(m, excited_state(), u)[0] == pytest.approx(-np.log(u), abs=1e-9)
     # undriven ground state never clicks
-    assert sample_waiting_time(undriven_model, ground_state(), 0.5) == np.inf
-    with pytest.raises(ValueError):
-        sample_waiting_time(sym_model, excited_state(), 0.0)
-    with pytest.raises(ValueError):
-        sample_waiting_time(sym_model, excited_state(), 1.0)
+    assert _wait(undriven_model, ground_state(), 0.5)[0] == np.inf
+    # u = 0 is below every survival value: the search returns its cap, where
+    # the survival has fallen below 1e-12
+    assert _wait(sym_model, excited_state(), 0.0)[0] == waiting_time_cap(sym_model)
 
 
 def test_waiting_time_inverts_survival(sym_model):
-    for u in (0.9, 0.5, 0.12):
-        x = sample_waiting_time(sym_model, maximally_mixed(), u)
-        assert survival(sym_model, maximally_mixed(), x) == pytest.approx(u, abs=1e-9)
+    u = np.array([0.9, 0.5, 0.12])
+    x = _wait(sym_model, maximally_mixed(), u)
+    assert _survival(sym_model, [maximally_mixed()])(x) == pytest.approx(u, abs=1e-9)
+    assert 1.0 - theoretical_cdf(sym_model, maximally_mixed(), "first", x) == pytest.approx(
+        u, abs=1e-9)
 
 
 def test_waiting_time_cap_value(sym_model):
@@ -83,23 +92,23 @@ def test_waiting_time_cap_value(sym_model):
 
 
 def test_apply_side_jump(sym_model):
+    # the sampler's side-only jump: ground exactly, and no jump without a rate
     g = ground_state()
-    assert frobenius_dist(apply_side_jump(sym_model, excited_state()), g) == 0.0
-    assert frobenius_dist(apply_side_jump(sym_model, maximally_mixed()), g) == 0.0
-    with pytest.raises(ValueError):
-        apply_side_jump(sym_model, g)
+    ops = _ModeOps(sym_model, "side-only")
+    post = ops.jump(np.stack([excited_state(), maximally_mixed()]), np.array([0, 0]))
+    assert np.array_equal(post, np.stack([g, g]))
+    with pytest.raises(ArithmeticError, match="no rate"):
+        ops.jump(g[None], np.array([0]))
 
 
 def test_evolve_no_jump(sym_model, undriven_model):
     rho = maximally_mixed()
-    assert frobenius_dist(evolve_no_jump(sym_model, rho, 0.0), rho) < 1e-15
+    assert frobenius_dist(_evolve(sym_model, rho, 0.0), rho) < 1e-15
     with pytest.raises(ValueError):
-        evolve_no_jump(sym_model, rho, -0.1)
-    assert frobenius_dist(
-        evolve_no_jump(undriven_model, ground_state(), 3.0), ground_state()
-    ) < 1e-14
+        _evolve(sym_model, rho, -0.1)
+    assert frobenius_dist(_evolve(undriven_model, ground_state(), 3.0), ground_state()) < 1e-14
     m = build_model(0.0, 1.0, 0.0)
-    out = evolve_no_jump(m, excited_state(), np.log(2))
+    out = _evolve(m, excited_state(), np.log(2))
     assert frobenius_dist(out, excited_state()) < 1e-13
 
 
@@ -122,9 +131,9 @@ def test_evolution_is_the_exact_dual_of_the_counting_map(exceptional_model):
         for mode, E in (("side-only", no_side_count_map), ("two-channel", no_count_map)):
             rho = _random_state(rng)
             for x in (0.3, 1.7, 4.0):
-                state = evolve_no_jump(m, rho, x, mode)
+                state = _evolve(m, rho, x, mode)
                 assert np.array_equal(state, state.conj().T)
-                out = state * survival(m, rho, x, mode)
+                out = state * _survival(m, [rho], mode)(x)[0]
                 Ex = E(m, x)
                 for A in np.eye(4, dtype=complex):
                     want = np.trace(rho @ devec(Ex @ A))
@@ -157,12 +166,11 @@ def test_unnormalized_trace_equals_survival(sym_model):
     # unnormalised state, whose trace Tr(rho E_x(I)) is the survival
     rho = maximally_mixed()
     for x in (0.2, 1.1, 3.0):
-        un = evolve_no_jump(sym_model, rho, x) * survival(sym_model, rho, x)
+        S = _survival(sym_model, [rho])(x)[0]
+        un = _evolve(sym_model, rho, x) * S
         want = np.trace(rho @ devec(no_side_count_map(sym_model, x) @ vec(I2)))
         assert np.trace(un).real == pytest.approx(want.real, abs=1e-12)
-        assert np.trace(un).real == pytest.approx(
-            survival(sym_model, rho, x), abs=1e-12
-        )
+        assert np.trace(un).real == pytest.approx(S, abs=1e-12)
 
 
 def test_side_click_leaves_the_ground_state_exactly(monkeypatch):
@@ -275,13 +283,14 @@ def _stepwise_density(m, rho0, tr):
     ks2 = abs(m.kappa_s) ** 2
     times = tr.times()
     gaps = np.diff(np.concatenate(([0.0], times)))
+    ops = _ModeOps(m, "side-only")
     rho, dens = rho0, 1.0
     for x in gaps:
-        rho_x = evolve_no_jump(m, rho, float(x))
-        dens *= ks2 * np.trace(rho_x @ m.P).real * survival(m, rho, float(x))
-        rho = apply_side_jump(m, rho_x)
+        rho_x = ops.evolve(rho[None], np.array([x]))[0]
+        dens *= ks2 * np.trace(rho_x @ m.P).real * ops.survival(rho[None])(x)[0]
+        rho = ops.jump(rho_x[None], np.array([0]))[0]
     last = tr.horizon - (times[-1] if len(times) else 0.0)
-    return dens * survival(m, rho, float(last))
+    return dens * ops.survival(rho[None])(last)[0]
 
 
 def _trace_form_density(m, rho0, tr):
@@ -362,9 +371,9 @@ def test_sampler_at_exceptional_drive(exceptional_model):
     # no eigenbasis: survival, inversion and sampling run through expm
     m = exceptional_model
     assert not _ModeOps(m, "side-only").sg._diagonalizable
-    for u in (0.9, 0.5, 0.12):
-        x = sample_waiting_time(m, maximally_mixed(), u)
-        assert survival(m, maximally_mixed(), x) == pytest.approx(u, abs=1e-9)
+    u = np.array([0.9, 0.5, 0.12])
+    x = _wait(m, maximally_mixed(), u)
+    assert _survival(m, [maximally_mixed()])(x) == pytest.approx(u, abs=1e-9)
     g = ground_state()
     whole = sample_batch(m, g, 8.0, 5, 12)
     parts = sample_batch(m, g, 8.0, 5, 5) + sample_batch(m, g, 8.0, 5, 7, first_index=5)
@@ -566,8 +575,8 @@ def test_table_start_halves_the_newton_evaluations(monkeypatch):
 
 def test_side_only_terminal_state_evolves_from_ground_after_the_last_click():
     # side-only keeps no state per click: a clicked trajectory's terminal
-    # state is evolve_no_jump from the ground state over horizon - last click,
-    # a click-free one's the evolution of rho0 over the horizon
+    # state is the click-free evolution of the ground state over horizon -
+    # last click, a click-free one's the evolution of rho0 over the horizon
     rng = np.random.default_rng(17)
     m, rho0, horizon = random_model(rng), _random_state(rng), 6.0
     trajs = sample_batch(m, rho0, horizon, 23, 60)
@@ -576,7 +585,7 @@ def test_side_only_terminal_state_evolves_from_ground_after_the_last_click():
     for tr in trajs:
         last = tr.records[-1][0] if tr.records else None
         start, x = (rho0, horizon) if last is None else (ground_state(), horizon - last)
-        assert np.array_equal(tr.terminal_state, evolve_no_jump(m, start, x))
+        assert np.array_equal(tr.terminal_state, _evolve(m, start, x))
 
 
 def test_side_click_at_or_below_the_rate_threshold_raises(sym_model, monkeypatch):
