@@ -48,8 +48,10 @@ from .verify import run_battery
 __all__ = ["main", "run"]
 
 _TRAJ_HEADER = "trajectory_index,jump_index,time,channel"
-_TRAJ_ROW = np.dtype([("index", "i8"), ("jump", "i8"), ("time", "f8"), ("side", "?")])
-_IS_SIDE = {SIDE: True, FORWARD: False}
+# one character wider than any channel name, so no longer name is cut to a valid one
+_CHANNEL_WIDTH = max(len(SIDE), len(FORWARD)) + 1
+_TRAJ_ROW = np.dtype([("index", "i8"), ("jump", "i8"), ("time", "f8"),
+                      ("channel", f"U{_CHANNEL_WIDTH}")])
 _BLOCK = 256  # rows per formatted block of a CSV file
 
 
@@ -225,8 +227,11 @@ def _cmd_waiting_time(cfg: RunConfig, args) -> int:
 def read_trajectory_csv(path: Path) -> list[np.ndarray]:
     """Sorted side-click times per trajectory, read by the module docstring's rules.
 
-    One streamed ``np.loadtxt`` call reads every row into a flat table; its
-    side rows, sorted by (index, time), are sliced at each trajectory's end.
+    One streamed ``np.loadtxt`` call reads every row into a flat table, the
+    channel as a string column ``_CHANNEL_WIDTH`` characters wide, checked as a
+    column against side and forward.  The side rows are sorted by (index,
+    time) only if one pass finds them out of that order, as the sampler's own
+    files never are; they are then sliced at each trajectory's end.
     """
     n = None
     with open(path) as fh:
@@ -245,14 +250,25 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
         rows = np.zeros(0, _TRAJ_ROW)
         if line:
             rows = np.loadtxt(itertools.chain([line], fh), dtype=_TRAJ_ROW, delimiter=",",
-                              converters={3: _IS_SIDE.__getitem__}, ndmin=1)
+                              ndmin=1)
+    channel = rows["channel"]
+    is_side = channel == SIDE
+    unknown = ~is_side & (channel != FORWARD)
+    if unknown.any():
+        name = channel[unknown.argmax()]
+        cut = len(name) == _CHANNEL_WIDTH  # it may be the start of a longer name
+        raise ValueError(f"could not convert string '{name}'"
+                         + (f" (read as its first {_CHANNEL_WIDTH} characters)" if cut else "")
+                         + f" to a channel, {SIDE} or {FORWARD}, in {path}")
     index, time = rows["index"], rows["time"]
     if not ((0 <= index) & (index < n) & (0 <= time) & (time < np.inf)).all():
         raise ValueError(f"{path} has a trajectory index outside [0, {n}) or a negative or "
                          "non-finite time")
-    side = rows[rows["side"]]
-    times = side["time"][np.lexsort((side["time"], side["index"]))]
-    ends = np.cumsum(np.bincount(side["index"], minlength=n)).tolist()
+    index, times = index[is_side], time[is_side]
+    step = np.diff(index)
+    if not ((step > 0) | ((step == 0) & (np.diff(times) >= 0))).all():
+        times = times[np.lexsort((times, index))]
+    ends = np.cumsum(np.bincount(index, minlength=n)).tolist()
     return [times[a:b] for a, b in zip([0] + ends, ends)]
 
 

@@ -167,13 +167,16 @@ def theoretical_cdf(m: Model, rho, which: str, x) -> np.ndarray:
     return vals if np.ndim(x) else float(vals[0])
 
 
-def _ks_statistic(x: np.ndarray, cdf) -> float:
-    """Two-sided one-sample KS distance, as ``scipy.stats.kstest``; NaN if empty."""
+def _ks_statistic(x: np.ndarray, F: np.ndarray) -> float:
+    """Two-sided one-sample KS distance, as ``scipy.stats.kstest``; NaN if empty.
+
+    ``F`` holds the law's CDF at each entry of ``x``, evaluated once by the
+    caller; both are put in the order of ``np.argsort(x)``.
+    """
     n = len(x)
     if n == 0:
         return np.nan
-    x = np.sort(x)
-    F = cdf(x)
+    F = F[np.argsort(x)]
     d_plus = (np.arange(1.0, n + 1) / n - F).max()
     d_minus = (F - np.arange(0.0, n) / n).max()
     return float(d_plus if d_plus > d_minus else d_minus)
@@ -233,6 +236,9 @@ def renewal_test(
     (to 0 at rank 0) is X_1, X_2 or X_3 at rank 0, 1 or 2; the X_2 paired
     with an X_3 sits just before it.  Infinite or missing intervals are
     excluded from the CDF comparisons and show up only through the sample sizes.
+    Each sample's CDF values come from one :func:`theoretical_cdf` call, three
+    in all, which the KS distances and the independence grid share; each value
+    depends on its own argument alone, so sharing keeps every statistic's bits.
     Zero trajectories raise ``ValueError``: no statistic is defined on them.
     """
     rho = require_density_matrix(rho)
@@ -244,22 +250,22 @@ def renewal_test(
     rank = np.arange(len(every)) - (np.cumsum(lengths) - lengths)[owner]
     gap = every - np.where(rank > 0, np.roll(every, 1), 0.0)
     x1, x2, x3 = (gap[rank == k] for k in (0, 1, 2))
-
-    cdf_later = lambda v: theoretical_cdf(m, rho, "later", v)
-    cdf_first = lambda v: theoretical_cdf(m, rho, "first", v)
+    F1 = theoretical_cdf(m, rho, "first", x1)
+    F2 = theoretical_cdf(m, rho, "later", x2)
+    F3 = theoretical_cdf(m, rho, "later", x3)
 
     underpowered = min(len(x1), len(x2), len(x3)) < MIN_KS_SAMPLES
-    ks_first = _ks_statistic(x1, cdf_first)
-    ks_later = _ks_statistic(x2, cdf_later)
-    ks_third = _ks_statistic(x3, cdf_later)
+    ks_first = _ks_statistic(x1, F1)
+    ks_later = _ks_statistic(x2, F2)
+    ks_third = _ks_statistic(x3, F3)
 
     # independence on a 10x10 grid with deciles of the theoretical CDF, so
-    # expected counts are uniform under the null
+    # expected counts are uniform under the null; an X_2 is paired when its
+    # trajectory has a third click
     if len(x3) >= MIN_KS_SAMPLES:
-        u = cdf_later(gap[np.flatnonzero(rank == 2) - 1])
-        v = cdf_later(x3)
+        paired = F2[lengths[owner[rank == 1]] >= 3]
         bins = np.linspace(0.0, 1.0, 11)
-        hist, _, _ = np.histogram2d(u, v, bins=[bins, bins])
+        hist, _, _ = np.histogram2d(paired, F3, bins=[bins, bins])
         expected = len(x3) / 100.0
         chi2 = float(((hist - expected) ** 2 / expected).sum())
         pval = _chi2_sf_99(chi2)

@@ -292,6 +292,19 @@ PINNED_DIGESTS = {
     "waiting/waiting.csv": "de3a07ae94707cfb67b7d75467f7e876bcf26f4752b8cd0d321e0f7642ea9a3b",
     "event/event_prob.json": "f77d248361a6c7e3d93e32bd4b784a3d5e83f38546c3550ad11505b16f81745a",
 }
+# sha256 of renewal-stats' files on side-only and two-channel files of
+# PINNED_BATTERY, enough trajectories for every KS test and the independence
+# grid, computed while the reader still converted the channel row by row and
+# the battery still evaluated the later CDF twice on X_2 and X_3
+PINNED_BATTERY = {"n_traj": 1500, "grid_num": 601}
+PINNED_BATTERY_DIGESTS = {
+    "side-only/renewal_report.json":
+        "04bad9bd4d17d818df9b34293c921f9d856d9af2334a0fff953963c68bfeb6f9",
+    "side-only/waiting.csv": "714a1d58ba7144953cfbc98873bbbc20fd08a905edba43ac48e82d51d4b6d205",
+    "two-channel/renewal_report.json":
+        "bc233a0de46d955b9bef019b71e783432e2d4dad23b6eca60e607e5819f87ac4",
+    "two-channel/waiting.csv": "714a1d58ba7144953cfbc98873bbbc20fd08a905edba43ac48e82d51d4b6d205",
+}
 
 
 def test_output_files_keep_their_bytes(tmp_path):
@@ -308,6 +321,17 @@ def test_output_files_keep_their_bytes(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PINNED_DIGESTS}
     assert got == PINNED_DIGESTS
+    cfg.write_text(json.dumps(PINNED_BATTERY))
+    for mode in ("side-only", "two-channel"):
+        traj = _trajectories(cfg, tmp_path / "battery" / mode, "--mode", mode)
+        out = tmp_path / "renewal" / mode
+        assert run(["renewal-stats", "--config", str(cfg), "--traj", str(traj),
+                    "--out", str(out)]) == 0
+        report = json.loads((out / "renewal_report.json").read_text())
+        assert report["underpowered"] is False and report["independence_stat"] != "nan"
+    got = {name: hashlib.sha256((tmp_path / "renewal" / name).read_bytes()).hexdigest()
+           for name in PINNED_BATTERY_DIGESTS}
+    assert got == PINNED_BATTERY_DIGESTS
 
 
 @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
@@ -475,6 +499,18 @@ def test_reader_ignores_row_order(tmp_path, mode):
     assert max(map(len, ref)) >= 2
     assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
+    # rows in trajectory order but for two side rows of one trajectory
+    def swap_two_side_rows(rows):
+        side = [i for i, row in enumerate(rows) if row.endswith(",side")]
+        i, j = next((a, b) for a, b in zip(side, side[1:])
+                    if rows[a].split(",")[0] == rows[b].split(",")[0])
+        rows[i], rows[j] = rows[j], rows[i]
+        return rows
+
+    swapped = _edit_rows(traj, swap_two_side_rows)
+    assert swapped.read_text() != traj.read_text()
+    assert [a.tobytes() for a in read_trajectory_csv(swapped)] == [a.tobytes() for a in ref]
+
 
 def test_reader_without_header_or_rows(tmp_path):
     cfg = _config(tmp_path, horizon=1.5)
@@ -503,9 +539,16 @@ def test_reader_without_header_or_rows(tmp_path):
         (lambda rows: [*rows, "3,0,0.5"], "4 columns but 3"),
         (lambda rows: [*rows, "3,0,half,side"], "could not convert string 'half'"),
         (lambda rows: [*rows, "3,0,0.5,up"], "could not convert string 'up'"),
+        # names a fixed-width channel column could cut or fold into a valid one
+        (lambda rows: [*rows, "3,0,0.5,forwardly"],
+         "could not convert string 'forwardl' (read as its first 8 characters) to a channel"),
+        (lambda rows: [*rows, "3,0,0.5,sideways"], "could not convert string 'sideways'"),
+        (lambda rows: [*rows, "3,0,0.5,Side"],
+         "could not convert string 'Side' to a channel, side or forward, in "),
     ],
     ids=["negative-index", "index-past-n", "nan-time", "negative-time", "three-fields",
-         "text-time", "unknown-channel"],
+         "text-time", "unknown-channel", "longer-channel", "channel-as-wide-as-the-column",
+         "capitalised-channel"],
 )
 def test_renewal_stats_rejects_malformed_rows(tmp_path, capsys, transform, message):
     cfg = _config(tmp_path)
