@@ -22,7 +22,10 @@ reads the CSV by these rules and exits 1 on any other file: ``#`` lines are
 comments; a ``# n_traj=N`` line (N counts every trajectory, click-free ones
 too) and the header, if any, come before the first row; rows come in any
 order, each an index in [0, N), a jump index, a finite time >= 0 and a
-channel, side or forward; forward rows are then ignored.
+channel, side or forward; forward rows are then ignored.  A message about a
+row that cannot be parsed names the file and its line, counted from 1.  The
+file does not record its horizon, so the battery takes the config's: a side
+click at or beyond it means the file came from another config, and exits 1.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ import argparse
 import dataclasses
 import itertools
 import json
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -231,11 +236,12 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
     channel as a string column ``_CHANNEL_WIDTH`` characters wide, checked as a
     column against side and forward.  The side rows are sorted by (index,
     time) only if one pass finds them out of that order, as the sampler's own
-    files never are; they are then sliced at each trajectory's end.
+    files never are; they are then sliced at each trajectory's end.  A row that
+    ``np.loadtxt`` rejects is found again line by line, to name its file line.
     """
     n = None
     with open(path) as fh:
-        for line in iter(fh.readline, ""):
+        for first, line in enumerate(iter(fh.readline, ""), 1):
             if line.startswith("# n_traj="):
                 try:
                     n = int(line.removeprefix("# n_traj="))
@@ -249,8 +255,12 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
             raise ValueError(f"{path} has no '# n_traj=N' line with N >= 0 before its rows")
         rows = np.zeros(0, _TRAJ_ROW)
         if line:
-            rows = np.loadtxt(itertools.chain([line], fh), dtype=_TRAJ_ROW, delimiter=",",
-                              ndmin=1)
+            try:
+                rows = np.loadtxt(itertools.chain([line], fh), dtype=_TRAJ_ROW, delimiter=",",
+                                  ndmin=1)
+            except ValueError as exc:  # its row number counts data rows only
+                raise ValueError(f"{path} line {_rejected_line(path, first)}: "
+                                 + re.sub(r" at row \d+", "", str(exc))) from None
     channel = rows["channel"]
     is_side = channel == SIDE
     unknown = ~is_side & (channel != FORWARD)
@@ -272,10 +282,24 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
     return [times[a:b] for a, b in zip([0] + ends, ends)]
 
 
+def _rejected_line(path: Path, first: int) -> int:
+    """The line, from 1, of the first row from line ``first`` on that ``np.loadtxt`` rejects."""
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a comment or blank line alone holds no data
+        for number, text in enumerate(fh, 1):
+            try:
+                if number >= first:
+                    np.loadtxt([text], dtype=_TRAJ_ROW, delimiter=",")
+            except ValueError:
+                return number
+
+
 def _cmd_renewal_stats(cfg: RunConfig, args) -> int:
     clicks = read_trajectory_csv(args.traj)
-    tail_times = tuple(cfg.horizon * f for f in (0.2, 0.5, 1.0))
-    report = renewal_test(clicks, cfg.model(), cfg.rho0(), tail_times=tail_times)
+    if any(len(ts) and ts[-1] >= cfg.horizon for ts in clicks):
+        raise ValueError(f"{args.traj} has a side click at or beyond the config's horizon "
+                         f"{cfg.horizon}")
+    report = renewal_test(clicks, cfg.model(), cfg.rho0(), cfg.horizon)
     _write_json(args.out / "renewal_report.json", _floats_as_text(dataclasses.asdict(report)), cfg)
     _write_waiting(args.out / "waiting.csv", cfg)
     return 0

@@ -223,12 +223,7 @@ class RenewalReport:
     passed: dict = field(default_factory=dict)
 
 
-def renewal_test(
-    clicks,
-    m: Model,
-    rho,
-    tail_times: tuple[float, ...] = (),
-) -> RenewalReport:
+def renewal_test(clicks, m: Model, rho, horizon: float) -> RenewalReport:
     """Run the renewal battery on per-trajectory arrays of side-click times.
 
     The input is concatenated once into a flat table of click times, each with
@@ -239,6 +234,9 @@ def renewal_test(
     Each sample's CDF values come from one :func:`theoretical_cdf` call, three
     in all, which the KS distances and the independence grid share; each value
     depends on its own argument alone, so sharing keeps every statistic's bits.
+    ``counts_tail[n][t]`` is the share of trajectories with at most n clicks
+    by t, for n = 0, 1, 2 and t = 0.2, 0.5 and 1.0 times ``horizon``, the
+    horizon the clicks were sampled to.
     Zero trajectories raise ``ValueError``: no statistic is defined on them.
     """
     rho = require_density_matrix(rho)
@@ -272,15 +270,12 @@ def renewal_test(
     else:
         chi2, pval = np.nan, np.nan
 
-    counts_tail = {}
-    if tail_times:
-        click_counts = {
-            t: np.bincount(owner[every <= t], minlength=len(lengths)) for t in tail_times
-        }
-        for n in (0, 1, 2):
-            counts_tail[n] = {
-                float(t): float(np.mean(click_counts[t] <= n)) for t in tail_times
-            }
+    tail_times = [horizon * f for f in (0.2, 0.5, 1.0)]
+    click_counts = [np.bincount(owner[every <= t], minlength=len(lengths)) for t in tail_times]
+    counts_tail = {
+        n: {float(t): float(np.mean(c <= n)) for t, c in zip(tail_times, click_counts)}
+        for n in (0, 1, 2)
+    }
 
     passed = {}
     if not underpowered:

@@ -44,8 +44,8 @@ computed for all rows at once by a numpy Philox4x64-10, bit for bit, so each
 trajectory is a pure function of its seed pair, independent of the batch it
 runs in.
 
-A batch's clicks stay in one table of arrays, a :class:`Batch`; its
-:class:`Trajectory` views build their (time, channel) records only when read.
+A batch is one table of arrays, a :class:`Batch`.  Indexing it makes a
+:class:`Trajectory` view, which builds its (time, channel) records when read.
 
 Uniform-draw discipline (fixed so streams are portable): one uniform per
 waiting-time attempt, and in two-channel mode one further uniform per
@@ -55,7 +55,6 @@ realized click for the channel choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -105,27 +104,22 @@ class SeedSpec:
 class Trajectory:
     """A view over one trajectory's rows of a :class:`Batch`; ``records`` are built when read."""
 
-    __slots__ = ("table", "row")
+    __slots__ = ("batch", "row")
 
-    def __init__(self, table, row: int):
-        self.table, self.row = table, row
+    def __init__(self, batch: Batch, row: int):
+        self.batch, self.row = batch, row
 
-    index = property(lambda self: self.table.first_index + self.row)
-    horizon = property(lambda self: self.table.horizon)
-    terminal_state = property(lambda self: self.table.terminal[self.row])
+    terminal_state = property(lambda self: self.batch.terminal[self.row])
 
     @property
     def records(self) -> tuple[tuple[float, str], ...]:
-        t = self.table
+        t = self.batch
         a, b = t.offsets[self.row:self.row + 2].tolist()
         return tuple(zip(t.time[a:b].tolist(), t.channel[a:b].tolist()))
 
-    def times(self, channel: str | None = None) -> np.ndarray:
-        return np.array([t for t, c in self.records if channel is None or c == channel])
 
-
-class Batch(list):
-    """A batch's :class:`Trajectory` views, over its click table and terminal states.
+class Batch:
+    """A batch's click table and terminal states; ``batch[k]`` views trajectory k.
 
     One table entry per click, sorted by (trajectory, time): ``index``,
     ``jump`` (rank in its trajectory), ``time`` and ``channel`` (its name).
@@ -133,15 +127,19 @@ class Batch(list):
     ``terminal[k]`` at the horizon.
     """
 
-    def __init__(self, owner, time, channel, terminal, horizon: float, first_index: int):
-        B = len(terminal)
-        self.offsets = np.searchsorted(owner, np.arange(B + 1))
+    def __init__(self, owner, time, channel, terminal, first_index: int):
+        self.offsets = np.searchsorted(owner, np.arange(len(terminal) + 1))
         self.index, self.time, self.channel = first_index + owner, time, channel
         self.jump = np.arange(len(owner)) - self.offsets[owner]
         self.terminal = terminal
-        self.horizon, self.first_index = float(horizon), first_index
-        table = SimpleNamespace(**vars(self))  # views of self would make a reference cycle
-        super().__init__([Trajectory(table, k) for k in range(B)])
+
+    def __len__(self) -> int:
+        return len(self.terminal)
+
+    def __getitem__(self, k: int) -> Trajectory:
+        if not 0 <= k < len(self):
+            raise IndexError(f"trajectory {k} of a batch of {len(self)}")
+        return Trajectory(self, k)
 
 
 def waiting_time_cap(m: Model) -> float:
@@ -280,15 +278,8 @@ class _UniformTape:
         return out
 
 
-def sample_batch(
-    m: Model,
-    rho0,
-    horizon: float,
-    master_seed: int,
-    n_traj: int,
-    mode: str = "side-only",
-    first_index: int = 0,
-) -> Batch:
+def sample_batch(m: Model, rho0, horizon: float, master_seed: int, n_traj: int,
+                 mode: str = "side-only", first_index: int = 0) -> Batch:
     """Sample ``n_traj`` trajectories with indices first_index..first_index+n-1.
 
     All trajectories advance in lockstep rounds (one waiting-time inversion
@@ -296,8 +287,8 @@ def sample_batch(
     so the result is identical to sampling them one at a time.  ``rho0`` may
     also be a stack of n_traj initial states (one per trajectory), which is
     how a batch resumes from previously computed conditional states.
-    The result, a :class:`Batch`, is the list of :class:`Trajectory` views
-    plus the click table they read; a view builds ``records`` when read.
+    The result is the click table, a :class:`Batch`; ``batch[k]`` is a
+    :class:`Trajectory` view that builds ``records`` when read.
     """
     if not 0.0 <= horizon < np.inf:
         raise ValueError("horizon must be finite and >= 0")
@@ -319,8 +310,7 @@ def sample_batch(
 
     # clicks grouped by trajectory in round order, which is time order
     order = np.argsort(owner, kind="stable")
-    return Batch(owner[order], times[order], ops.channels[picks[order]], finals, horizon,
-                 first_index)
+    return Batch(owner[order], times[order], ops.channels[picks[order]], finals, first_index)
 
 
 def _side_only_rounds(ops, rho0, horizon, cap, tape):
@@ -389,20 +379,8 @@ def _two_channel_rounds(ops, rho0, horizon, cap, tape):
     return states, clock, np.concatenate(owner), np.concatenate(times), np.concatenate(picks)
 
 
-def sample_trajectory(
-    m: Model,
-    rho0,
-    horizon: float,
-    seed: SeedSpec,
-    mode: str = "side-only",
-) -> Trajectory:
+def sample_trajectory(m: Model, rho0, horizon: float, seed: SeedSpec,
+                      mode: str = "side-only") -> Trajectory:
     """Sample a single trajectory; identical to its row in any batch."""
-    return sample_batch(
-        m,
-        rho0,
-        horizon,
-        seed.master_seed,
-        1,
-        mode=mode,
-        first_index=seed.trajectory_index,
-    )[0]
+    return sample_batch(m, rho0, horizon, seed.master_seed, 1, mode=mode,
+                        first_index=seed.trajectory_index)[0]

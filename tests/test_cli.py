@@ -359,11 +359,12 @@ def test_trajectory_views_read_the_click_table_and_the_file(tmp_path):
         a, b = batch.offsets[k], batch.offsets[k + 1]
         assert (batch.index[a:b] == k).all() and (batch.jump[a:b] == np.arange(b - a)).all()
         assert tr.records == tuple(zip(batch.time[a:b].tolist(), names[a:b]))
-        assert tr.times().tobytes() == batch.time[a:b].tobytes()
+        assert np.array([t for t, _ in tr.records]).tobytes() == batch.time[a:b].tobytes()
         for c in ("side", "forward"):
-            assert tr.times(c).tolist() == [t for t, n in tr.records if n == c]
+            assert batch.time[a:b][batch.channel[a:b] == c].tolist() == [
+                t for t, n in tr.records if n == c]
         assert rows[a:b] == [f"{k},{j},{'%.17g' % t},{c}" for j, (t, c) in enumerate(tr.records)]
-        assert tr.horizon == rc.horizon and tr.index == k
+        assert (batch.time[a:b] < rc.horizon).all() and tr.row == k
 
 
 def test_zero_trajectories_give_an_empty_table_and_the_zero_summary(tmp_path):
@@ -479,7 +480,7 @@ def test_reader_returns_each_trajectorys_side_times(tmp_path, mode):
     traj = _trajectories(cfg, tmp_path / "traj")
     rc = RunConfig.from_json(cfg.read_text())
     trajs = sample_batch(rc.model(), rc.rho0(), rc.horizon, rc.master_seed, rc.n_traj, mode=mode)
-    expected = [tr.times("side") for tr in trajs]
+    expected = [np.array([t for t, c in tr.records if c == "side"]) for tr in trajs]
     assert sum(map(len, expected)) > 0 and len(expected[-1]) == 0
     assert (mode == "two-channel") == (",forward" in traj.read_text())
     got = read_trajectory_csv(traj)
@@ -557,6 +558,46 @@ def test_renewal_stats_rejects_malformed_rows(tmp_path, capsys, transform, messa
     assert run([*argv, "--out", str(tmp_path / "renewal")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("# n_traj=4\n0,0,0.5,side\n1,0,0.7,side\n3,0,half,side\n", 4,
+         "could not convert string 'half' to float64, column 3."),
+        ("# n_traj=4\ntrajectory_index,jump_index,time,channel\n0,0,0.5,side\n# note\n\n"
+         "1,0,0.7,side\n3,0,0.5\n", 7, "the dtype passed requires 4 columns but 3 were found"),
+        ("# stamp\n# n_traj=4\n1.5,0,0.5,side\n", 3, "could not convert string '1.5' to int64"),
+        ("# n_traj=4\n0,0,0.5,side\n   \n", 3, "4 columns but 1"),
+    ],
+    ids=["text-time", "short-row-after-comment-and-blank-lines", "first-row", "blank-spaces"],
+)
+def test_reader_names_the_file_and_line_of_a_row_it_cannot_parse(tmp_path, capsys, text, line,
+                                                                  message):
+    # np.loadtxt counts data rows, from 0 in one message and from 1 in
+    # another; the reader's message counts file lines from 1
+    traj = tmp_path / "bad.csv"
+    traj.write_text(text)
+    assert run(["renewal-stats", "--traj", str(traj), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {traj} line {line}: ") and message in err
+    assert " row " not in err and "Traceback" not in err
+
+
+def test_renewal_stats_rejects_a_side_click_at_or_beyond_the_horizon(tmp_path, capsys):
+    # the battery tests the default config's law, sampled to horizon 50
+    for time in ("70.0", "50"):
+        traj = tmp_path / "late.csv"
+        traj.write_text(f"# n_traj=2\n0,0,0.5,side\n1,0,{time},side\n")
+        assert run(["renewal-stats", "--traj", str(traj), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {traj} has a side click at or beyond the config's horizon 50.0\n")
+        assert not (tmp_path / "r").exists()
+    # a side click just before the horizon is read, and forward rows are ignored
+    traj.write_text("# n_traj=2\n0,0,0.5,side\n1,0,49.5,side\n1,1,70.0,forward\n")
+    assert run(["renewal-stats", "--traj", str(traj), "--out", str(tmp_path / "r")]) == 0
+    report = json.loads((tmp_path / "r" / "renewal_report.json").read_text())
+    assert report["n_first"] == 2 and report["underpowered"] is True
 
 
 @pytest.mark.parametrize("rows", ["", "0,0,0.5,side\n"], ids=["no-rows", "one-row"])

@@ -204,7 +204,7 @@ def _synthetic_clicks(m, rho, n_traj, horizon, seed):
 def test_renewal_battery_null_calibration(sym_model):
     g = ground_state()
     clicks = _synthetic_clicks(sym_model, g, 4000, 60.0, seed=2024)
-    rep = renewal_test(clicks, sym_model, g, tail_times=(10.0, 30.0, 60.0))
+    rep = renewal_test(clicks, sym_model, g, 60.0)
     assert not rep.underpowered
     assert rep.passed["ks_first"] and rep.passed["ks_later"] and rep.passed["ks_third"]
     assert rep.passed["independence"]
@@ -217,7 +217,7 @@ def test_renewal_battery_null_calibration(sym_model):
 def test_renewal_battery_on_sampler_output(sym_model):
     g = ground_state()
     trajs = sample_batch(sym_model, g, 60.0, 555, 4000)
-    rep = renewal_test([tr.times("side") for tr in trajs], sym_model, g)
+    rep = renewal_test([[t for t, _ in tr.records] for tr in trajs], sym_model, g, 60.0)
     assert not rep.underpowered
     assert all(rep.passed.values())
 
@@ -232,14 +232,14 @@ def test_renewal_battery_negative_control(sym_model):
             c = c.copy()
             c[2] = c[1] + x2  # force X3 := X2
         corrupted.append(c)
-    rep = renewal_test(corrupted, sym_model, g)
+    rep = renewal_test(corrupted, sym_model, g, 60.0)
     assert not rep.passed["independence"]
 
 
 def test_renewal_battery_underpowered(sym_model):
     g = ground_state()
     trajs = sample_batch(sym_model, g, 60.0, 3, 50)
-    rep = renewal_test([tr.times("side") for tr in trajs], sym_model, g)
+    rep = renewal_test([[t for t, _ in tr.records] for tr in trajs], sym_model, g, 60.0)
     assert rep.underpowered
     assert rep.passed == {}
     assert rep.n_later < MIN_KS_SAMPLES
@@ -287,7 +287,7 @@ def test_battery_statistics_equal_scipy_stats_bit_for_bit(sym_model, n_traj, tie
         clicks = [c[:k] for c, k in zip(clicks, rng.integers(0, 7, size=n_traj))]
         if ragged == "list":
             clicks = [c.tolist() for c in clicks]
-    rep = renewal_test(clicks, sym_model, g)
+    rep = renewal_test(clicks, sym_model, g, gaps.sum(axis=1).max() + 1.0)
     inter = [np.diff(c, prepend=0.0) for c in clicks]
     x1, x2, x3 = (np.array([xs[k] for xs in inter if len(xs) > k]) for k in range(3))
     cdf_first = lambda v: theoretical_cdf(sym_model, g, "first", v)
@@ -326,7 +326,7 @@ def test_chdtrc_is_the_chi_square_survival_function():
 def test_battery_reports_nan_for_empty_samples(sym_model):
     # one trajectory without a click and one with a single click: X_1 has one
     # value, X_2 and X_3 none
-    rep = renewal_test([np.array([]), np.array([1.0])], sym_model, ground_state())
+    rep = renewal_test([np.array([]), np.array([1.0])], sym_model, ground_state(), 2.0)
     assert (rep.n_traj, rep.n_first, rep.n_later) == (2, 1, 0)
     assert 0.0 <= rep.ks_stat_first <= 1.0
     assert np.isnan([rep.ks_stat_later, rep.ks_stat_third, rep.independence_stat]).all()

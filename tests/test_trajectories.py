@@ -232,7 +232,7 @@ def test_seeds_above_two_to_the_63_keep_their_own_streams(sym_model):
     # the Philox key is built as uint64, so large seeds are neither rounded
     # through float64 nor overflow
     times = [
-        sample_trajectory(sym_model, excited_state(), 20.0, SeedSpec(seed)).times()
+        [t for t, _ in sample_trajectory(sym_model, excited_state(), 20.0, SeedSpec(seed)).records]
         for seed in (2**63, 2**63 + 1, 2**64 - 1)
     ]
     assert not np.array_equal(times[0], times[1])
@@ -257,9 +257,8 @@ def test_trajectory_corners(undriven_model):
 def test_determinism_across_batching(sym_model):
     g = ground_state()
     whole = sample_batch(sym_model, g, 30.0, 999, 64)
-    parts = sample_batch(sym_model, g, 30.0, 999, 32) + sample_batch(
-        sym_model, g, 30.0, 999, 32, first_index=32
-    )
+    parts = [*sample_batch(sym_model, g, 30.0, 999, 32),
+             *sample_batch(sym_model, g, 30.0, 999, 32, first_index=32)]
     assert all(a.records == b.records for a, b in zip(whole, parts))
     again = sample_batch(sym_model, g, 30.0, 999, 64)
     assert all(a.records == b.records for a, b in zip(whole, again))
@@ -273,15 +272,15 @@ def test_two_channel_between_jump_rates(sym_model):
     ns = sum(sum(1 for _, c in t.records if c == "side") for t in trajs)
     # forward counter sees laser photons plus scattered light; side only decay
     assert nf > 3 * ns
-    for t in trajs[:5]:
+    for t in list(trajs)[:5]:
         times = [x for x, _ in t.records]
         assert all(a < b for a, b in zip(times, times[1:]))
 
 
-def _stepwise_density(m, rho0, tr):
+def _stepwise_density(m, rho0, tr, horizon):
     # product of the sampler's per-click densities and the final survival
     ks2 = abs(m.kappa_s) ** 2
-    times = tr.times()
+    times = np.array([t for t, _ in tr.records])
     gaps = np.diff(np.concatenate(([0.0], times)))
     ops = _ModeOps(m, "side-only")
     rho, dens = rho0, 1.0
@@ -289,15 +288,15 @@ def _stepwise_density(m, rho0, tr):
         rho_x = ops.evolve(rho[None], np.array([x]))[0]
         dens *= ks2 * np.trace(rho_x @ m.P).real * ops.survival(rho[None])(x)[0]
         rho = ops.jump(rho_x[None], np.array([0]))[0]
-    last = tr.horizon - (times[-1] if len(times) else 0.0)
+    last = horizon - (times[-1] if len(times) else 0.0)
     return dens * ops.survival(rho[None])(last)[0]
 
 
-def _trace_form_density(m, rho0, tr):
+def _trace_form_density(m, rho0, tr, horizon):
     # Tr(rho0 Z_{x1} J_s Z_{x2} ... J_s Z_{x_last}(I)) with expm-built Z_x
-    times = tr.times()
+    times = np.array([t for t, _ in tr.records])
     gaps = np.diff(np.concatenate(([0.0], times)))
-    last = tr.horizon - (times[-1] if len(times) else 0.0)
+    last = horizon - (times[-1] if len(times) else 0.0)
     Js = side_jump(m)
     word = no_side_count_map(m, float(last)) @ vec(I2)
     for x in reversed(gaps):
@@ -315,8 +314,8 @@ def test_density_audit_pins_duality(sym_model):
         for tr in trajs:
             if not (1 <= len(tr.records) <= 5):
                 continue
-            assert _stepwise_density(m, rho0, tr) == pytest.approx(
-                _trace_form_density(m, rho0, tr), rel=1e-9, abs=1e-12
+            assert _stepwise_density(m, rho0, tr, 12.0) == pytest.approx(
+                _trace_form_density(m, rho0, tr, 12.0), rel=1e-9, abs=1e-12
             )
             checked += 1
         assert checked > 0
@@ -376,7 +375,7 @@ def test_sampler_at_exceptional_drive(exceptional_model):
     assert _survival(m, [maximally_mixed()])(x) == pytest.approx(u, abs=1e-9)
     g = ground_state()
     whole = sample_batch(m, g, 8.0, 5, 12)
-    parts = sample_batch(m, g, 8.0, 5, 5) + sample_batch(m, g, 8.0, 5, 7, first_index=5)
+    parts = [*sample_batch(m, g, 8.0, 5, 5), *sample_batch(m, g, 8.0, 5, 7, first_index=5)]
     assert [t.records for t in whole] == [t.records for t in parts]
     assert sum(len(t.records) for t in whole) > 0
 
@@ -514,8 +513,8 @@ def test_table_started_waits_are_certified_and_batch_independent(exceptional_mod
             assert S.crossing(u[b:b + 1], cap, which[b:b + 1])[0] == x[b]
         stack = np.stack([ground_state() if k % 4 == 0 else _random_state(rng) for k in range(24)])
         whole = sample_batch(m, stack, 40.0, 91, 24)
-        parts = sample_batch(m, stack[:10], 40.0, 91, 10) + sample_batch(
-            m, stack[10:], 40.0, 91, 14, first_index=10)
+        parts = [*sample_batch(m, stack[:10], 40.0, 91, 10),
+                 *sample_batch(m, stack[10:], 40.0, 91, 14, first_index=10)]
         assert [t.records for t in whole] == [t.records for t in parts]
         assert sum(len(t.records) for t in whole) > 24
         for k in (0, 5, 23):
@@ -599,16 +598,32 @@ def test_side_click_at_or_below_the_rate_threshold_raises(sym_model, monkeypatch
 
 
 def test_a_batch_is_freed_without_the_cycle_collector(sym_model):
-    # views that referred to their batch would form a cycle, and an
-    # in-process caller's batches would pile up until a collection
-    batch = sample_batch(sym_model, ground_state(), 10.0, 5, 50)
-    tr = batch[3]
-    ref = weakref.ref(batch)
+    # a batch holds no views and a view holds its batch, so there is no
+    # cycle: reference counting alone frees an in-process caller's batches
     gc.disable()
     try:
+        batch = sample_batch(sym_model, ground_state(), 10.0, 5, 50)
+        ref, views, tr = weakref.ref(batch), list(batch), batch[3]
+        a, b = batch.offsets[3:5]
+        table = tuple(zip(batch.time[a:b].tolist(), batch.channel[a:b].tolist()))
         del batch
+        # a live view keeps its batch and still reads the table
+        assert ref() is not None
+        assert tr.records == table and len(table) > 0 and tr.row == 3
+        del views, tr
         assert ref() is None
     finally:
         gc.enable()
-    # a view outlives its batch and still reads the table
-    assert len(tr.records) == len(tr.times()) and tr.index == 3
+
+
+def test_a_batch_indexes_and_iterates_its_trajectories(sym_model):
+    batch = sample_batch(sym_model, ground_state(), 10.0, 5, 7, first_index=4)
+    assert len(batch) == len(list(batch)) == 7
+    assert [tr.row for tr in batch] == list(range(7))
+    for k in (7, 100, -1):
+        with pytest.raises(IndexError):
+            batch[k]
+    empty = sample_batch(sym_model, ground_state(), 10.0, 5, 0)
+    assert len(empty) == 0 and list(empty) == []
+    with pytest.raises(IndexError):
+        empty[0]
