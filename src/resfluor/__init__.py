@@ -56,17 +56,13 @@ from .model import (
     build_model,
     drive_commutator_form,
     emission_amplitude,
-    forward_jump,
     lindblad_generator,
     master_generator,
     master_map,
     no_count_map,
-    no_jump_generator,
-    no_jump_matrix_generator,
     no_jump_operator,
     no_side_count_generator,
     no_side_count_map,
-    side_jump,
 )
 from .renewal import (
     RenewalReport,

@@ -23,9 +23,10 @@ comments; a ``# n_traj=N`` line (N counts every trajectory, click-free ones
 too) and the header, if any, come before the first row; rows come in any
 order, each an index in [0, N), a jump index, a finite time >= 0 and a
 channel, side or forward; forward rows are then ignored.  A message about a
-row that cannot be parsed names the file and its line, counted from 1.  The
-file does not record its horizon, so the battery takes the config's: a side
-click at or beyond it means the file came from another config, and exits 1.
+row that breaks these rules names the file, its line, counted from 1, and the
+field at fault.  The file does not record its horizon, so the battery takes
+the config's: a side click at or beyond it means the file came from another
+config, and exits 1.
 """
 
 from __future__ import annotations
@@ -236,8 +237,9 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
     channel as a string column ``_CHANNEL_WIDTH`` characters wide, checked as a
     column against side and forward.  The side rows are sorted by (index,
     time) only if one pass finds them out of that order, as the sampler's own
-    files never are; they are then sliced at each trajectory's end.  A row that
-    ``np.loadtxt`` rejects is found again line by line, to name its file line.
+    files never are; they are then sliced at each trajectory's end.  Only when a
+    row is rejected, by ``np.loadtxt`` or for its index, time or channel, is the
+    file read again line by line, to name the row's file line.
     """
     n = None
     with open(path) as fh:
@@ -259,21 +261,23 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
                 rows = np.loadtxt(itertools.chain([line], fh), dtype=_TRAJ_ROW, delimiter=",",
                                   ndmin=1)
             except ValueError as exc:  # its row number counts data rows only
-                raise ValueError(f"{path} line {_rejected_line(path, first)}: "
+                raise ValueError(f"{path} line {_file_line(path, first)}: "
                                  + re.sub(r" at row \d+", "", str(exc))) from None
-    channel = rows["channel"]
+    index, time, channel = rows["index"], rows["time"], rows["channel"]
     is_side = channel == SIDE
+    bad_index, bad_time = (index < 0) | (index >= n), ~((0 <= time) & (time < np.inf))
     unknown = ~is_side & (channel != FORWARD)
-    if unknown.any():
-        name = channel[unknown.argmax()]
-        cut = len(name) == _CHANNEL_WIDTH  # it may be the start of a longer name
-        raise ValueError(f"could not convert string '{name}'"
+    if (bad := bad_index | bad_time | unknown).any():
+        k = bad.argmax()
+        at = f"{path} line {_file_line(path, first, k)}: "
+        if bad_index[k]:
+            raise ValueError(at + f"trajectory index {index[k]} outside [0, {n})")
+        if bad_time[k]:
+            raise ValueError(at + f"negative or non-finite time {float(time[k])!r}")
+        cut = len(channel[k]) == _CHANNEL_WIDTH  # it may be the start of a longer name
+        raise ValueError(at + f"could not convert string '{channel[k]}'"
                          + (f" (read as its first {_CHANNEL_WIDTH} characters)" if cut else "")
-                         + f" to a channel, {SIDE} or {FORWARD}, in {path}")
-    index, time = rows["index"], rows["time"]
-    if not ((0 <= index) & (index < n) & (0 <= time) & (time < np.inf)).all():
-        raise ValueError(f"{path} has a trajectory index outside [0, {n}) or a negative or "
-                         "non-finite time")
+                         + f" to a channel, {SIDE} or {FORWARD}")
     index, times = index[is_side], time[is_side]
     step = np.diff(index)
     if not ((step > 0) | ((step == 0) & (np.diff(times) >= 0))).all():
@@ -282,15 +286,20 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
     return [times[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _rejected_line(path: Path, first: int) -> int:
-    """The line, from 1, of the first row from line ``first`` on that ``np.loadtxt`` rejects."""
+def _file_line(path: Path, first: int, row: float = np.inf) -> int:
+    """The line, from 1, of data row ``row`` (from 0) of those from line ``first`` on.
+
+    Without ``row`` it is the first of those lines that ``np.loadtxt`` rejects.
+    """
     with open(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a comment or blank line alone holds no data
         for number, text in enumerate(fh, 1):
             try:
                 if number >= first:
-                    np.loadtxt([text], dtype=_TRAJ_ROW, delimiter=",")
+                    row -= len(np.loadtxt([text], dtype=_TRAJ_ROW, delimiter=",", ndmin=1))
             except ValueError:
+                return number
+            if row < 0:
                 return number
 
 

@@ -6,13 +6,13 @@ integrated over the ordered jump times, of the words
 
     E(d_1) J_(c_1) E(d_2) J_(c_2) ... J_(c_n) E(d_{n+1})
 
-where the J's are the channel jump superoperators and E is the no-count
-semigroup exp(d L0).  Such sums are blocks of a single matrix exponential
-(Van Loan, IEEE TAC 23, 395 (1978); the tilted-generator form of full
-counting statistics): index the counts seen so far by a lattice site, put L0
-on the diagonal blocks and J_c on the blocks that raise channel c's count,
-and the (0, n) block of exp(t A) is the map for exactly n counts, evaluated
-by :func:`resfluor.linalg.superop_exp`.
+where the J's are the model's channel jump superoperators ``J_f`` and
+``J_s``, and E is the no-count semigroup exp(d L0) of its ``L0``.  Such sums
+are blocks of a single matrix exponential (Van Loan, IEEE TAC 23, 395 (1978);
+the tilted-generator form of full counting statistics): index the counts
+seen so far by a lattice site, put L0 on the diagonal blocks and J_c on the
+blocks that raise channel c's count, and the (0, n) block of exp(t A) is the
+map for exactly n counts, evaluated by :func:`resfluor.linalg.superop_exp`.
 
 :meth:`Event.segments`, the one place an event is cut, cuts the horizon into
 segments at all window edges.  Within a segment a channel is pinned (inside
@@ -41,7 +41,7 @@ import numpy as np
 
 from .events import Event
 from .linalg import I2, apply_superop, require_density_matrix, superop_exp
-from .model import Model, forward_jump, no_jump_generator, side_jump
+from .model import Model
 
 __all__ = ["DaviesResult", "davies_map", "event_probability", "dyson_truncation_tail"]
 
@@ -122,12 +122,12 @@ def davies_map(
     if expansion not in ("resum", "dyson"):
         raise ValueError(f"unknown expansion {expansion!r}")
     channels = (e.forward, e.side)
-    jumps = (forward_jump(m), side_jump(m))
+    jumps = (m.J_f, m.J_s)
     extra = n_max - e.total_count if expansion == "dyson" else 0
     shape = tuple(max((w.count for w in ch.windows), default=0) + 1 for ch in channels)
     shape += (extra + 1 if e.forward.free or e.side.free else 1,)
     eye = np.eye(math.prod(shape))
-    base = _kron(eye, no_jump_generator(m))
+    base = _kron(eye, m.L0)
 
     @cache
     def term(axis: int, cap: int | None) -> np.ndarray:

@@ -36,9 +36,11 @@ letter, and each absorption carries a factor z, so those sectors are counted,
 not integrated.  The sectors that put the same number of photons in each
 segment form a group that shares one tensor grid, with the gap factors
 computed on it, built once per call from simplex rules also built once per
-call, and each sector's integral is added to the total.  None of this shares code paths with the analytic semigroup/jump
-construction -- from :mod:`resfluor.model` it takes only the ``Model``
-container -- so agreement between the two pipelines, which
+call, and each sector's integral is added to the total.  None of this shares
+code paths with the analytic semigroup/jump construction -- from
+:mod:`resfluor.model` it takes only the ``Model`` container, and of a model it
+reads only the amplitudes, V_f and V_s, not the generators and jump maps the
+model also holds -- so agreement between the two pipelines, which
 :mod:`resfluor.verify` compares, checks the formulas, not the integrator.
 """
 

@@ -3,20 +3,18 @@
 The atom decays through two channels with amplitudes kappa_f ("forward",
 carrying the coherent drive of amplitude z) and kappa_s ("side"), normalized
 so that |kappa_f|^2 + |kappa_s|^2 = 1; the total decay rate sets the unit of
-time.  This module builds the generators and maps used elsewhere:
+time.  :class:`Model` holds the atom's operators and constant generators,
+built once when the model is made and kept read-only: the forward jump
+operator C_f, the no-jump generator G and its superoperator L0, and the jump
+maps J_f and J_s.  This module builds the maps used elsewhere from them:
 
 * ``lindblad_generator``   -- undriven relaxation generator L
-* ``no_jump_generator``    -- generator L0 of the no-count semigroup
 * ``no_jump_operator``     -- the 2x2 contraction B_t with Y_t(A) = B_t^dag A B_t
 * ``no_count_map``         -- Y_t, conditioned on zero counts in both channels
-* ``forward_jump`` / ``side_jump`` -- the jump superoperators
 * ``emission_amplitude`` -- the driven amplitude of a photon record
 * ``no_side_count_map``    -- Z_t = exp(t(L0 + J_f)), forward channel unobserved
 * ``master_generator`` / ``master_map`` -- unconditioned driven evolution
 
-The constant generators L0, J_f and J_s are computed once per ``Model``
-instance, on first use, and returned read-only: every later call, and every
-generator built from them, reuses that array, and sharing it is still safe.
 The eigen forms of the semigroups (``SemigroupCache``) are built by their
 readers, the sampler's ``_ModeOps`` and the renewal battery.
 
@@ -27,7 +25,6 @@ superoperators act in the Heisenberg picture (on observables).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
 
 import numpy as np
 
@@ -37,12 +34,8 @@ __all__ = [
     "Model",
     "build_model",
     "lindblad_generator",
-    "no_jump_generator",
-    "no_jump_matrix_generator",
     "no_jump_operator",
     "no_count_map",
-    "forward_jump",
-    "side_jump",
     "emission_amplitude",
     "no_side_count_generator",
     "no_side_count_map",
@@ -60,10 +53,19 @@ class Model:
 
     ``V`` is the lowering operator, ``V_f = kappa_f V`` and ``V_s = kappa_s V``
     the channel decay operators, and ``P = V^dag V`` the excited-state
-    projector.  Instances are immutable and safe to share between workers;
-    they compare and hash by their amplitudes alone.  The generators L0, J_f
-    and J_s are computed once per instance and kept read-only beside these
-    fields, so sharing an instance shares them too.
+    projector.  ``C_f = zI + V_f`` is the forward jump operator: the drive
+    interferes with the scattered light, so the forward jump mixes the laser
+    amplitude into the atomic lowering operator.  ``G`` is the 2x2 no-jump
+    generator, B_t = exp(tG), with G = -(|z|^2 I + V^dag V + 2 z V_f^dag)/2,
+    and ``L0(A) = G^dag A + A G`` the generator of the no-count semigroup.
+    ``J_f(A) = C_f^dag A C_f`` and ``J_s(A) = V_s^dag A V_s = |kappa_s|^2 A_22 P``
+    are the jump superoperators; J_s @ J_s = 0, since two side photons cannot
+    arrive back to back.
+
+    Every operator is built when the model is made and is read-only, so
+    instances are immutable and safe to share between workers.  They compare
+    and hash by their amplitudes alone: models at z = 0.0 and z = -0.0 compare
+    equal, and each holds the operators of its own amplitudes.
     """
 
     kappa_f: complex
@@ -73,6 +75,11 @@ class Model:
     V_f: np.ndarray = field(init=False, repr=False, compare=False)
     V_s: np.ndarray = field(init=False, repr=False, compare=False)
     P: np.ndarray = field(init=False, repr=False, compare=False)
+    C_f: np.ndarray = field(init=False, repr=False, compare=False)
+    G: np.ndarray = field(init=False, repr=False, compare=False)
+    L0: np.ndarray = field(init=False, repr=False, compare=False)
+    J_f: np.ndarray = field(init=False, repr=False, compare=False)
+    J_s: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.kappa_f, self.kappa_s, self.z])):
@@ -88,15 +95,17 @@ class Model:
             )
         # restore the normalization exactly rather than rejecting small drift
         scale = 1.0 / np.sqrt(norm2)
-        object.__setattr__(self, "kappa_f", complex(self.kappa_f) * scale)
-        object.__setattr__(self, "kappa_s", complex(self.kappa_s) * scale)
-        object.__setattr__(self, "z", complex(self.z))
-        object.__setattr__(self, "V", LOWER.copy())
-        object.__setattr__(self, "P", EXCITED_PROJ.copy())
-        object.__setattr__(self, "V_f", self.kappa_f * self.V)
-        object.__setattr__(self, "V_s", self.kappa_s * self.V)
-        for name in ("V", "V_f", "V_s", "P"):
-            getattr(self, name).setflags(write=False)
+        kappa_f, kappa_s = complex(self.kappa_f) * scale, complex(self.kappa_s) * scale
+        z, V = complex(self.z), LOWER.copy()
+        V_f, V_s, P = kappa_f * V, kappa_s * V, EXCITED_PROJ.copy()
+        G = -0.5 * (abs(z) ** 2 * I2 + P + 2.0 * z * V_f.conj().T)
+        C_f = z * I2 + V_f
+        ops = dict(V=V, V_f=V_f, V_s=V_s, P=P, C_f=C_f, G=G,
+                   L0=_left_mul(G.conj().T) + _right_mul(G), J_f=ad_map(C_f), J_s=ad_map(V_s))
+        for name, value in (("kappa_f", kappa_f), ("kappa_s", kappa_s), ("z", z), *ops.items()):
+            object.__setattr__(self, name, value)
+        for op in ops.values():
+            op.setflags(write=False)
 
 
 def build_model(kappa_f, kappa_s, z) -> Model:
@@ -105,29 +114,6 @@ def build_model(kappa_f, kappa_s, z) -> Model:
     Raises if |kappa_f|^2 + |kappa_s|^2 deviates from 1 by more than 1e-9.
     """
     return Model(kappa_f=complex(kappa_f), kappa_s=complex(kappa_s), z=complex(z))
-
-
-def _once_per_model(build):
-    """Compute ``build(m)`` once per Model instance and return it read-only.
-
-    The array is kept in the instance's ``__dict__``, as
-    ``functools.cached_property`` keeps its value, so it is keyed by the
-    instance and not by model equality: models at z = 0.0 and z = -0.0
-    compare equal, and each still gets the array of its own amplitudes.
-    """
-    key = f"_{build.__name__}"
-
-    @wraps(build)
-    def cached(m: Model) -> np.ndarray:
-        out = m.__dict__.get(key)
-        if out is None:
-            out = build(m)
-            out.setflags(write=False)
-            # first callers racing in threads all get the array stored first
-            out = m.__dict__.setdefault(key, out)
-        return out
-
-    return cached
 
 
 def _left_mul(M: np.ndarray) -> np.ndarray:
@@ -150,25 +136,13 @@ def lindblad_generator(m: Model) -> np.ndarray:
     return ad_map(m.V_f) + ad_map(m.V_s) - _anticomm_half(m.P)
 
 
-def no_jump_matrix_generator(m: Model) -> np.ndarray:
-    """The 2x2 matrix G with B_t = exp(tG): G = -(|z|^2 I + V^dag V + 2 z V_f^dag)/2."""
-    return -0.5 * (abs(m.z) ** 2 * I2 + m.P + 2.0 * m.z * m.V_f.conj().T)
-
-
-@_once_per_model
-def no_jump_generator(m: Model) -> np.ndarray:
-    """Generator L0 of the no-count semigroup: L0(A) = G^dag A + A G."""
-    G = no_jump_matrix_generator(m)
-    return _left_mul(G.conj().T) + _right_mul(G)
-
-
 def no_jump_operator(m: Model, t: float) -> np.ndarray:
     """No-jump contraction B_t = exp(tG); requires t >= 0.
 
     ||B_t|| <= 1 and B_s B_t = B_{s+t}; conditioned on seeing no photon in
     either channel, observables evolve as A -> B_t^dag A B_t.
     """
-    return superop_exp(no_jump_matrix_generator(m), t)
+    return superop_exp(m.G, t)
 
 
 def no_count_map(m: Model, t: float) -> np.ndarray:
@@ -176,30 +150,11 @@ def no_count_map(m: Model, t: float) -> np.ndarray:
     return ad_map(no_jump_operator(m, t))
 
 
-@_once_per_model
-def forward_jump(m: Model) -> np.ndarray:
-    """Forward-channel jump J_f(A) = (zI + V_f)^dag A (zI + V_f).
-
-    The drive interferes with the scattered light, so the forward jump mixes
-    the laser amplitude into the atomic lowering operator.
-    """
-    return ad_map(m.z * I2 + m.V_f)
-
-
-@_once_per_model
-def side_jump(m: Model) -> np.ndarray:
-    """Side-channel jump J_s(A) = V_s^dag A V_s = |kappa_s|^2 A_22 P.
-
-    J_s @ J_s = 0: two side photons cannot arrive back to back.
-    """
-    return ad_map(m.V_s)
-
-
 def emission_amplitude(m: Model, t: float, omega_f, omega_s) -> np.ndarray:
     """Driven amplitude of emissions at times omega_f, omega_s in [0, t].
 
     With the emissions ordered s_1 < ... < s_n it is
-    e^{t|z|^2/2} B_{t-s_n} C_n ... C_1 B_{s_1}, where C = zI + V_f for a
+    e^{t|z|^2/2} B_{t-s_n} C_n ... C_1 B_{s_1}, where C = C_f = zI + V_f for a
     forward photon and V_s for a side photon; the prefactor cancels the
     coherent weight e^{-t|z|^2/2} inside B_t.  The kernel oracle's
     ``driven_amplitude`` computes the same matrix by an independent route.
@@ -209,11 +164,11 @@ def emission_amplitude(m: Model, t: float, omega_f, omega_s) -> np.ndarray:
     ValueError.
     """
     record = sorted(
-        [(float(x), m.z * I2 + m.V_f) for x in omega_f] + [(float(x), m.V_s) for x in omega_s],
+        [(float(x), m.C_f) for x in omega_f] + [(float(x), m.V_s) for x in omega_s],
         key=lambda p: p[0],
     )
     gaps = np.diff([0.0, *(x for x, _ in record), float(t)])
-    B = superop_exp(no_jump_matrix_generator(m), gaps)
+    B = superop_exp(m.G, gaps)
     amp = I2
     for (_, C), B_gap in zip(record, B):
         amp = C @ B_gap @ amp
@@ -222,7 +177,7 @@ def emission_amplitude(m: Model, t: float, omega_f, omega_s) -> np.ndarray:
 
 def no_side_count_generator(m: Model) -> np.ndarray:
     """Generator L0 + J_f of the evolution between side-channel detections."""
-    return no_jump_generator(m) + forward_jump(m)
+    return m.L0 + m.J_f
 
 
 def no_side_count_map(m: Model, t: float) -> np.ndarray:
@@ -241,7 +196,7 @@ def master_generator(m: Model) -> np.ndarray:
     -(1/2){V^dag V, .} + [z V_f^dag - conj(z) V_f, .] + V^dag . V
     and unital: it annihilates the identity.
     """
-    return no_jump_generator(m) + forward_jump(m) + side_jump(m)
+    return m.L0 + m.J_f + m.J_s
 
 
 def master_map(m: Model, t) -> np.ndarray:

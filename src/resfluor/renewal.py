@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import I2, require_density_matrix, vec
-from .model import Model, no_side_count_generator, side_jump
+from .model import Model, no_side_count_generator
 from .semigroup import SemigroupCache
 
 __all__ = [
@@ -138,10 +138,9 @@ def factorized_probability(m: Model, rho, inter_arrivals) -> float:
             product *= ks2 * factor(x, _E22, vec(m.P))
         product *= ks2 * factor(xs[-1], _E22, vec(I2))
 
-    Js = side_jump(m)
     word = sg.at(xs[-1]) @ vec(I2)
     for x in reversed(xs[:-1]):
-        word = sg.at(x) @ (Js @ word)
+        word = sg.at(x) @ (m.J_s @ word)
     trace_form = float(np.real(vec(rho).conj() @ word))
     if abs(product - trace_form) > 1e-10 * max(1.0, abs(trace_form)):
         raise ArithmeticError(

@@ -9,7 +9,7 @@ schemes run the same steps and differ only in which channels are observed:
   traced out, no side count); a click applies V_s.
 * ``two-channel``: both detectors are read out.  Between clicks the state
   evolves by the dual of the no-count map Ad[B_t]; a click draws its channel
-  from the two rates and applies zI + V_f or V_s.
+  from the two rates and applies the model's C_f = zI + V_f or V_s.
 
 ``_ModeOps`` owns both steps for a (B, 2, 2) stack of states.  A jump forms
 C rho C^dag entrywise from the Hermitian state's four real numbers and
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import I2, devec, ground_state, require_density_matrix, vec
-from .model import Model, no_jump_generator, no_side_count_generator
+from .model import Model, no_side_count_generator
 from .semigroup import Component, SemigroupCache
 
 __all__ = [
@@ -155,15 +155,15 @@ class _ModeOps:
 
     The only code that evolves, jumps or renormalises a conditional state.
     ``channels`` lists the observed channels, the side channel last;
-    ``jumps`` stacks their jump matrices C_c and ``rate_ops`` their C_c^dag C_c.
+    ``jumps`` stacks their jump matrices C_c, the model's ``C_f`` and ``V_s``,
+    and ``rate_ops`` their C_c^dag C_c.
     """
 
     def __init__(self, m: Model, mode: str):
         if mode == "side-only":
             gen, channels, jumps = no_side_count_generator(m), [SIDE], [m.V_s]
         elif mode == "two-channel":
-            gen, channels = no_jump_generator(m), [FORWARD, SIDE]
-            jumps = [m.z * I2 + m.V_f, m.V_s]
+            gen, channels, jumps = m.L0, [FORWARD, SIDE], [m.C_f, m.V_s]
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.sg = SemigroupCache(gen)

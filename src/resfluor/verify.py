@@ -30,12 +30,10 @@ from .linalg import I2, ad_map, apply_superop, frobenius_dist, superop_exp
 from .model import (
     build_model,
     emission_amplitude,
-    forward_jump,
     lindblad_generator,
     master_map,
     no_count_map,
     no_jump_operator,
-    side_jump,
 )
 from .quadrature import gauss_legendre_01
 
@@ -201,7 +199,7 @@ def run_battery(cfg: RunConfig) -> dict:
     # tends to the jump map J, and the Richardson pair 2 Q(t/2) - Q(t) is
     # J + O(t^2); an event with one photon has a single sector at any cap
     tj = 1e-3
-    for channel, target in (("forward", forward_jump(m)), ("side", side_jump(m))):
+    for channel, target in (("forward", m.J_f), ("side", m.J_s)):
         q = []
         for x in (tj / 2, tj):
             one, none = exact_count(0.0, x, 1), zero_photons()

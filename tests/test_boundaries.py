@@ -1,6 +1,7 @@
 """Module boundaries that the design relies on, checked on the source."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -13,7 +14,7 @@ from resfluor.davies import davies_map
 from resfluor.events import Event, exact_count, free_channel
 from resfluor.guichardet import oracle_davies_map
 from resfluor.linalg import ground_state
-from resfluor.model import build_model
+from resfluor.model import Model, build_model
 from resfluor.quadrature import simplex_nodes
 from resfluor.trajectories import sample_batch
 
@@ -125,6 +126,32 @@ def test_oracle_takes_only_the_model_container_from_model():
         for alias in node.names
     }
     assert from_model == {"Model"}
+
+
+def test_oracle_reads_only_the_amplitudes_and_decay_operators_of_a_model():
+    # the Model holds its generators and jump maps too, so reading m.J_f
+    # would let the oracle grade itself without importing anything
+    allowed = {"kappa_f", "kappa_s", "z", "V_f", "V_s"}
+    tree = _tree(SRC / "guichardet.py")
+    models = {
+        node.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.arg) and isinstance(node.annotation, ast.Name)
+        and node.annotation.id == "Model"
+    }
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in models
+    }
+    assert models == {"m"} and read <= allowed, sorted(read - allowed)
+    # nor through another name, or getattr
+    others = {f.name for f in dataclasses.fields(Model)} - allowed
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    calls = {node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not attrs & others and "getattr" not in calls, sorted(attrs & others)
 
 
 def test_closed_form_amplitude_uses_none_of_the_kernels_products():

@@ -545,7 +545,7 @@ def test_reader_without_header_or_rows(tmp_path):
          "could not convert string 'forwardl' (read as its first 8 characters) to a channel"),
         (lambda rows: [*rows, "3,0,0.5,sideways"], "could not convert string 'sideways'"),
         (lambda rows: [*rows, "3,0,0.5,Side"],
-         "could not convert string 'Side' to a channel, side or forward, in "),
+         "could not convert string 'Side' to a channel, side or forward\n"),
     ],
     ids=["negative-index", "index-past-n", "nan-time", "negative-time", "three-fields",
          "text-time", "unknown-channel", "longer-channel", "channel-as-wide-as-the-column",
@@ -553,11 +553,16 @@ def test_reader_without_header_or_rows(tmp_path):
 )
 def test_renewal_stats_rejects_malformed_rows(tmp_path, capsys, transform, message):
     cfg = _config(tmp_path)
-    edited = _edit_rows(_trajectories(cfg, tmp_path / "traj"), transform)
+    traj = _trajectories(cfg, tmp_path / "traj")
+    kept = set(traj.read_text().splitlines())
+    edited = _edit_rows(traj, transform)
+    # the one line the transform added
+    (line,) = [k for k, l in enumerate(edited.read_text().splitlines(), 1) if l not in kept]
     argv = ["renewal-stats", "--config", str(cfg), "--traj", str(edited)]
     assert run([*argv, "--out", str(tmp_path / "renewal")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert err.startswith(f"error: {edited} line {line}: ") and message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -569,13 +574,27 @@ def test_renewal_stats_rejects_malformed_rows(tmp_path, capsys, transform, messa
          "1,0,0.7,side\n3,0,0.5\n", 7, "the dtype passed requires 4 columns but 3 were found"),
         ("# stamp\n# n_traj=4\n1.5,0,0.5,side\n", 3, "could not convert string '1.5' to int64"),
         ("# n_traj=4\n0,0,0.5,side\n   \n", 3, "4 columns but 1"),
+        # rows that parse but break a rule name the field at fault
+        ("# n_traj=4\ntrajectory_index,jump_index,time,channel\n0,0,0.5,side\n# c\n\n"
+         "3,0,-1.5,side\n", 6, "negative or non-finite time -1.5\n"),
+        ("# n_traj=4\n0,0,0.5,side\n9,0,1.5,side\n", 3, "trajectory index 9 outside [0, 4)\n"),
+        ("# n_traj=4\n0,0,0.5,side\n1,0,1.5,sid\n", 3,
+         "could not convert string 'sid' to a channel, side or forward\n"),
+        # the first faulty row, and its first faulty field
+        ("# n_traj=4\n0,0,0.5,side\n0,1,nan,sid\n7,0,-1.0,side\n", 3,
+         "negative or non-finite time nan\n"),
+        ("# n_traj=4\n\n0,0,0.5,sid# note\n-1,0,0.5,side\n", 3,
+         "could not convert string 'sid' to a channel, side or forward\n"),
     ],
-    ids=["text-time", "short-row-after-comment-and-blank-lines", "first-row", "blank-spaces"],
+    ids=["text-time", "short-row-after-comment-and-blank-lines", "first-row", "blank-spaces",
+         "negative-time-after-comment-and-blank-lines", "index-past-n", "channel",
+         "first-fault-first", "trailing-comment"],
 )
 def test_reader_names_the_file_and_line_of_a_row_it_cannot_parse(tmp_path, capsys, text, line,
                                                                   message):
     # np.loadtxt counts data rows, from 0 in one message and from 1 in
-    # another; the reader's message counts file lines from 1
+    # another, and the range checks count them from 0; the reader's message
+    # counts file lines from 1
     traj = tmp_path / "bad.csv"
     traj.write_text(text)
     assert run(["renewal-stats", "--traj", str(traj), "--out", str(tmp_path / "r")]) == 1

@@ -28,14 +28,12 @@ from resfluor.linalg import (
 )
 from resfluor.model import (
     build_model,
-    forward_jump,
     lindblad_generator,
     master_generator,
     master_map,
     no_count_map,
     no_jump_operator,
     no_side_count_map,
-    side_jump,
 )
 
 SQ2 = 2.0 ** -0.5
@@ -105,8 +103,8 @@ def test_complete_positivity_of_counting_maps(sym_model):
     ev1 = Event(forward=free_channel(), side=exact_count(0.1, 0.6, 1), horizon=t)
     candidates = [
         no_count_map(sym_model, t),
-        forward_jump(sym_model),
-        side_jump(sym_model),
+        sym_model.J_f,
+        sym_model.J_s,
         no_side_count_map(sym_model, t),
         master_map(sym_model, t),
         davies_map(sym_model, ev1).matrix,

@@ -37,11 +37,9 @@ from resfluor.linalg import (
 from resfluor.model import (
     build_model,
     emission_amplitude,
-    forward_jump,
     lindblad_generator,
     no_count_map,
     no_jump_operator,
-    side_jump,
 )
 from resfluor.quadrature import simplex_nodes
 from resfluor.verify import _roundoff_tolerance, amplitude_by_region_quadrature
@@ -610,8 +608,8 @@ def test_oracle_capacity_error(sym_model):
 def test_jump_limit_check(sym_model):
     # (1/t) times the one-photon oracle map tends to the jump map
     for channel, target, tol in (
-        ("forward", forward_jump(sym_model), 1e-2),
-        ("side", side_jump(sym_model), 5e-3),
+        ("forward", sym_model.J_f, 1e-2),
+        ("side", sym_model.J_s, 5e-3),
     ):
         dists = []
         for t in (1e-1, 1e-2, 1e-3):

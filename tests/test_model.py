@@ -8,6 +8,7 @@ from resfluor.linalg import (
     EXCITED_PROJ,
     I2,
     LOWER,
+    ad_map,
     apply_superop,
     frobenius_dist,
     superop_exp,
@@ -18,17 +19,13 @@ from resfluor.model import (
     build_model,
     drive_commutator_form,
     emission_amplitude,
-    forward_jump,
     lindblad_generator,
     master_generator,
     master_map,
     no_count_map,
-    no_jump_generator,
-    no_jump_matrix_generator,
     no_jump_operator,
     no_side_count_generator,
     no_side_count_map,
-    side_jump,
 )
 
 SQ2 = 2.0 ** -0.5
@@ -47,7 +44,7 @@ def test_build_model_examples():
 
 
 def test_model_operators_are_not_arguments():
-    for name in ("V", "P"):
+    for name in ("V", "P", "C_f", "G", "L0", "J_f", "J_s"):
         with pytest.raises(TypeError):
             Model(kappa_f=SQ2, kappa_s=SQ2, z=1.0, **{name: np.eye(2)})
     m = Model(kappa_f=SQ2, kappa_s=SQ2, z=1.0)
@@ -62,24 +59,38 @@ def test_model_equality_and_hash_follow_the_amplitudes():
     assert table[b] == "first"
 
 
-@pytest.mark.parametrize("gen", [no_jump_generator, forward_jump, side_jump],
-                         ids=lambda g: g.__name__)
-def test_generators_are_built_once_per_model_and_read_only(gen):
+def _no_jump_matrix(m):
+    return -0.5 * (abs(m.z) ** 2 * I2 + m.P + 2.0 * m.z * m.V_f.conj().T)
+
+
+# each operator's formula, spelled from the amplitudes
+_OPERATORS = {
+    "C_f": lambda m: m.z * I2 + m.V_f,
+    "G": _no_jump_matrix,
+    "L0": lambda m: np.kron(I2, _no_jump_matrix(m).conj().T) + np.kron(_no_jump_matrix(m).T, I2),
+    "J_f": lambda m: ad_map(m.z * I2 + m.V_f),
+    "J_s": lambda m: ad_map(m.V_s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATORS))
+def test_operators_are_built_with_the_model_and_read_only(name):
+    formula = _OPERATORS[name]
     m = build_model(0.6, 0.8j, 1.0 - 0.5j)
-    a = gen(m)
-    assert gen(m) is a and not a.flags.writeable
+    a = getattr(m, name)
+    assert getattr(m, name) is a and not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         a[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         a += 0.0
-    assert a.tobytes() == gen.__wrapped__(m).tobytes()
-    # keyed by instance, not by equality: equal models each get the array of
-    # their own amplitudes
+    assert a.tobytes() == formula(m).tobytes()
+    # built per instance, not looked up by equality: equal models each hold
+    # the arrays of their own amplitudes
     plus, minus = build_model(0.6, 0.8, 0.0), build_model(0.6, 0.8, -0.0)
     assert plus == minus and math.copysign(1.0, minus.z.real) == -1.0
     for m in (plus, minus):
-        assert gen(m).tobytes() == gen.__wrapped__(m).tobytes()
-    assert gen(plus) is not gen(minus)
+        assert getattr(m, name).tobytes() == formula(m).tobytes()
+    assert getattr(plus, name) is not getattr(minus, name)
 
 
 def test_build_model_renormalizes_small_drift():
@@ -104,7 +115,7 @@ def test_no_jump_operator_corners(sym_model, undriven_model):
 
 def test_no_jump_operator_vs_series_oracle(sym_model):
     # independent plain Taylor summation of the upper-triangular generator
-    G = no_jump_matrix_generator(sym_model)
+    G = sym_model.G
     term = np.eye(2, dtype=complex)
     total = np.eye(2, dtype=complex)
     for k in range(1, 60):
@@ -134,7 +145,7 @@ def test_no_count_map_examples(sym_model, undriven_model):
 
 
 def test_forward_jump_examples(sym_model, undriven_model):
-    Jf0 = forward_jump(undriven_model)
+    Jf0 = undriven_model.J_f
     got = apply_superop(Jf0, I2)
     assert frobenius_dist(got, abs(undriven_model.kappa_f) ** 2 * EXCITED_PROJ) < 1e-15
     m = sym_model
@@ -144,15 +155,15 @@ def test_forward_jump_examples(sym_model, undriven_model):
         + m.z * m.V_f.conj().T
         + abs(m.kappa_f) ** 2 * EXCITED_PROJ
     )
-    assert frobenius_dist(apply_superop(forward_jump(m), I2), expect) < 1e-15
+    assert frobenius_dist(apply_superop(m.J_f, I2), expect) < 1e-15
     assert frobenius_dist(
-        apply_superop(forward_jump(m), EXCITED_PROJ), abs(m.z) ** 2 * EXCITED_PROJ
+        apply_superop(m.J_f, EXCITED_PROJ), abs(m.z) ** 2 * EXCITED_PROJ
     ) < 1e-15
 
 
 def test_side_jump_examples(sym_model):
     m = sym_model
-    Js = side_jump(m)
+    Js = m.J_s
     assert frobenius_dist(apply_superop(Js, I2), abs(m.kappa_s) ** 2 * EXCITED_PROJ) < 1e-15
     assert np.linalg.norm(Js @ Js) == 0.0  # photons antibunch: no double click
     rng = np.random.default_rng(11)
@@ -164,12 +175,12 @@ def test_side_jump_examples(sym_model):
 
 def test_no_jump_generator_examples(sym_model, undriven_model):
     m = sym_model
-    L0 = no_jump_generator(m)
+    L0 = m.L0
     expect = -(
         abs(m.z) ** 2 * I2 + m.P + m.z * m.V_f.conj().T + np.conj(m.z) * m.V_f
     )
     assert frobenius_dist(apply_superop(L0, I2), expect) < 1e-15
-    L0u = no_jump_generator(undriven_model)
+    L0u = undriven_model.L0
     assert frobenius_dist(apply_superop(L0u, EXCITED_PROJ), -EXCITED_PROJ) < 1e-15
     for t in (0.1, 1.0, 5.0):
         assert frobenius_dist(superop_exp(L0, t), no_count_map(m, t)) < 1e-10

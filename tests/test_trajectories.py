@@ -16,7 +16,7 @@ from resfluor.linalg import (
     maximally_mixed,
     vec,
 )
-from resfluor.model import build_model, no_count_map, no_side_count_map, side_jump
+from resfluor.model import build_model, no_count_map, no_side_count_map
 from resfluor.renewal import theoretical_cdf
 from resfluor.trajectories import SeedSpec, sample_batch, sample_trajectory, waiting_time_cap
 from resfluor.trajectories import _TAPE, _ModeOps, _UniformTape, _philox_doubles
@@ -297,10 +297,9 @@ def _trace_form_density(m, rho0, tr, horizon):
     times = np.array([t for t, _ in tr.records])
     gaps = np.diff(np.concatenate(([0.0], times)))
     last = horizon - (times[-1] if len(times) else 0.0)
-    Js = side_jump(m)
     word = no_side_count_map(m, float(last)) @ vec(I2)
     for x in reversed(gaps):
-        word = no_side_count_map(m, float(x)) @ (Js @ word)
+        word = no_side_count_map(m, float(x)) @ (m.J_s @ word)
     return np.trace(rho0 @ devec(word)).real
 
 

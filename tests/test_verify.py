@@ -10,7 +10,7 @@ from resfluor.davies import davies_map
 from resfluor.events import Event, exact_count, free_channel, zero_photons
 from resfluor.guichardet import OracleResult, oracle_davies_map
 from resfluor.linalg import frobenius_dist
-from resfluor.model import build_model, forward_jump, side_jump
+from resfluor.model import build_model
 from resfluor.verify import (
     _jump_limit_tolerance,
     _roundoff_tolerance,
@@ -66,7 +66,7 @@ def test_jump_limit_richardson_pair_passes(name, channel):
     # forward channel)
     cfg = _CONFIGS[name]
     m, t = cfg.model(), 1e-3
-    target = forward_jump(m) if channel == "forward" else side_jump(m)
+    target = m.J_f if channel == "forward" else m.J_s
 
     def q(x):
         one, none = exact_count(0.0, x, 1), zero_photons()
