@@ -10,9 +10,10 @@ digits, except the distances and tolerances of ``verify_report.json``, which
 are JSON numbers in Python's shortest round-trip form (``1e-09``).  Every
 file carries a tool-version/config-hash stamp, so identical config + seed
 reproduce byte-identical files; one writer writes every CSV from columns, a
-block of rows at a time.  ``--threads`` is kept for scripts and has no effect
-(the sampler runs one vectorised batch); a config file's ``threads`` key is
-rejected as unknown.  Exit codes: 0 success, 1 validation or usage error, 2
+block of rows at a time, each column's text picked by its dtype (a float
+column is formatted in numpy, to the bytes ``format_float`` gives).
+``--threads`` is kept for scripts and has no effect (the sampler runs one
+vectorised batch); a config file's ``threads`` key is rejected as unknown.  Exit codes: 0 success, 1 validation or usage error, 2
 failed verification.
 
 ``trajectories.csv`` holds one ``trajectory_index,jump_index,time,channel``
@@ -22,9 +23,11 @@ reads the CSV by these rules and exits 1 on any other file: ``#`` lines are
 comments; a ``# n_traj=N`` line (N counts every trajectory, click-free ones
 too) and the header, if any, come before the first row; rows come in any
 order, each an index in [0, N), a jump index, a finite time >= 0 and a
-channel, side or forward; forward rows are then ignored.  A message about a
-row that breaks these rules names the file, its line, counted from 1, and the
-field at fault.  The file does not record its horizon, so the battery takes
+channel, side or forward; forward rows are then ignored.  A row may end in a
+``#`` comment, with or without spaces or tabs between the channel and the
+``#``; a channel followed by spaces and no comment is rejected.  A message
+about a row that breaks these rules names the file, its line, counted from 1,
+and the field at fault.  The file does not record its horizon, so the battery takes
 the config's: a side click at or beyond it means the file came from another
 config, and exits 1.
 """
@@ -42,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, TOOL_VERSION, config_hash, format_float
+from .config import RunConfig, TOOL_VERSION, _format_floats, config_hash, format_float
 from .davies import event_probability
 from .events import event_from_json
 from .linalg import EXCITED_PROJ, devec, vec
@@ -58,7 +61,7 @@ _TRAJ_HEADER = "trajectory_index,jump_index,time,channel"
 _CHANNEL_WIDTH = max(len(SIDE), len(FORWARD)) + 1
 _TRAJ_ROW = np.dtype([("index", "i8"), ("jump", "i8"), ("time", "f8"),
                       ("channel", f"U{_CHANNEL_WIDTH}")])
-_BLOCK = 256  # rows per formatted block of a CSV file
+_BLOCK = 2048  # rows per formatted block of a CSV file
 
 
 class _UsageError(Exception):
@@ -114,22 +117,38 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _write_csv(path: Path, header: list[str], fmt: str, columns, cfg: RunConfig, comments=()):
-    """Write the stamp, comment lines, header, and row i as ``fmt % (c[i] for c in columns)``.
+def _write_csv(path: Path, header: list[str], columns, cfg: RunConfig, comments=()):
+    """Write the stamp, comment lines, header, and row i of the columns, comma-separated.
 
-    Rows are formatted ``_BLOCK`` at a time, by one ``%`` per block.
+    A column's dtype picks its text: a float is written as ``format_float``
+    writes it, an integer as ``%d``, a string as it is.  Rows are formatted
+    ``_BLOCK`` at a time into bytes, float columns by ``_format_floats`` and
+    the row by one ``%`` per block.
     """
     head = [f"{TOOL_VERSION} config={config_hash(cfg)}", *comments]
+    columns = [np.asarray(c) for c in columns]
     k, n = len(columns), len(columns[0])
+    line = b",".join(b"%d" if c.dtype.kind in "iu" else b"%s" for c in columns) + b"\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("".join(f"# {c}\n" for c in head) + ",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("".join(f"# {c}\n" for c in head) + ",".join(header) + "\n").encode())
         for a in range(0, n, _BLOCK):
             rows = min(_BLOCK, n - a)
             flat = [None] * (k * rows)
             for j, col in enumerate(columns):
-                flat[j::k] = col[a:a + rows].tolist()
-            fh.write((fmt + "\n") * rows % tuple(flat))
+                flat[j::k] = _cells(col[a:a + rows])
+            fh.write(line * rows % tuple(flat))
+
+
+def _cells(col: np.ndarray) -> list:
+    """A block of a column as ``%`` arguments: floats as text, integers, strings as bytes."""
+    if col.dtype.kind == "f":
+        return _format_floats(col).tolist()
+    if col.dtype.kind in "iu":
+        return col.tolist()
+    names = col.tolist()
+    text = {name: name.encode() for name in set(names)}
+    return [text[name] for name in names]
 
 
 def _write_json(path: Path, payload: dict, cfg: RunConfig):
@@ -162,7 +181,7 @@ def _cmd_evolve(cfg: RunConfig, args) -> int:
     header += [f"rho_{i}{j}_{p}" for i in (1, 2) for j in (1, 2) for p in ("re", "im")]
     header += [f"heis_proj_{i}{j}_{p}" for i in (1, 2) for j in (1, 2) for p in ("re", "im")]
     header += ["excited_population"]
-    _write_csv(args.out / "evolve.csv", header, ",".join(["%.17g"] * len(header)), columns, cfg)
+    _write_csv(args.out / "evolve.csv", header, columns, cfg)
     return 0
 
 
@@ -190,9 +209,8 @@ def _cmd_event_prob(cfg: RunConfig, args) -> int:
 def _cmd_trajectories(cfg: RunConfig, args) -> int:
     n = cfg.n_traj
     trajs = sample_batch(cfg.model(), cfg.rho0(), cfg.horizon, cfg.master_seed, n, mode=cfg.mode)
-    _write_csv(args.out / "trajectories.csv", _TRAJ_HEADER.split(","), "%d,%d,%.17g,%s",
-               [trajs.index, trajs.jump, trajs.time, trajs.channel], cfg,
-               comments=[f"n_traj={n}"])
+    _write_csv(args.out / "trajectories.csv", _TRAJ_HEADER.split(","),
+               [trajs.index, trajs.jump, trajs.time, trajs.channel], cfg, comments=[f"n_traj={n}"])
     counts = np.diff(trajs.offsets)
     # one contiguous array, summed in the order the per-trajectory list was
     terminal_pop = np.ascontiguousarray(trajs.terminal[:, 0, 0].real)
@@ -222,7 +240,7 @@ def _write_waiting(path: Path, cfg: RunConfig):
     f_first = theoretical_cdf(m, rho0, "first", grid)
     columns = [grid, dens.z, dens.z_first, dens.z_last, f_later, f_first]
     header = ["x", "z", "z_first", "z_last", "F_later", "F_first"]
-    _write_csv(path, header, ",".join(["%.17g"] * len(header)), columns, cfg)
+    _write_csv(path, header, columns, cfg)
 
 
 def _cmd_waiting_time(cfg: RunConfig, args) -> int:
@@ -239,7 +257,9 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
     time) only if one pass finds them out of that order, as the sampler's own
     files never are; they are then sliced at each trajectory's end.  Only when a
     row is rejected, by ``np.loadtxt`` or for its index, time or channel, is the
-    file read again line by line, to name the row's file line.
+    file read again line by line: to name the row's file line, and first, for
+    a channel column that is neither side nor forward, to read a channel
+    followed by spaces and a trailing comment as that channel.
     """
     n = None
     with open(path) as fh:
@@ -264,9 +284,11 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
                 raise ValueError(f"{path} line {_file_line(path, first)}: "
                                  + re.sub(r" at row \d+", "", str(exc))) from None
     index, time, channel = rows["index"], rows["time"], rows["channel"]
+    if (unknown := (channel != SIDE) & (channel != FORWARD)).any():
+        for k, name in _spaced_channels(path, first, np.flatnonzero(unknown)).items():
+            channel[k], unknown[k] = name, False
     is_side = channel == SIDE
     bad_index, bad_time = (index < 0) | (index >= n), ~((0 <= time) & (time < np.inf))
-    unknown = ~is_side & (channel != FORWARD)
     if (bad := bad_index | bad_time | unknown).any():
         k = bad.argmax()
         at = f"{path} line {_file_line(path, first, k)}: "
@@ -284,6 +306,27 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
         times = times[np.lexsort((times, index))]
     ends = np.cumsum(np.bincount(index, minlength=n)).tolist()
     return [times[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _spaced_channels(path: Path, first: int, rows: np.ndarray) -> dict[int, str]:
+    """Row -> channel for each of ``rows`` written as a channel, spaces and a trailing comment.
+
+    ``np.loadtxt`` cuts the comment and keeps the spaces, so "side # note"
+    reads as 'side '.  Rows count from 0 at line ``first``, as
+    ``np.loadtxt`` counts them once it has read the file: one per line with
+    text before its first ``#``.
+    """
+    wanted, found, row = set(rows.tolist()), {}, -1
+    with open(path) as fh:
+        for text in itertools.islice(fh, first - 1, None):
+            data, comment, _ = text.partition("#")
+            if not data.rstrip("\r\n"):
+                continue
+            row += 1
+            name = data.rsplit(",", 1)[-1].rstrip()
+            if row in wanted and comment and name in (SIDE, FORWARD):
+                found[row] = name
+    return found
 
 
 def _file_line(path: Path, first: int, row: float = np.inf) -> int:

@@ -104,8 +104,11 @@ class Component:
     def _values(self, xs, rows=slice(None), slope=False):
         """f_b(x) for the weight rows ``rows``, and f_b'(x) too if ``slope``.
 
-        The derivative Re(w_b^dag exp(xG) G t) comes from the same
-        exponentials as the value.
+        ``rows`` holds one row per argument, or a single row that every
+        argument shares, whose coefficients are then broadcast instead of
+        gathered once per argument (the same bits either way).  The
+        derivative Re(w_b^dag exp(xG) G t) comes from the same exponentials
+        as the value.
         """
         sg, d = self._sg, None
         if sg._diagonalizable:
@@ -134,7 +137,7 @@ class Component:
         hardcap = cap if np.isfinite(cap) else 1e6
         decay = self._slowest_decay()
         grid = np.linspace(0.0, min(hardcap, 40.0 / decay) if decay > 0 else hardcap, _TABLE_POINTS)
-        f = self._values(grid, np.full(grid.size, row))[0]
+        f = self._values(grid, [row])[0]
         logf = np.minimum.accumulate(np.log(np.maximum(f, 1e-300)))
         # np.interp wants increasing abscissae: log f and x both reversed
         self._table = (row, logf[::-1], grid[::-1])
@@ -145,7 +148,13 @@ class Component:
         return decay.min() if decay.size else 0.0
 
     def hazard(self, x, rows) -> np.ndarray:
-        """-f_b'(x) / f_b(x) for weight row rows[k] at x[k]: a survival's click rate."""
+        """-f_b'(x) / f_b(x) for weight row rows[k] at x[k]: a survival's click rate.
+
+        When every rows[k] is one row, its coefficients are broadcast.
+        """
+        rows = np.asarray(rows)
+        if rows.size and (rows == rows[0]).all():
+            rows = rows[:1]
         f, df = self._values(_arguments(x), rows, slope=True)
         return -df / f
 
@@ -170,7 +179,10 @@ class Component:
         which carries the same certificate.  Each result depends on its own
         weight row, table and u_k only.  Rows that never cross give +inf, or
         the cap itself where f_b(cap) < 1e-12 (bias far below Monte Carlo
-        resolution).
+        resolution).  When every u_k reads the same weight row, as every
+        side-only wait from the ground state does, that row's coefficients
+        are evaluated once and broadcast in each step; the bits and the
+        counts are those of the per-row gather.
 
         ``last_crossing`` counts this call's crossing rows (``waits``), the
         row evaluations of the Newton loop (``newton_evals``), the converged
@@ -191,6 +203,11 @@ class Component:
             return out
         counts["waits"] = live.size
         u, which = u[live], which[live]
+
+        def rows(sel):
+            """The weight rows of the waits ``sel``: the one shared row, if there is one."""
+            return distinct if distinct.size == 1 else which[sel]
+
         lo, hi = np.zeros(live.size), np.full(live.size, hardcap)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             logu = np.log(u)
@@ -203,7 +220,7 @@ class Component:
             todo, converged = np.arange(live.size), []
             for _ in range(_NEWTON_STEPS):
                 counts["newton_evals"] += todo.size
-                f, df = self._values(x[todo], which[todo], slope=True)
+                f, df = self._values(x[todo], rows(todo), slope=True)
                 below = f < u[todo]
                 hi[todo] = np.where(below, x[todo], hi[todo])
                 lo[todo] = np.where(below, lo[todo], x[todo])
@@ -218,7 +235,7 @@ class Component:
                     break
         k = np.concatenate(converged)
         pair = np.stack([np.maximum(x[k] - 0.5 * _BRACKET, 0.0), x[k] + 0.5 * _BRACKET])
-        f = self._values(pair.ravel(), np.tile(which[k], 2))[0].reshape(2, -1)
+        f = self._values(pair.ravel(), rows(np.tile(k, 2)))[0].reshape(2, -1)
         ok = (f[0] >= u[k]) & (f[1] < u[k])
         out[live[k[ok]]] = x[k[ok]]
         certified = np.zeros(live.size, dtype=bool)
@@ -230,7 +247,7 @@ class Component:
             if not (todo := todo[hi[todo] - lo[todo] > _BRACKET]).size:
                 break
             mid = 0.5 * (lo[todo] + hi[todo])
-            below = self._values(mid, which[todo])[0] < u[todo]
+            below = self._values(mid, rows(todo))[0] < u[todo]
             hi[todo] = np.where(below, mid, hi[todo])
             lo[todo] = np.where(below, lo[todo], mid)
         out[live[rest]] = 0.5 * (lo[rest] + hi[rest])

@@ -339,12 +339,34 @@ def test_block_writer_matches_the_row_by_row_text(tmp_path, n):
     rng = np.random.default_rng(n)
     columns = [np.arange(n), rng.integers(0, 9, n), rng.exponential(size=n),
                np.array(["side", "forward"], dtype=object)[rng.integers(0, 2, n)]]
-    fmt, cfg = "%d,%d,%.17g,%s", RunConfig()
+    cfg = RunConfig()
     path = tmp_path / "out" / "table.csv"
-    resfluor.cli._write_csv(path, ["a", "b", "t", "c"], fmt, columns, cfg, comments=["note"])
-    rows = [fmt % row for row in zip(*(c.tolist() for c in columns))]
+    resfluor.cli._write_csv(path, ["a", "b", "t", "c"], columns, cfg, comments=["note"])
+    rows = ["%d,%d,%.17g,%s" % row for row in zip(*(c.tolist() for c in columns))]
     head = [f"# {TOOL_VERSION} config={config_hash(cfg)}", "# note", "a,b,t,c"]
     assert path.read_text() == "\n".join(head + rows) + "\n"
+
+
+def test_vectorised_float_text_is_format_float_text():
+    # _format_floats against format_float, byte for byte: random bit patterns,
+    # uniform [0, 50), normals at scales 1e-8..1e18, exact ties at the 17th
+    # digit (odd M/4 in [1e15, 2**51), to even), dyadic m * 2**-k, the
+    # neighbours of 10**k, ±0, subnormals, ±inf and nan
+    rng = np.random.default_rng(28)
+    tens = np.array([10.0**k for k in range(-4, 16)]).view(np.int64)
+    x = np.concatenate([
+        rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64),
+        rng.uniform(0, 50, 20000),
+        (rng.normal(size=(27, 400)) * 10.0 ** np.arange(-8, 19)[:, None]).ravel(),
+        (2 * rng.integers(2 * 10**15, 2**52, 5000) + 1) / 4,
+        np.ldexp(rng.integers(1, 2**20, 5000), -rng.integers(0, 60, 5000)),
+        (tens[:, None] + np.arange(-3, 4)).ravel().view(np.float64),
+        [0.0, 5e-324, 1e-310, 2.5e-320, np.inf, np.nan, 1e16, 1e-4, 100.0, 120.5],
+    ])
+    x = np.concatenate([x, -x])
+    got = resfluor.config._format_floats(x)
+    assert got.dtype == np.dtype("S24")
+    assert got.tolist() == [format_float(v).encode() for v in x.tolist()]
 
 
 def test_trajectory_views_read_the_click_table_and_the_file(tmp_path):
@@ -513,6 +535,23 @@ def test_reader_ignores_row_order(tmp_path, mode):
     assert [a.tobytes() for a in read_trajectory_csv(swapped)] == [a.tobytes() for a in ref]
 
 
+@pytest.mark.parametrize("comment", ["# note", " # note", "\t# note", "   \t # note"],
+                         ids=["no-space", "space", "tab", "spaces-and-tab"])
+def test_rows_with_trailing_comments_give_the_plain_files_report(tmp_path, comment):
+    # every row, side and forward, ends in a comment, with or without spaces
+    # before its '#': the report is the plain file's, byte for byte
+    cfg = _config(tmp_path, mode="two-channel")
+    traj = _trajectories(cfg, tmp_path / "traj")
+    commented = _edit_rows(traj, lambda rows: [row + comment for row in rows])
+    assert ",forward" + comment in commented.read_text()
+    reports = []
+    for path, out in ((traj, tmp_path / "plain"), (commented, tmp_path / "commented")):
+        assert run(["renewal-stats", "--config", str(cfg), "--traj", str(path),
+                    "--out", str(out)]) == 0
+        reports.append((out / "renewal_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_reader_without_header_or_rows(tmp_path):
     cfg = _config(tmp_path, horizon=1.5)
     traj = _trajectories(cfg, tmp_path / "traj")
@@ -546,10 +585,13 @@ def test_reader_without_header_or_rows(tmp_path):
         (lambda rows: [*rows, "3,0,0.5,sideways"], "could not convert string 'sideways'"),
         (lambda rows: [*rows, "3,0,0.5,Side"],
          "could not convert string 'Side' to a channel, side or forward\n"),
+        # spaces after a channel are read only before a trailing comment
+        (lambda rows: [*rows, "3,0,0.5,side "],
+         "could not convert string 'side ' to a channel, side or forward\n"),
     ],
     ids=["negative-index", "index-past-n", "nan-time", "negative-time", "three-fields",
          "text-time", "unknown-channel", "longer-channel", "channel-as-wide-as-the-column",
-         "capitalised-channel"],
+         "capitalised-channel", "spaces-after-the-channel"],
 )
 def test_renewal_stats_rejects_malformed_rows(tmp_path, capsys, transform, message):
     cfg = _config(tmp_path)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -520,6 +521,65 @@ def test_table_started_waits_are_certified_and_batch_independent(exceptional_mod
             one = sample_trajectory(m, stack[k], 40.0, SeedSpec(91, k))
             assert one.records == whole[k].records
             assert np.array_equal(one.terminal_state, whole[k].terminal_state)
+
+
+def test_a_shared_weight_row_gives_the_bits_and_counts_of_the_per_row_gather(
+        monkeypatch, exceptional_model):
+    # when every wait reads one weight row, its coefficients are broadcast;
+    # the waits, the hazards and the last_crossing counts equal those of the
+    # gather of one copy per wait, from the table start and cold, on the
+    # eigen route and on the expm route at z*
+    real_values = semigroup.Component._values
+    shared = []
+
+    def per_row(self, xs, rows=slice(None), slope=False):
+        if not isinstance(rows, slice) and len(rows) == 1 and xs.size > 1:
+            shared.append(True)
+            rows = np.full(xs.size, rows[0])
+        return real_values(self, xs, rows, slope)
+
+    rng = np.random.default_rng(2028)
+    u = rng.random(1000)
+    u[:3] = (1 - 2.0**-53, 1e-9, 2.0**-53)
+    for m in (RunConfig().model(), exceptional_model):
+        cap = waiting_time_cap(m)
+        for row, table in ((0, True), (0, False), (1, False)):
+            got = []
+            for gather in (False, True):
+                if gather:
+                    monkeypatch.setattr(semigroup.Component, "_values", per_row)
+                S = _survival(m, [ground_state(), _random_state(np.random.default_rng(3))])
+                if table:
+                    S.tabulate(row, cap)
+                which = np.full(u.size, row)
+                x = S.crossing(u, cap, which)
+                clicks = np.isfinite(x) & (x < cap)
+                got.append((x, S.hazard(x[clicks], which[clicks]), S.last_crossing))
+                monkeypatch.undo()
+            assert shared and clicks.sum() > 950
+            assert np.array_equal(got[0][0], got[1][0]) and np.array_equal(got[0][1], got[1][1])
+            assert got[0][2] == got[1][2] and got[0][2]["waits"] == clicks.sum()
+            f, df = real_values(S, x[clicks], which[clicks], slope=True)
+            assert np.array_equal(got[0][1], -df / f)
+            shared.clear()
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("excited", "666c3953c8888bbd31e75f7501b731c1ce600d681730ac6ef807269b0806d0ec"),
+    ("mixed", "8a9fd7de8ad1d3becb013c8de452223133ad84c7429ed1ca7ba979ee689a7de8"),
+    ("stacked", "af542c9f58258ac2ac084bd80aa15d1a5b29ceb6c44a42f59f62cd061ce783a2"),
+], ids=["excited", "mixed", "stacked"])
+def test_side_only_batches_off_the_ground_state_keep_their_bits(name, digest):
+    # first waits on rho0's own weight row and later ones on the shared
+    # ground row: the click table and the terminal states keep their bytes
+    states = (ground_state(), excited_state(), maximally_mixed())
+    rho0 = {"excited": excited_state(), "mixed": maximally_mixed(),
+            "stacked": np.stack([states[k % 3] for k in range(60)])}[name]
+    b = sample_batch(RunConfig().model(), rho0, 50.0, 2028, 60)
+    h = hashlib.sha256()
+    for a in (b.index, b.jump, b.time, b.terminal):
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest and len(b.time) > 550
 
 
 @pytest.mark.parametrize("mode", ["side-only", "two-channel"])
