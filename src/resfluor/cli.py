@@ -19,15 +19,21 @@ failed verification.
 ``trajectories.csv`` holds one ``trajectory_index,jump_index,time,channel``
 row per click, from the sampler's click table, which also gives
 ``summary.json`` its counts and terminal populations.  ``renewal-stats``
-reads the CSV by these rules and exits 1 on any other file: ``#`` lines are
-comments; a ``# n_traj=N`` line (N counts every trajectory, click-free ones
-too) and the header, if any, come before the first row; rows come in any
-order, each an index in [0, N), a jump index, a finite time >= 0 and a
-channel, side or forward; forward rows are then ignored.  A row may end in a
-``#`` comment, with or without spaces or tabs between the channel and the
-``#``; a channel followed by spaces and no comment is rejected.  A message
-about a row that breaks these rules names the file, its line, counted from 1,
-and the field at fault.  The file does not record its horizon, so the battery takes
+reads the CSV, UTF-8 text, back into a click table of its side clicks, the
+sampler's :class:`~resfluor.trajectories.Batch`, which the renewal battery
+takes as it is.  It reads by these rules and exits 1 on any other file:
+``#`` lines are comments; a ``# n_traj=N`` line (N counts every trajectory,
+click-free ones too) and the header, if any, come before the first row; rows
+come in any order, each an index in [0, N), a jump index, a finite time >= 0
+and a channel, side or forward; forward rows are then ignored, and the file's
+jump index with them: a click's rank is counted among its trajectory's side
+clicks.  A row may end in a ``#`` comment, with or without spaces or tabs
+between the channel and the ``#``; a channel followed by spaces and no
+comment is rejected.  A message about a row that breaks these rules names the
+file, its line, counted from 1, and the field at fault; one about a byte that
+is not UTF-8 names the file and the line.  A ``--config`` or ``--events``
+file with such a byte, or an events file that is not JSON, fails naming the
+file.  The trajectory file does not record its horizon, so the battery takes
 the config's: a side click at or beyond it means the file came from another
 config, and exits 1.
 """
@@ -51,7 +57,7 @@ from .events import event_from_json
 from .linalg import EXCITED_PROJ, devec, vec
 from .model import master_map
 from .renewal import renewal_test, theoretical_cdf, waiting_densities
-from .trajectories import FORWARD, SIDE, sample_batch
+from .trajectories import FORWARD, SIDE, Batch, sample_batch
 from .verify import run_battery
 
 __all__ = ["main", "run"]
@@ -109,12 +115,20 @@ def _build_parser() -> _Parser:
 
 def _load_config(args) -> RunConfig:
     """The config file's values, overridden by every flag given for a config key."""
-    cfg = RunConfig() if args.config is None else RunConfig.from_json(args.config.read_text())
+    cfg = RunConfig() if args.config is None else RunConfig.from_json(_read_text(args.config))
     keys = {f.name for f in dataclasses.fields(RunConfig)}
     updates = {k: v for k, v in vars(args).items() if k in keys and v is not None}
     if updates:
         cfg = RunConfig.from_dict({**cfg.to_dict(), **updates})
     return cfg
+
+
+def _read_text(path: Path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 fails naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_csv(path: Path, header: list[str], columns, cfg: RunConfig, comments=()):
@@ -188,7 +202,10 @@ def _cmd_evolve(cfg: RunConfig, args) -> int:
 def _cmd_event_prob(cfg: RunConfig, args) -> int:
     m = cfg.model()
     rho0 = cfg.rho0()
-    payload = json.loads(args.events.read_text())
+    try:
+        payload = json.loads(_read_text(args.events))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.events}: {exc}") from None
     if not isinstance(payload, list):
         raise ValueError("events file must hold a JSON list of events")
     results = []
@@ -212,7 +229,7 @@ def _cmd_trajectories(cfg: RunConfig, args) -> int:
     _write_csv(args.out / "trajectories.csv", _TRAJ_HEADER.split(","),
                [trajs.index, trajs.jump, trajs.time, trajs.channel], cfg, comments=[f"n_traj={n}"])
     counts = np.diff(trajs.offsets)
-    # one contiguous array, summed in the order the per-trajectory list was
+    # a contiguous copy, so the mean sums in the order that gives its pinned bits
     terminal_pop = np.ascontiguousarray(trajs.terminal[:, 0, 0].real)
     _write_json(
         args.out / "summary.json",
@@ -248,41 +265,52 @@ def _cmd_waiting_time(cfg: RunConfig, args) -> int:
     return 0
 
 
-def read_trajectory_csv(path: Path) -> list[np.ndarray]:
-    """Sorted side-click times per trajectory, read by the module docstring's rules.
+def read_trajectory_csv(path: Path) -> Batch:
+    """The file's side clicks as a :class:`Batch`, read by the module docstring's rules.
 
-    One streamed ``np.loadtxt`` call reads every row into a flat table, the
-    channel as a string column ``_CHANNEL_WIDTH`` characters wide, checked as a
-    column against side and forward.  The side rows are sorted by (index,
-    time) only if one pass finds them out of that order, as the sampler's own
-    files never are; they are then sliced at each trajectory's end.  Only when a
-    row is rejected, by ``np.loadtxt`` or for its index, time or channel, is the
-    file read again line by line: to name the row's file line, and first, for
-    a channel column that is neither side nor forward, to read a channel
-    followed by spaces and a trailing comment as that channel.
+    ``len()`` of the table is the file's ``# n_traj=N``, click-free
+    trajectories included; its ``jump`` column is each click's rank among its
+    trajectory's side clicks, its ``channel`` column a read-only broadcast of
+    side, and it has no terminal states.  One streamed ``np.loadtxt`` call
+    reads every row into a flat table, the channel as a string column
+    ``_CHANNEL_WIDTH`` characters wide, checked as a column against side and
+    forward.  The side rows are sorted by (index, time) only
+    if one pass finds them out of that order, as the sampler's own files never
+    are.  Only when a row is rejected, by ``np.loadtxt`` or for its index,
+    time or channel, or a byte is not UTF-8, is the file read again line by
+    line: to name the row's file line, and first, for a channel column that
+    is neither side nor forward, to read a channel followed by spaces and a
+    trailing comment as that channel.
     """
     n = None
-    with open(path) as fh:
-        for first, line in enumerate(iter(fh.readline, ""), 1):
-            if line.startswith("# n_traj="):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for first, line in enumerate(iter(fh.readline, ""), 1):
+                if line.startswith("# n_traj="):
+                    try:
+                        n = int(line.removeprefix("# n_traj="))
+                    except ValueError:
+                        n = -1  # not an integer: rejected below as a count < 0
+                elif not line.startswith("#") and line.strip() not in ("", _TRAJ_HEADER):
+                    break
+            else:
+                line = ""  # no rows, on which np.loadtxt would warn
+            if n is None or n < 0:
+                raise ValueError(f"{path} has no '# n_traj=N' line with N >= 0 before its rows")
+            rows = np.zeros(0, _TRAJ_ROW)
+            if line:
                 try:
-                    n = int(line.removeprefix("# n_traj="))
-                except ValueError:
-                    n = -1  # not an integer: rejected below as a count < 0
-            elif not line.startswith("#") and line.strip() not in ("", _TRAJ_HEADER):
-                break
-        else:
-            line = ""  # no rows, on which np.loadtxt would warn
-        if n is None or n < 0:
-            raise ValueError(f"{path} has no '# n_traj=N' line with N >= 0 before its rows")
-        rows = np.zeros(0, _TRAJ_ROW)
-        if line:
-            try:
-                rows = np.loadtxt(itertools.chain([line], fh), dtype=_TRAJ_ROW, delimiter=",",
-                                  ndmin=1)
-            except ValueError as exc:  # its row number counts data rows only
-                raise ValueError(f"{path} line {_file_line(path, first)}: "
-                                 + re.sub(r" at row \d+", "", str(exc))) from None
+                    rows = np.loadtxt(itertools.chain([line], fh), dtype=_TRAJ_ROW,
+                                      delimiter=",", ndmin=1)
+                except UnicodeDecodeError:  # a ValueError too, named by the handler below
+                    raise
+                except ValueError as exc:  # its row number counts data rows only
+                    raise ValueError(f"{path} line {_file_line(path, first)}: "
+                                     + re.sub(r" at row \d+", "", str(exc))) from None
+    except UnicodeDecodeError:  # its position counts from a decoded chunk, not a line
+        for _ in _lines(path):
+            pass  # raises at the line that holds the byte
+        raise
     index, time, channel = rows["index"], rows["time"], rows["channel"]
     if (unknown := (channel != SIDE) & (channel != FORWARD)).any():
         for k, name in _spaced_channels(path, first, np.flatnonzero(unknown)).items():
@@ -301,11 +329,28 @@ def read_trajectory_csv(path: Path) -> list[np.ndarray]:
                          + (f" (read as its first {_CHANNEL_WIDTH} characters)" if cut else "")
                          + f" to a channel, {SIDE} or {FORWARD}")
     index, times = index[is_side], time[is_side]
+    del rows, time, channel  # the file's rows are freed before the table is built
     step = np.diff(index)
     if not ((step > 0) | ((step == 0) & (np.diff(times) >= 0))).all():
-        times = times[np.lexsort((times, index))]
-    ends = np.cumsum(np.bincount(index, minlength=n)).tolist()
-    return [times[a:b] for a, b in zip([0] + ends, ends)]
+        order = np.lexsort((times, index))
+        index, times = index[order], times[order]
+    return Batch(n, index, times, np.broadcast_to(np.array(SIDE, dtype=object), times.shape))
+
+
+def _lines(path: Path):
+    """Each line of the file with its number, from 1, decoded one line at a time.
+
+    Lines end at \\n, \\r\\n or \\r, as in a file opened as text.  A byte
+    that is not UTF-8 raises ``ValueError`` naming the file, the line and
+    the byte's position in it.
+    """
+    with open(path, "rb") as fh:
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for number, raw in enumerate(lines, 1):
+            try:
+                yield number, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
 
 
 def _spaced_channels(path: Path, first: int, rows: np.ndarray) -> dict[int, str]:
@@ -317,15 +362,14 @@ def _spaced_channels(path: Path, first: int, rows: np.ndarray) -> dict[int, str]
     text before its first ``#``.
     """
     wanted, found, row = set(rows.tolist()), {}, -1
-    with open(path) as fh:
-        for text in itertools.islice(fh, first - 1, None):
-            data, comment, _ = text.partition("#")
-            if not data.rstrip("\r\n"):
-                continue
-            row += 1
-            name = data.rsplit(",", 1)[-1].rstrip()
-            if row in wanted and comment and name in (SIDE, FORWARD):
-                found[row] = name
+    for _, text in itertools.islice(_lines(path), first - 1, None):
+        data, comment, _ = text.partition("#")
+        if not data:
+            continue
+        row += 1
+        name = data.rsplit(",", 1)[-1].rstrip()
+        if row in wanted and comment and name in (SIDE, FORWARD):
+            found[row] = name
     return found
 
 
@@ -334,12 +378,11 @@ def _file_line(path: Path, first: int, row: float = np.inf) -> int:
 
     Without ``row`` it is the first of those lines that ``np.loadtxt`` rejects.
     """
-    with open(path) as fh, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a comment or blank line alone holds no data
-        for number, text in enumerate(fh, 1):
+        for number, text in itertools.islice(_lines(path), first - 1, None):
             try:
-                if number >= first:
-                    row -= len(np.loadtxt([text], dtype=_TRAJ_ROW, delimiter=",", ndmin=1))
+                row -= len(np.loadtxt([text], dtype=_TRAJ_ROW, delimiter=",", ndmin=1))
             except ValueError:
                 return number
             if row < 0:
@@ -348,7 +391,7 @@ def _file_line(path: Path, first: int, row: float = np.inf) -> int:
 
 def _cmd_renewal_stats(cfg: RunConfig, args) -> int:
     clicks = read_trajectory_csv(args.traj)
-    if any(len(ts) and ts[-1] >= cfg.horizon for ts in clicks):
+    if (clicks.time >= cfg.horizon).any():
         raise ValueError(f"{args.traj} has a side click at or beyond the config's horizon "
                          f"{cfg.horizon}")
     report = renewal_test(clicks, cfg.model(), cfg.rho0(), cfg.horizon)

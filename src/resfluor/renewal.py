@@ -19,10 +19,11 @@ generator of Z has no eigenbasis.  ``factorized_probability`` checks its
 product of densities against a word trace of Z_x = ``SemigroupCache.at(x)``,
 the ``expm`` route, so the check shares no eigen form with what it checks.
 
-``renewal_test`` runs the statistical battery on side-click times:
-Kolmogorov-Smirnov for X_1 (first-interval law) and X_2, X_3 (stationary
-law) and a chi-square independence check of (X_2, X_3) on a quantile-binned
-grid, each at level 0.01, and the decay of P[N_t <= n].  Kolmogorov-Smirnov
+``renewal_test`` runs the statistical battery on a table of side clicks, a
+:class:`resfluor.trajectories.Batch`: Kolmogorov-Smirnov for X_1
+(first-interval law) and X_2, X_3 (stationary law) and a chi-square
+independence check of (X_2, X_3) on a quantile-binned grid, each at level
+0.01, and the decay of P[N_t <= n].  Kolmogorov-Smirnov
 thresholds come from the asymptotic distribution and require n >= 1000;
 smaller samples mark the report underpowered instead of passing or failing.
 The KS distance and its threshold equal ``scipy.stats``' bit for bit, and
@@ -40,6 +41,7 @@ import numpy as np
 from .linalg import I2, require_density_matrix, vec
 from .model import Model, no_side_count_generator
 from .semigroup import SemigroupCache
+from .trajectories import Batch
 
 __all__ = [
     "WaitingDensities",
@@ -222,14 +224,18 @@ class RenewalReport:
     passed: dict = field(default_factory=dict)
 
 
-def renewal_test(clicks, m: Model, rho, horizon: float) -> RenewalReport:
-    """Run the renewal battery on per-trajectory arrays of side-click times.
+def renewal_test(clicks: Batch, m: Model, rho, horizon: float) -> RenewalReport:
+    """Run the renewal battery on a table of side clicks.
 
-    The input is concatenated once into a flat table of click times, each with
-    its trajectory (owner) and rank in it.  A click's gap to the one before
-    (to 0 at rank 0) is X_1, X_2 or X_3 at rank 0, 1 or 2; the X_2 paired
-    with an X_3 sits just before it.  Infinite or missing intervals are
-    excluded from the CDF comparisons and show up only through the sample sizes.
+    ``clicks`` is a :class:`Batch` whose every entry is a side click: a
+    side-only sample, or the table ``read_trajectory_csv`` reads from a file.
+    Its columns are read as they are: ``time``, ``jump`` (a click's rank in
+    its trajectory) and ``offsets``, which give each click's trajectory
+    (owner) and count a trajectory without a click too.  A click's gap to the
+    one before (to 0 at rank 0) is X_1, X_2 or X_3 at rank 0, 1 or 2; the
+    X_2 paired with an X_3 sits just before it.  Infinite or missing
+    intervals are excluded from the CDF comparisons and show up only through
+    the sample sizes.
     Each sample's CDF values come from one :func:`theoretical_cdf` call, three
     in all, which the KS distances and the independence grid share; each value
     depends on its own argument alone, so sharing keeps every statistic's bits.
@@ -239,12 +245,10 @@ def renewal_test(clicks, m: Model, rho, horizon: float) -> RenewalReport:
     Zero trajectories raise ``ValueError``: no statistic is defined on them.
     """
     rho = require_density_matrix(rho)
-    lengths = np.array([len(ts) for ts in clicks], dtype=int)
-    if not lengths.size:
+    if not len(clicks):
         raise ValueError("the renewal battery needs at least one trajectory, got 0")
-    every = np.concatenate([np.zeros(0), *clicks])
+    every, rank, lengths = clicks.time, clicks.jump, np.diff(clicks.offsets)
     owner = np.repeat(np.arange(len(lengths)), lengths)
-    rank = np.arange(len(every)) - (np.cumsum(lengths) - lengths)[owner]
     gap = every - np.where(rank > 0, np.roll(every, 1), 0.0)
     x1, x2, x3 = (gap[rank == k] for k in (0, 1, 2))
     F1 = theoretical_cdf(m, rho, "first", x1)

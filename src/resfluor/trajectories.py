@@ -44,7 +44,8 @@ computed for all rows at once by a numpy Philox4x64-10, bit for bit, so each
 trajectory is a pure function of its seed pair, independent of the batch it
 runs in.
 
-A batch is one table of arrays, a :class:`Batch`.  Indexing it makes a
+A batch is one table of arrays, a :class:`Batch`, and the CLI reads a
+trajectory file's side clicks back into one.  Indexing it makes a
 :class:`Trajectory` view, which builds its (time, channel) records when read.
 
 Uniform-draw discipline (fixed so streams are portable): one uniform per
@@ -102,7 +103,10 @@ class SeedSpec:
 
 
 class Trajectory:
-    """A view over one trajectory's rows of a :class:`Batch`; ``records`` are built when read."""
+    """A view over one trajectory's rows of a :class:`Batch`; ``records`` are built when read.
+
+    ``len()`` of a view is its click count, read from the batch's offsets.
+    """
 
     __slots__ = ("batch", "row")
 
@@ -110,6 +114,9 @@ class Trajectory:
         self.batch, self.row = batch, row
 
     terminal_state = property(lambda self: self.batch.terminal[self.row])
+
+    def __len__(self) -> int:
+        return int(self.batch.offsets[self.row + 1] - self.batch.offsets[self.row])
 
     @property
     def records(self) -> tuple[tuple[float, str], ...]:
@@ -119,22 +126,24 @@ class Trajectory:
 
 
 class Batch:
-    """A batch's click table and terminal states; ``batch[k]`` views trajectory k.
+    """A click table of ``n_traj`` trajectories; ``batch[k]`` views trajectory k.
 
     One table entry per click, sorted by (trajectory, time): ``index``,
     ``jump`` (rank in its trajectory), ``time`` and ``channel`` (its name).
-    Row k owns entries ``offsets[k]:offsets[k + 1]`` and the state
-    ``terminal[k]`` at the horizon.
+    It is built from ``owner``, each entry's row from 0; row k owns entries
+    ``offsets[k]:offsets[k + 1]``, and a row without a click still counts
+    in ``len()``.  A sampled batch holds the state ``terminal[k]`` at the
+    horizon; a table read from a file has none, and ``terminal`` is None.
     """
 
-    def __init__(self, owner, time, channel, terminal, first_index: int):
-        self.offsets = np.searchsorted(owner, np.arange(len(terminal) + 1))
+    def __init__(self, n_traj: int, owner, time, channel, terminal=None, first_index: int = 0):
+        self.offsets = np.searchsorted(owner, np.arange(n_traj + 1))
         self.index, self.time, self.channel = first_index + owner, time, channel
         self.jump = np.arange(len(owner)) - self.offsets[owner]
         self.terminal = terminal
 
     def __len__(self) -> int:
-        return len(self.terminal)
+        return len(self.offsets) - 1
 
     def __getitem__(self, k: int) -> Trajectory:
         if not 0 <= k < len(self):
@@ -310,7 +319,7 @@ def sample_batch(m: Model, rho0, horizon: float, master_seed: int, n_traj: int,
 
     # clicks grouped by trajectory in round order, which is time order
     order = np.argsort(owner, kind="stable")
-    return Batch(owner[order], times[order], ops.channels[picks[order]], finals, first_index)
+    return Batch(B, owner[order], times[order], ops.channels[picks[order]], finals, first_index)
 
 
 def _side_only_rounds(ops, rho0, horizon, cap, tape):

@@ -8,6 +8,7 @@ import pytest
 
 from resfluor.config import RunConfig
 from resfluor.model import build_model
+from resfluor.trajectories import SIDE, Batch
 
 SQ2 = 2.0 ** -0.5
 
@@ -38,6 +39,14 @@ def random_model(rng, z_scale=1.2):
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
     z = z_scale * (rng.uniform(0.2, 1.0)) * phases[2]
     return build_model(np.sqrt(a) * phases[0], np.sqrt(1 - a) * phases[1], z)
+
+
+def click_table(clicks) -> Batch:
+    """A side-click table of per-trajectory click times, each sorted, as the reader gives."""
+    lengths = [len(c) for c in clicks]
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    time = np.concatenate([np.zeros(0), *clicks])
+    return Batch(len(lengths), owner, time, np.full(len(time), SIDE))
 
 
 @pytest.fixture(scope="session")

@@ -228,7 +228,9 @@ def test_import_and_renewal_battery_load_no_scipy_stats():
         "import resfluor, resfluor.cli, resfluor.verify\n"
         "print(' '.join(sys.modules))\n"
         "m = resfluor.build_model(2 ** -0.5, 2 ** -0.5, 1.0)\n"
-        "clicks = [np.cumsum(np.random.default_rng(i).exponential(5.0, 3)) for i in range(1200)]\n"
+        "times = [np.cumsum(np.random.default_rng(i).exponential(5.0, 3)) for i in range(1200)]\n"
+        "clicks = resfluor.trajectories.Batch(1200, np.repeat(np.arange(1200), 3),\n"
+        "                                     np.concatenate(times), np.full(3600, 'side'))\n"
         "rep = resfluor.renewal_test(clicks, m, resfluor.linalg.ground_state(), 100.0)\n"
         "assert not rep.underpowered\n"
         "print(' '.join(sys.modules))\n"

@@ -24,7 +24,8 @@ from resfluor.events import (
     free_channel,
     zero_photons,
 )
-from resfluor.trajectories import sample_batch
+from resfluor.renewal import renewal_test
+from resfluor.trajectories import Batch, sample_batch
 
 _BLOCK = resfluor.cli._BLOCK
 SMALL = {"grid_stop": 2.0, "grid_num": 11, "n_traj": 40, "horizon": 5.0}
@@ -34,6 +35,11 @@ def _config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**SMALL, **overrides}))
     return path
+
+
+def _write(path: Path, content):
+    """Write text as UTF-8, or bytes as they are."""
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
 
 
 def _trajectories(cfg, out, *extra) -> Path:
@@ -176,17 +182,23 @@ def test_malformed_input_exits_one_with_message(tmp_path, capsys, events, config
          "side window [1.0, 1.0000000000000009) not contained in [0, 1.0)"),
         ("{}", json.dumps([_side_event(horizon=0.0, window=(0.0, 8e-16))]),
          "side window [0.0, 8e-16) not contained in [0, 0.0)"),
+        # a file that is not UTF-8, or an events file that is not JSON, is named
+        (b'{"horizon": 1.0\xff}', "[]",
+         "{config}: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+        ("{}", b"[\xff]",
+         "{events}: 'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"),
+        ("{}", "[1,]", "{events}: Expecting value: line 1 column 4 (char 3)"),
     ],
     ids=["negative-horizon", "config-not-object", "events-not-list", "negative-grid-start",
          "negative-grid-stop", "zero-quad-order", "window-past-horizon",
-         "window-on-zero-horizon"],
+         "window-on-zero-horizon", "config-not-utf-8", "events-not-utf-8", "events-not-json"],
 )
 def test_rejected_input_exits_one_with_its_message(tmp_path, capsys, config, events, message):
     cfg, path, out = tmp_path / "config.json", tmp_path / "events.json", tmp_path / "out"
-    cfg.write_text(config)
-    path.write_text(events)
+    _write(cfg, config)
+    _write(path, events)
     assert run(["event-prob", "--config", str(cfg), "--events", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(config=cfg, events=path)}\n"
     assert not out.exists()
 
 
@@ -381,6 +393,7 @@ def test_trajectory_views_read_the_click_table_and_the_file(tmp_path):
         a, b = batch.offsets[k], batch.offsets[k + 1]
         assert (batch.index[a:b] == k).all() and (batch.jump[a:b] == np.arange(b - a)).all()
         assert tr.records == tuple(zip(batch.time[a:b].tolist(), names[a:b]))
+        assert len(tr) == len(tr.records) == b - a
         assert np.array([t for t, _ in tr.records]).tobytes() == batch.time[a:b].tobytes()
         for c in ("side", "forward"):
             assert batch.time[a:b][batch.channel[a:b] == c].tolist() == [
@@ -476,6 +489,22 @@ def test_renewal_report_holds_the_report_fields_and_the_stamp(tmp_path):
     assert isinstance(report["n_traj"], int) and isinstance(report["underpowered"], bool)
 
 
+def test_battery_on_the_sampled_table_gives_the_files_report(tmp_path):
+    # the sampler's table and the one read back from its file are one type
+    # with the same columns, so the battery reports the same on either
+    cfg = _config(tmp_path, n_traj=1200, horizon=50.0)
+    traj = _trajectories(cfg, tmp_path / "traj")
+    out = tmp_path / "renewal"
+    assert run(["renewal-stats", "--config", str(cfg), "--traj", str(traj), "--out", str(out)]) == 0
+    report = json.loads((out / "renewal_report.json").read_text())
+    rc = RunConfig.from_json(cfg.read_text())
+    batch = sample_batch(rc.model(), rc.rho0(), rc.horizon, rc.master_seed, rc.n_traj)
+    rep = dataclasses.asdict(renewal_test(batch, rc.model(), rc.rho0(), rc.horizon))
+    assert rep["underpowered"] is False
+    assert json.loads(json.dumps(resfluor.cli._floats_as_text(rep))) == {
+        k: v for k, v in report.items() if k not in ("tool", "config_hash")}
+
+
 def test_renewal_stats_rejects_csv_without_count(tmp_path):
     cfg = _config(tmp_path)
     traj = _trajectories(cfg, tmp_path / "traj")
@@ -495,6 +524,17 @@ def _edit_rows(path: Path, transform) -> Path:
     return out
 
 
+def _columns(table: Batch) -> list[bytes]:
+    """The bytes of a click table's offsets, jump and time columns."""
+    return [table.offsets.tobytes(), table.jump.tobytes(), table.time.tobytes()]
+
+
+def _side_rows(batch: Batch) -> Batch:
+    """The table of a batch's side clicks, each ranked among its trajectory's side clicks."""
+    side = batch.channel == "side"
+    return Batch(len(batch), batch.index[side], batch.time[side], batch.channel[side])
+
+
 @pytest.mark.parametrize("mode", ["side-only", "two-channel"])
 def test_reader_returns_each_trajectorys_side_times(tmp_path, mode):
     # the short horizon leaves the last trajectories without a side click
@@ -506,21 +546,32 @@ def test_reader_returns_each_trajectorys_side_times(tmp_path, mode):
     assert sum(map(len, expected)) > 0 and len(expected[-1]) == 0
     assert (mode == "two-channel") == (",forward" in traj.read_text())
     got = read_trajectory_csv(traj)
+    assert isinstance(got, Batch) and got.terminal is None
     assert len(got) == rc.n_traj
-    for a, b in zip(got, expected):
+    for k, b in enumerate(expected):
+        a = got.time[got.offsets[k]:got.offsets[k + 1]]
         assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+        assert len(got[k]) == len(got[k].records) == len(b)
+    # the sampler's table restricted to its side rows, column for column
+    assert _columns(got) == _columns(_side_rows(trajs))
+    if mode == "side-only":
+        assert got.jump.tobytes() == trajs.jump.tobytes()
     # the traced row counter keeps meaning the file's side rows
     assert sum(len(a) for a in got) == traj.read_text().count(",side\n")
 
 
 @pytest.mark.parametrize("mode", ["side-only", "two-channel"])
 def test_reader_ignores_row_order(tmp_path, mode):
-    traj = _trajectories(_config(tmp_path, mode=mode), tmp_path / "traj")
+    cfg = _config(tmp_path, mode=mode)
+    traj = _trajectories(cfg, tmp_path / "traj")
+    rc = RunConfig.from_json(cfg.read_text())
+    trajs = sample_batch(rc.model(), rc.rho0(), rc.horizon, rc.master_seed, rc.n_traj, mode=mode)
+    want = _side_rows(trajs)
     rng = np.random.default_rng(5)
     shuffled = _edit_rows(traj, lambda rows: rng.permutation(rows).tolist())
     got, ref = read_trajectory_csv(shuffled), read_trajectory_csv(traj)
     assert max(map(len, ref)) >= 2
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+    assert [_columns(t) for t in (got, ref)] == [_columns(want)] * 2
 
     # rows in trajectory order but for two side rows of one trajectory
     def swap_two_side_rows(rows):
@@ -532,7 +583,7 @@ def test_reader_ignores_row_order(tmp_path, mode):
 
     swapped = _edit_rows(traj, swap_two_side_rows)
     assert swapped.read_text() != traj.read_text()
-    assert [a.tobytes() for a in read_trajectory_csv(swapped)] == [a.tobytes() for a in ref]
+    assert _columns(read_trajectory_csv(swapped)) == _columns(want)
 
 
 @pytest.mark.parametrize("comment", ["# note", " # note", "\t# note", "   \t # note"],
@@ -560,13 +611,14 @@ def test_reader_without_header_or_rows(tmp_path):
     headless.write_text("\n".join(l for l in lines if not l.startswith("trajectory_index")) + "\n")
     got, ref = read_trajectory_csv(headless), read_trajectory_csv(traj)
     assert sum(map(len, ref)) > 0
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
-    # no rows at all, with or without trailing comments: empty arrays, no warning
+    assert _columns(got) == _columns(ref)
+    # no rows at all, with or without trailing comments: an empty table, no warning
     for tail in ("", "# done\n\n"):
         empty = tmp_path / "empty.csv"
         empty.write_text("# stamp\n# n_traj=3\ntrajectory_index,jump_index,time,channel\n" + tail)
         got = read_trajectory_csv(empty)
-        assert len(got) == 3 and all(a.dtype == np.float64 and a.size == 0 for a in got)
+        assert len(got) == 3 and got.time.dtype == np.float64 and got.time.size == 0
+        assert got.offsets.tolist() == [0, 0, 0, 0] and all(len(t) == 0 for t in got)
 
 
 @pytest.mark.parametrize(
@@ -627,10 +679,22 @@ def test_renewal_stats_rejects_malformed_rows(tmp_path, capsys, transform, messa
          "negative or non-finite time nan\n"),
         ("# n_traj=4\n\n0,0,0.5,sid# note\n-1,0,0.5,side\n", 3,
          "could not convert string 'sid' to a channel, side or forward\n"),
+        # a byte that is not UTF-8, its position counted in its line: in a
+        # row, in the header, in a comment past the first decoded chunk of
+        # the file, and after lines that end in \r or \r\n
+        (b"# n_traj=2\n0,0,0.5,side\n1,0,0.7,s\xffde\n", 3,
+         "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte\n"),
+        (b"# n_\xe9traj=2\n0,0,0.5,side\n", 1,
+         "'utf-8' codec can't decode byte 0xe9 in position 4: invalid continuation byte\n"),
+        (b"# n_traj=2\n" + b"0,0,0.5,side\n" * 1000 + b"# \xff\n", 1002,
+         "can't decode byte 0xff in position 2: invalid start byte\n"),
+        (b"# n_traj=2\r\n0,0,0.5,side\r1,0,0.7,side\r\n1,1,\xff0.9,side\n", 4,
+         "can't decode byte 0xff in position 4: invalid start byte\n"),
     ],
     ids=["text-time", "short-row-after-comment-and-blank-lines", "first-row", "blank-spaces",
          "negative-time-after-comment-and-blank-lines", "index-past-n", "channel",
-         "first-fault-first", "trailing-comment"],
+         "first-fault-first", "trailing-comment", "byte-in-a-row", "byte-in-the-header",
+         "byte-past-the-first-chunk", "byte-after-cr-line-ends"],
 )
 def test_reader_names_the_file_and_line_of_a_row_it_cannot_parse(tmp_path, capsys, text, line,
                                                                   message):
@@ -638,7 +702,7 @@ def test_reader_names_the_file_and_line_of_a_row_it_cannot_parse(tmp_path, capsy
     # another, and the range checks count them from 0; the reader's message
     # counts file lines from 1
     traj = tmp_path / "bad.csv"
-    traj.write_text(text)
+    _write(traj, text)
     assert run(["renewal-stats", "--traj", str(traj), "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {traj} line {line}: ") and message in err

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+from conftest import click_table
 from resfluor.linalg import excited_state, ground_state
 from resfluor.model import build_model, no_side_count_generator
 from resfluor.renewal import (
@@ -204,7 +205,7 @@ def _synthetic_clicks(m, rho, n_traj, horizon, seed):
 def test_renewal_battery_null_calibration(sym_model):
     g = ground_state()
     clicks = _synthetic_clicks(sym_model, g, 4000, 60.0, seed=2024)
-    rep = renewal_test(clicks, sym_model, g, 60.0)
+    rep = renewal_test(click_table(clicks), sym_model, g, 60.0)
     assert not rep.underpowered
     assert rep.passed["ks_first"] and rep.passed["ks_later"] and rep.passed["ks_third"]
     assert rep.passed["independence"]
@@ -216,8 +217,7 @@ def test_renewal_battery_null_calibration(sym_model):
 
 def test_renewal_battery_on_sampler_output(sym_model):
     g = ground_state()
-    trajs = sample_batch(sym_model, g, 60.0, 555, 4000)
-    rep = renewal_test([[t for t, _ in tr.records] for tr in trajs], sym_model, g, 60.0)
+    rep = renewal_test(sample_batch(sym_model, g, 60.0, 555, 4000), sym_model, g, 60.0)
     assert not rep.underpowered
     assert all(rep.passed.values())
 
@@ -232,14 +232,13 @@ def test_renewal_battery_negative_control(sym_model):
             c = c.copy()
             c[2] = c[1] + x2  # force X3 := X2
         corrupted.append(c)
-    rep = renewal_test(corrupted, sym_model, g, 60.0)
+    rep = renewal_test(click_table(corrupted), sym_model, g, 60.0)
     assert not rep.passed["independence"]
 
 
 def test_renewal_battery_underpowered(sym_model):
     g = ground_state()
-    trajs = sample_batch(sym_model, g, 60.0, 3, 50)
-    rep = renewal_test([[t for t, _ in tr.records] for tr in trajs], sym_model, g, 60.0)
+    rep = renewal_test(sample_batch(sym_model, g, 60.0, 3, 50), sym_model, g, 60.0)
     assert rep.underpowered
     assert rep.passed == {}
     assert rep.n_later < MIN_KS_SAMPLES
@@ -267,16 +266,16 @@ def test_cdf_and_densities_at_exceptional_drive(exceptional_model):
 
 @pytest.mark.parametrize(
     "n_traj, ties, ragged",
-    [(1, False, None), (1, True, None), (7, True, None), (1200, False, None), (1200, True, None),
-     (2000, False, "list"), (2000, True, "array")],
-    ids=["1-False", "1-True", "7-True", "1200-False", "1200-True", "2000-False-list",
-         "2000-True-array"],
+    [(1, False, False), (1, True, False), (7, True, False), (1200, False, False),
+     (1200, True, False), (2000, False, True), (2000, True, True)],
+    ids=["1-False", "1-True", "7-True", "1200-False", "1200-True", "2000-False-ragged",
+         "2000-True-ragged"],
 )
 def test_battery_statistics_equal_scipy_stats_bit_for_bit(sym_model, n_traj, ties, ragged):
     # the battery computes without scipy.stats; its KS distances and threshold
     # must still be scipy.stats' to the last bit, and its chi-square p-value
     # agree within the closed form's stated bound, with the same verdict.
-    # Ragged input holds 0-6 clicks per trajectory, as Python lists or arrays.
+    # A ragged table holds 0-6 clicks per trajectory.
     g = ground_state()
     rng = np.random.default_rng([n_traj, ties])
     gaps = rng.exponential(5.0, size=(n_traj, 6 if ragged else 3))
@@ -285,9 +284,7 @@ def test_battery_statistics_equal_scipy_stats_bit_for_bit(sym_model, n_traj, tie
     clicks = list(np.cumsum(gaps, axis=1))
     if ragged:
         clicks = [c[:k] for c, k in zip(clicks, rng.integers(0, 7, size=n_traj))]
-        if ragged == "list":
-            clicks = [c.tolist() for c in clicks]
-    rep = renewal_test(clicks, sym_model, g, gaps.sum(axis=1).max() + 1.0)
+    rep = renewal_test(click_table(clicks), sym_model, g, gaps.sum(axis=1).max() + 1.0)
     inter = [np.diff(c, prepend=0.0) for c in clicks]
     x1, x2, x3 = (np.array([xs[k] for xs in inter if len(xs) > k]) for k in range(3))
     cdf_first = lambda v: theoretical_cdf(sym_model, g, "first", v)
@@ -326,7 +323,7 @@ def test_chdtrc_is_the_chi_square_survival_function():
 def test_battery_reports_nan_for_empty_samples(sym_model):
     # one trajectory without a click and one with a single click: X_1 has one
     # value, X_2 and X_3 none
-    rep = renewal_test([np.array([]), np.array([1.0])], sym_model, ground_state(), 2.0)
+    rep = renewal_test(click_table([[], [1.0]]), sym_model, ground_state(), 2.0)
     assert (rep.n_traj, rep.n_first, rep.n_later) == (2, 1, 0)
     assert 0.0 <= rep.ks_stat_first <= 1.0
     assert np.isnan([rep.ks_stat_later, rep.ks_stat_third, rep.independence_stat]).all()
