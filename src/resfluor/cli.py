@@ -280,42 +280,66 @@ def read_trajectory_csv(path: Path) -> Batch:
     time or channel, or a byte is not UTF-8, is the file read again line by
     line: to name the row's file line, and first, for a channel column that
     is neither side nor forward, to read a channel followed by spaces and a
-    trailing comment as that channel.
+    trailing comment as that channel.  A byte's line is named only if the
+    lines before it pass the same checks; else their first faulty row is.
     """
-    n = None
     try:
         with open(path, encoding="utf-8") as fh:
-            for first, line in enumerate(iter(fh.readline, ""), 1):
-                if line.startswith("# n_traj="):
-                    try:
-                        n = int(line.removeprefix("# n_traj="))
-                    except ValueError:
-                        n = -1  # not an integer: rejected below as a count < 0
-                elif not line.startswith("#") and line.strip() not in ("", _TRAJ_HEADER):
-                    break
-            else:
-                line = ""  # no rows, on which np.loadtxt would warn
-            if n is None or n < 0:
-                raise ValueError(f"{path} has no '# n_traj=N' line with N >= 0 before its rows")
-            rows = np.zeros(0, _TRAJ_ROW)
-            if line:
-                try:
-                    rows = np.loadtxt(itertools.chain([line], fh), dtype=_TRAJ_ROW,
-                                      delimiter=",", ndmin=1)
-                except UnicodeDecodeError:  # a ValueError too, named by the handler below
-                    raise
-                except ValueError as exc:  # its row number counts data rows only
-                    raise ValueError(f"{path} line {_file_line(path, first)}: "
-                                     + re.sub(r" at row \d+", "", str(exc))) from None
+            n, index, times = _side_rows(path, fh)
     except UnicodeDecodeError:  # its position counts from a decoded chunk, not a line
-        for _ in _lines(path):
-            pass  # raises at the line that holds the byte
+        decoded = 0
+        try:
+            for decoded, _ in _lines(path):
+                pass
+        except ValueError as byte_error:  # names the byte's line
+            _side_rows(path, (text + "\n" for _, text in itertools.islice(_lines(path), decoded)),
+                       before_byte=True)
+            raise byte_error from None
         raise
+    step = np.diff(index)
+    if not ((step > 0) | ((step == 0) & (np.diff(times) >= 0))).all():
+        order = np.lexsort((times, index))
+        index, times = index[order], times[order]
+    return Batch(n, index, times, np.broadcast_to(np.array(SIDE, dtype=object), times.shape))
+
+
+def _side_rows(path: Path, lines, before_byte: bool = False):
+    """``(N, index, time)`` of the side rows in ``lines``, every row checked by the rules.
+
+    ``lines`` are the file's text lines from its first on.  With
+    ``before_byte`` they stop before a byte that is not UTF-8, so lines
+    that hold no row yet, and so maybe no ``# n_traj=N``, are not rejected.
+    """
+    n = None
+    lines = iter(lines)
+    for first, line in enumerate(lines, 1):
+        if line.startswith("# n_traj="):
+            try:
+                n = int(line.removeprefix("# n_traj="))
+            except ValueError:
+                n = -1  # not an integer: rejected below as a count < 0
+        elif not line.startswith("#") and line.strip() not in ("", _TRAJ_HEADER):
+            break
+    else:
+        if before_byte:
+            return None
+        line = ""  # no rows, on which np.loadtxt would warn
+    if n is None or n < 0:
+        raise ValueError(f"{path} has no '# n_traj=N' line with N >= 0 before its rows")
+    rows = np.zeros(0, _TRAJ_ROW)
+    if line:
+        try:
+            rows = np.loadtxt(itertools.chain([line], lines), dtype=_TRAJ_ROW,
+                              delimiter=",", ndmin=1)
+        except UnicodeDecodeError:  # a ValueError too, named by the caller
+            raise
+        except ValueError as exc:  # its row number counts data rows only
+            raise ValueError(f"{path} line {_file_line(path, first)}: "
+                             + re.sub(r" at row \d+", "", str(exc))) from None
     index, time, channel = rows["index"], rows["time"], rows["channel"]
     if (unknown := (channel != SIDE) & (channel != FORWARD)).any():
         for k, name in _spaced_channels(path, first, np.flatnonzero(unknown)).items():
             channel[k], unknown[k] = name, False
-    is_side = channel == SIDE
     bad_index, bad_time = (index < 0) | (index >= n), ~((0 <= time) & (time < np.inf))
     if (bad := bad_index | bad_time | unknown).any():
         k = bad.argmax()
@@ -328,13 +352,8 @@ def read_trajectory_csv(path: Path) -> Batch:
         raise ValueError(at + f"could not convert string '{channel[k]}'"
                          + (f" (read as its first {_CHANNEL_WIDTH} characters)" if cut else "")
                          + f" to a channel, {SIDE} or {FORWARD}")
-    index, times = index[is_side], time[is_side]
-    del rows, time, channel  # the file's rows are freed before the table is built
-    step = np.diff(index)
-    if not ((step > 0) | ((step == 0) & (np.diff(times) >= 0))).all():
-        order = np.lexsort((times, index))
-        index, times = index[order], times[order]
-    return Batch(n, index, times, np.broadcast_to(np.array(SIDE, dtype=object), times.shape))
+    is_side = channel == SIDE
+    return n, index[is_side], time[is_side]
 
 
 def _lines(path: Path):
@@ -359,7 +378,7 @@ def _spaced_channels(path: Path, first: int, rows: np.ndarray) -> dict[int, str]
     ``np.loadtxt`` cuts the comment and keeps the spaces, so "side # note"
     reads as 'side '.  Rows count from 0 at line ``first``, as
     ``np.loadtxt`` counts them once it has read the file: one per line with
-    text before its first ``#``.
+    text before its first ``#``.  Reading stops at the last of ``rows``.
     """
     wanted, found, row = set(rows.tolist()), {}, -1
     for _, text in itertools.islice(_lines(path), first - 1, None):
@@ -370,6 +389,8 @@ def _spaced_channels(path: Path, first: int, rows: np.ndarray) -> dict[int, str]
         name = data.rsplit(",", 1)[-1].rstrip()
         if row in wanted and comment and name in (SIDE, FORWARD):
             found[row] = name
+        if row == rows[-1]:
+            break
     return found
 
 

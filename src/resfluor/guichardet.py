@@ -36,11 +36,14 @@ letter, and each absorption carries a factor z, so those sectors are counted,
 not integrated.  The sectors that put the same number of photons in each
 segment form a group that shares one tensor grid, with the gap factors
 computed on it, built once per call from simplex rules also built once per
-call, and each sector's integral is added to the total.  None of this shares
-code paths with the analytic semigroup/jump construction -- from
-:mod:`resfluor.model` it takes only the ``Model`` container, and of a model it
-reads only the amplitudes, V_f and V_s, not the generators and jump maps the
-model also holds -- so agreement between the two pipelines, which
+call (a group with photons in one segment reads its rule as the grid), and
+each sector's integral is added to the total.  A rule is scaled to its
+segment from a length-free part that :mod:`resfluor.quadrature` keeps per
+(photons, order) for the process.  None of this shares code paths with the
+analytic semigroup/jump construction -- from :mod:`resfluor.model` it takes
+only the ``Model`` container, and of a model it reads only the amplitudes,
+V_f and V_s, not the generators and jump maps the model also holds -- so
+agreement between the two pipelines, which
 :mod:`resfluor.verify` compares, checks the formulas, not the integrator.
 """
 
@@ -302,9 +305,10 @@ def oracle_davies_map(
     sectors of two or more photons are exact zeros and are counted, not
     integrated.  The others are integrated in groups of equal photon counts
     per segment: a group reads one simplex rule per (segment, photons,
-    order), each built once per call, and builds its tensor grid once; each
-    of its sectors integrates over that grid into its own 4x4, which is
-    added to the total.
+    order), each scaled to its segment once per call from the length-free
+    part :func:`~resfluor.quadrature.simplex_nodes` keeps, and builds its
+    tensor grid once, or takes its one rule as the grid; each of its sectors
+    integrates over that grid into its own 4x4, which is added to the total.
     """
     if e.total_count > n_max:
         raise ValueError(f"event pins {e.total_count} photons, beyond the oracle cap {n_max}")
@@ -352,8 +356,11 @@ def _tensor_grid(per_seg: list) -> list:
 
     Returns [(times, weights, gap factors)] per chunk of ``_CHUNK`` nodes,
     each gap-factor dict empty for the words integrated on it to fill.  No
-    rule (the empty sector) gives one node at no time.
+    rule (the empty sector) gives one node at no time; one rule of at most
+    ``_CHUNK`` nodes is its own chunk, as it is.
     """
+    if len(per_seg) == 1 and len(per_seg[0][1]) <= _CHUNK:
+        return [(*per_seg[0], {})]
     sizes = [len(w) for _, w in per_seg]
     n_nodes = int(np.prod(sizes))
     chunks = []

@@ -50,13 +50,19 @@ def click_table(clicks) -> Batch:
 
 
 @pytest.fixture(scope="session")
-def verify_outcome(tmp_path_factory):
-    """Run the CLI cross-check battery once per session and share the report."""
+def verify_run(tmp_path_factory):
+    """Run the CLI cross-check battery once per session: its exit code and report's bytes."""
     from resfluor.cli import run
 
     out = tmp_path_factory.mktemp("verify")
     cfgp = out / "config.json"
     cfgp.write_text(RunConfig().to_json())
     code = run(["verify", "--config", str(cfgp), "--out", str(out)])
-    report = json.loads((out / "verify_report.json").read_text())
-    return code, report
+    return code, (out / "verify_report.json").read_bytes()
+
+
+@pytest.fixture(scope="session")
+def verify_outcome(verify_run):
+    """The session's battery run, its report parsed."""
+    code, raw = verify_run
+    return code, json.loads(raw)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import resfluor.quadrature
 from resfluor.quadrature import gauss_legendre_01, simplex_nodes
 
 
@@ -42,3 +43,33 @@ def test_invalid_order_or_dimension_raises():
         gauss_legendre_01(0)
     with pytest.raises(ValueError, match="ndim"):
         simplex_nodes(-1, 1.0, 4)
+
+
+def test_cached_rules_are_read_only_and_kept_as_built():
+    x, w = gauss_legendre_01(5)
+    kept = x.copy(), w.copy()
+    # simplex_nodes hands out new arrays, so writing to them changes no later rule
+    times, gaps, weights = simplex_nodes(3, 0.7, 5)
+    expected = [a.tobytes() for a in (times, gaps, weights)]
+    for a in (x, w, *resfluor.quadrature._cube[3, 5]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 99.0
+    times[0], gaps[0], weights[0] = 99.0, 99.0, 99.0
+    assert [a.tobytes() for a in simplex_nodes(3, 0.7, 5)] == expected
+    assert all(np.array_equal(a, b) for a, b in zip(gauss_legendre_01(5), kept))
+
+
+@pytest.mark.parametrize("ndim", [0, 1, 2, 3, 4])
+def test_simplex_rule_has_the_same_bytes_from_an_empty_and_a_warm_store(monkeypatch, ndim):
+    # each length's rule alone, from an empty store, against the same rule
+    # after the other lengths' calls have filled the store, in either order
+    lengths = (0.3, 1.0, 2.7)
+    for order in (1, 4, 7):
+        cold = {}
+        for length in lengths:
+            monkeypatch.setattr(resfluor.quadrature, "_cube", {})
+            cold[length] = [a.tobytes() for a in simplex_nodes(ndim, length, order)]
+        for sequence in (lengths, lengths[::-1]):
+            monkeypatch.setattr(resfluor.quadrature, "_cube", {})
+            for length in sequence:
+                assert [a.tobytes() for a in simplex_nodes(ndim, length, order)] == cold[length]
