@@ -13,8 +13,8 @@ reproduce byte-identical files; one writer writes every CSV from columns, a
 block of rows at a time, each column's text picked by its dtype (a float
 column is formatted in numpy, to the bytes ``format_float`` gives).
 ``--threads`` is kept for scripts and has no effect (the sampler runs one
-vectorised batch); a config file's ``threads`` key is rejected as unknown.  Exit codes: 0 success, 1 validation or usage error, 2
-failed verification.
+vectorised batch); a config file's ``threads`` key is rejected as unknown.
+Exit codes: 0 success, 1 validation or usage error, 2 failed verification.
 
 ``trajectories.csv`` holds one ``trajectory_index,jump_index,time,channel``
 row per click, from the sampler's click table, which also gives
@@ -29,13 +29,13 @@ and a channel, side or forward; forward rows are then ignored, and the file's
 jump index with them: a click's rank is counted among its trajectory's side
 clicks.  A row may end in a ``#`` comment, with or without spaces or tabs
 between the channel and the ``#``; a channel followed by spaces and no
-comment is rejected.  A message about a row that breaks these rules names the
-file, its line, counted from 1, and the field at fault; one about a byte that
-is not UTF-8 names the file and the line.  A ``--config`` or ``--events``
-file with such a byte, or an events file that is not JSON, fails naming the
-file.  The trajectory file does not record its horizon, so the battery takes
-the config's: a side click at or beyond it means the file came from another
-config, and exits 1.
+comment is rejected.  The message names the file and its first faulty line,
+counted from 1, whatever its fault: a row that does not parse, an index, time
+or channel that breaks these rules, named with the field at fault, or a byte
+that is not UTF-8.  A ``--config`` or ``--events`` file with such a byte, or
+an events file that is not JSON, fails naming the file.  The trajectory file
+does not record its horizon, so the battery takes the config's: a side click
+at or beyond it means the file came from another config, and exits 1.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ import itertools
 import json
 import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,30 +271,22 @@ def read_trajectory_csv(path: Path) -> Batch:
     trajectories included; its ``jump`` column is each click's rank among its
     trajectory's side clicks, its ``channel`` column a read-only broadcast of
     side, and it has no terminal states.  One streamed ``np.loadtxt`` call
-    reads every row into a flat table, the channel as a string column
-    ``_CHANNEL_WIDTH`` characters wide, checked as a column against side and
-    forward.  The side rows are sorted by (index, time) only
-    if one pass finds them out of that order, as the sampler's own files never
-    are.  Only when a row is rejected, by ``np.loadtxt`` or for its index,
-    time or channel, or a byte is not UTF-8, is the file read again line by
-    line: to name the row's file line, and first, for a channel column that
-    is neither side nor forward, to read a channel followed by spaces and a
-    trailing comment as that channel.  A byte's line is named only if the
-    lines before it pass the same checks; else their first faulty row is.
+    reads every row, the channel as a string ``_CHANNEL_WIDTH`` characters
+    wide, and :func:`_fault` checks the columns.  A file that either of them
+    rejects, or that holds a byte that is not UTF-8, is read again by
+    :func:`_walk`.  The side rows are sorted by (index, time) only if one
+    pass finds them out of that order, as the sampler's own files never are.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            n, index, times = _side_rows(path, fh)
-    except UnicodeDecodeError:  # its position counts from a decoded chunk, not a line
-        decoded = 0
-        try:
-            for decoded, _ in _lines(path):
-                pass
-        except ValueError as byte_error:  # names the byte's line
-            _side_rows(path, (text + "\n" for _, text in itertools.islice(_lines(path), decoded)),
-                       before_byte=True)
-            raise byte_error from None
-        raise
+            n, _, line = _header(path, enumerate(fh, 1))
+            rows = _parse(itertools.chain([line], fh) if line else [])
+    except ValueError:  # a UnicodeDecodeError too
+        rows = None
+    if rows is None or _fault(rows, n):
+        n, rows = _walk(path)
+    is_side = rows["channel"] == SIDE
+    index, times = rows["index"][is_side], rows["time"][is_side]
     step = np.diff(index)
     if not ((step > 0) | ((step == 0) & (np.diff(times) >= 0))).all():
         order = np.lexsort((times, index))
@@ -303,16 +294,14 @@ def read_trajectory_csv(path: Path) -> Batch:
     return Batch(n, index, times, np.broadcast_to(np.array(SIDE, dtype=object), times.shape))
 
 
-def _side_rows(path: Path, lines, before_byte: bool = False):
-    """``(N, index, time)`` of the side rows in ``lines``, every row checked by the rules.
+def _header(path: Path, lines) -> tuple[int, int, str]:
+    """``(N, number, line)``: the file's ``# n_traj=N`` and its first row's line and text.
 
-    ``lines`` are the file's text lines from its first on.  With
-    ``before_byte`` they stop before a byte that is not UTF-8, so lines
-    that hold no row yet, and so maybe no ``# n_traj=N``, are not rejected.
+    ``lines`` yields each line with its number, from the file's first; they
+    are read up to the first row, and ``line`` is empty if there is none.
     """
     n = None
-    lines = iter(lines)
-    for first, line in enumerate(lines, 1):
+    for number, line in lines:
         if line.startswith("# n_traj="):
             try:
                 n = int(line.removeprefix("# n_traj="))
@@ -321,39 +310,76 @@ def _side_rows(path: Path, lines, before_byte: bool = False):
         elif not line.startswith("#") and line.strip() not in ("", _TRAJ_HEADER):
             break
     else:
-        if before_byte:
-            return None
-        line = ""  # no rows, on which np.loadtxt would warn
+        number, line = 0, ""
     if n is None or n < 0:
         raise ValueError(f"{path} has no '# n_traj=N' line with N >= 0 before its rows")
-    rows = np.zeros(0, _TRAJ_ROW)
-    if line:
-        try:
-            rows = np.loadtxt(itertools.chain([line], lines), dtype=_TRAJ_ROW,
-                              delimiter=",", ndmin=1)
-        except UnicodeDecodeError:  # a ValueError too, named by the caller
-            raise
-        except ValueError as exc:  # its row number counts data rows only
-            raise ValueError(f"{path} line {_file_line(path, first)}: "
-                             + re.sub(r" at row \d+", "", str(exc))) from None
+    return n, number, line
+
+
+def _parse(lines) -> np.ndarray:
+    """The rows of ``lines`` by one ``np.loadtxt`` call; none for ``[]``, on which it warns."""
+    if not lines:
+        return np.zeros(0, _TRAJ_ROW)
+    return np.loadtxt(lines, dtype=_TRAJ_ROW, delimiter=",", ndmin=1)
+
+
+def _fault(rows: np.ndarray, n: int) -> tuple[int, str] | None:
+    """``(k, message)`` for the first of ``rows`` whose index, time or channel is at fault."""
     index, time, channel = rows["index"], rows["time"], rows["channel"]
-    if (unknown := (channel != SIDE) & (channel != FORWARD)).any():
-        for k, name in _spaced_channels(path, first, np.flatnonzero(unknown)).items():
-            channel[k], unknown[k] = name, False
     bad_index, bad_time = (index < 0) | (index >= n), ~((0 <= time) & (time < np.inf))
-    if (bad := bad_index | bad_time | unknown).any():
-        k = bad.argmax()
-        at = f"{path} line {_file_line(path, first, k)}: "
-        if bad_index[k]:
-            raise ValueError(at + f"trajectory index {index[k]} outside [0, {n})")
-        if bad_time[k]:
-            raise ValueError(at + f"negative or non-finite time {float(time[k])!r}")
-        cut = len(channel[k]) == _CHANNEL_WIDTH  # it may be the start of a longer name
-        raise ValueError(at + f"could not convert string '{channel[k]}'"
-                         + (f" (read as its first {_CHANNEL_WIDTH} characters)" if cut else "")
-                         + f" to a channel, {SIDE} or {FORWARD}")
-    is_side = channel == SIDE
-    return n, index[is_side], time[is_side]
+    if not (bad := bad_index | bad_time | ((channel != SIDE) & (channel != FORWARD))).any():
+        return None
+    k = bad.argmax()
+    if bad_index[k]:
+        return k, f"trajectory index {index[k]} outside [0, {n})"
+    if bad_time[k]:
+        return k, f"negative or non-finite time {float(time[k])!r}"
+    cut = len(channel[k]) == _CHANNEL_WIDTH  # it may be the start of a longer name
+    return k, (f"could not convert string '{channel[k]}'"
+               + (f" (read as its first {_CHANNEL_WIDTH} characters)" if cut else "")
+               + f" to a channel, {SIDE} or {FORWARD}")
+
+
+def _walk(path: Path) -> tuple[int, np.ndarray]:
+    """``(N, rows)`` of the file read a line at a time, or its first fault, naming its line.
+
+    A row is a line from the first row on with text before its ``#``, as
+    ``np.loadtxt`` counts them; before a trailing comment, spaces after a
+    side or forward channel are cut.  The rows are parsed in one call, and
+    only if it fails each alone, up to the first it rejects.  A byte that is
+    not UTF-8 ends the rows, and is named if no row before it is at fault.
+    """
+    lines = _lines(path)
+    n, number, line = _header(path, lines)
+    numbers, texts, pending = [], [], None
+    try:
+        for number, line in itertools.chain([(number, line)], lines):
+            data, comment, _ = line.partition("#")
+            if data:
+                if comment and data.rsplit(",", 1)[-1].rstrip() in (SIDE, FORWARD):
+                    data = data.rstrip()
+                numbers.append(number)
+                texts.append(data)
+    except ValueError as exc:  # names the byte's line
+        pending = exc
+    try:
+        rows = _parse(texts)
+    except ValueError as error:
+        for k, text in enumerate(texts):
+            try:
+                _parse([text])
+            except ValueError as exc:
+                error = exc
+                break
+        # the file line replaces np.loadtxt's row number, which counts parsed rows only
+        pending = ValueError(f"{path} line {numbers[k]}: " + re.sub(r" at row \d+", "", str(error)))
+        rows = _parse(texts[:k])
+    if fault := _fault(rows, n):
+        k, message = fault
+        raise ValueError(f"{path} line {numbers[k]}: {message}")
+    if pending:
+        raise pending
+    return n, rows
 
 
 def _lines(path: Path):
@@ -370,44 +396,6 @@ def _lines(path: Path):
                 yield number, raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path} line {number}: {exc}") from None
-
-
-def _spaced_channels(path: Path, first: int, rows: np.ndarray) -> dict[int, str]:
-    """Row -> channel for each of ``rows`` written as a channel, spaces and a trailing comment.
-
-    ``np.loadtxt`` cuts the comment and keeps the spaces, so "side # note"
-    reads as 'side '.  Rows count from 0 at line ``first``, as
-    ``np.loadtxt`` counts them once it has read the file: one per line with
-    text before its first ``#``.  Reading stops at the last of ``rows``.
-    """
-    wanted, found, row = set(rows.tolist()), {}, -1
-    for _, text in itertools.islice(_lines(path), first - 1, None):
-        data, comment, _ = text.partition("#")
-        if not data:
-            continue
-        row += 1
-        name = data.rsplit(",", 1)[-1].rstrip()
-        if row in wanted and comment and name in (SIDE, FORWARD):
-            found[row] = name
-        if row == rows[-1]:
-            break
-    return found
-
-
-def _file_line(path: Path, first: int, row: float = np.inf) -> int:
-    """The line, from 1, of data row ``row`` (from 0) of those from line ``first`` on.
-
-    Without ``row`` it is the first of those lines that ``np.loadtxt`` rejects.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a comment or blank line alone holds no data
-        for number, text in itertools.islice(_lines(path), first - 1, None):
-            try:
-                row -= len(np.loadtxt([text], dtype=_TRAJ_ROW, delimiter=",", ndmin=1))
-            except ValueError:
-                return number
-            if row < 0:
-                return number
 
 
 def _cmd_renewal_stats(cfg: RunConfig, args) -> int:

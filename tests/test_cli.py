@@ -640,10 +640,12 @@ def test_reader_without_header_or_rows(tmp_path):
         # spaces after a channel are read only before a trailing comment
         (lambda rows: [*rows, "3,0,0.5,side "],
          "could not convert string 'side ' to a channel, side or forward\n"),
+        (lambda rows: [*rows, "3,0,0.5,side\t"],
+         "could not convert string 'side\t' to a channel, side or forward\n"),
     ],
     ids=["negative-index", "index-past-n", "nan-time", "negative-time", "three-fields",
          "text-time", "unknown-channel", "longer-channel", "channel-as-wide-as-the-column",
-         "capitalised-channel", "spaces-after-the-channel"],
+         "capitalised-channel", "spaces-after-the-channel", "tab-after-the-channel"],
 )
 def test_renewal_stats_rejects_malformed_rows(tmp_path, capsys, transform, message):
     cfg = _config(tmp_path)
@@ -696,12 +698,37 @@ def test_renewal_stats_rejects_malformed_rows(tmp_path, capsys, transform, messa
          "could not convert string 'half' to float64, column 3.\n"),
         (b"# n_traj=2\n" + b"0,0,0.5,side\n" * 1000 + b"0,1,0.7,sid\n# \xff\n", 1002,
          "could not convert string 'sid' to a channel, side or forward\n"),
+        (b"# n_traj=4\n0,0,0.5,side # \xff\n1,0,0.7,side\n", 2,
+         "can't decode byte 0xff in position 15: invalid start byte\n"),
+        # a row at fault for its index, time or channel comes before a later
+        # row that does not parse
+        ("# n_traj=4\n0,0,0.5,side\n9,0,0.7,side\n1,0,half,side\n", 3,
+         "trajectory index 9 outside [0, 4)\n"),
+        ("# n_traj=4\n0,0,-2,side\n1,0,0.7,sid\n1,0,0.9\n", 2,
+         "negative or non-finite time -2.0\n"),
+        # lines after the first row: spaces before a comment are a row, a
+        # header is a row, a '# n_traj=' line is a comment; a channel and a
+        # space before a comment is read as the channel only if it is one;
+        # rows after lines that end in \r alone, with a trailing comment
+        ("# n_traj=4\n0,0,0.5,side\n   # c\n", 3, "4 columns but 1"),
+        ("# n_traj=4\n0,0,0.5,side\ntrajectory_index,jump_index,time,channel\n", 3,
+         "could not convert string 'trajectory_index' to int64"),
+        ("# n_traj=4\n0,0,0.5,side\n# n_traj=5\n4,0,0.1,side\n", 4,
+         "trajectory index 4 outside [0, 4)\n"),
+        ("# n_traj=4\n0,0,0.5,sid # c\n", 2,
+         "could not convert string 'sid ' to a channel, side or forward\n"),
+        ("# n_traj=4\r0,0,0.5,side  # c\r1,0,0.7,forward  # c\r9,0,0.9,side  # c\r", 4,
+         "trajectory index 9 outside [0, 4)\n"),
     ],
     ids=["text-time", "short-row-after-comment-and-blank-lines", "first-row", "blank-spaces",
          "negative-time-after-comment-and-blank-lines", "index-past-n", "channel",
          "first-fault-first", "trailing-comment", "byte-in-a-row", "byte-in-the-header",
          "byte-past-the-first-chunk", "byte-after-cr-line-ends", "row-before-a-byte",
-         "channel-before-a-byte-past-the-first-chunk"],
+         "channel-before-a-byte-past-the-first-chunk", "byte-in-a-rows-trailing-comment",
+         "index-before-a-row-that-does-not-parse", "time-before-a-channel-and-a-short-row",
+         "spaces-before-a-comment-after-the-rows", "header-after-the-first-row",
+         "count-after-the-rows", "channel-and-space-before-a-comment",
+         "trailing-comments-after-cr-line-ends"],
 )
 def test_reader_names_the_file_and_line_of_a_row_it_cannot_parse(tmp_path, capsys, text, line,
                                                                   message):
@@ -714,6 +741,31 @@ def test_reader_names_the_file_and_line_of_a_row_it_cannot_parse(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: {traj} line {line}: ") and message in err
     assert " row " not in err and "Traceback" not in err
+
+
+def test_reader_parses_a_sampled_file_in_one_loadtxt_call(tmp_path, monkeypatch):
+    # only a rejected file is read again, by one more bulk call; rows are
+    # parsed alone only up to the first that np.loadtxt rejects
+    traj = _trajectories(_config(tmp_path), tmp_path / "traj")
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(resfluor.cli.np, "loadtxt",
+                        lambda *args, **kwargs: calls.append(1) or loadtxt(*args, **kwargs))
+
+    def read(transform):
+        calls.clear()
+        return read_trajectory_csv(_edit_rows(traj, transform))
+
+    plain = read(lambda rows: rows)
+    assert len(calls) == 1 and len(plain.time) > 0
+    assert _columns(read(lambda rows: [row + "  # c" for row in rows])) == _columns(plain)
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match=r"line \d+: trajectory index 40 outside \[0, 40\)"):
+        read(lambda rows: [*rows[:-1], "40" + rows[-1][rows[-1].index(","):]])
+    assert len(calls) == 2
+    for k in (1, 3):  # the fault in row k, counted from 1
+        with pytest.raises(ValueError, match="could not convert string 'half'"):
+            read(lambda rows: [*rows[:k - 1], "0,0,half,side", *rows[k - 1:]])
+        assert len(calls) <= k + 3
 
 
 def test_renewal_stats_rejects_a_side_click_at_or_beyond_the_horizon(tmp_path, capsys):
