@@ -10,8 +10,9 @@ digits, except the distances and tolerances of ``verify_report.json``, which
 are JSON numbers in Python's shortest round-trip form (``1e-09``).  Every
 file carries a tool-version/config-hash stamp, so identical config + seed
 reproduce byte-identical files; one writer writes every CSV from columns, a
-block of rows at a time, each column's text picked by its dtype (a float
-column is formatted in numpy, to the bytes ``format_float`` gives).
+block of rows at a time as one byte array.  A column's text is picked by its
+dtype and made in numpy: a float's is the bytes ``format_float`` gives, an
+integer's its ``%d`` digits, and a channel's its name, from its code.
 ``--threads`` is kept for scripts and has no effect (the sampler runs one
 vectorised batch); a config file's ``threads`` key is rejected as unknown.
 Exit codes: 0 success, 1 validation or usage error, 2 failed verification.
@@ -50,13 +51,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, TOOL_VERSION, _format_floats, config_hash, format_float
+from .config import (RunConfig, TOOL_VERSION, _DIGITS, _format_floats, config_hash,
+                     format_float)
 from .davies import event_probability
 from .events import event_from_json
 from .linalg import EXCITED_PROJ, devec, vec
 from .model import master_map
 from .renewal import renewal_test, theoretical_cdf, waiting_densities
-from .trajectories import FORWARD, SIDE, Batch, sample_batch
+from .trajectories import CHANNELS, FORWARD, SIDE, Batch, sample_batch
 from .verify import run_battery
 
 __all__ = ["main", "run"]
@@ -67,6 +69,13 @@ _CHANNEL_WIDTH = max(len(SIDE), len(FORWARD)) + 1
 _TRAJ_ROW = np.dtype([("index", "i8"), ("jump", "i8"), ("time", "f8"),
                       ("channel", f"U{_CHANNEL_WIDTH}")])
 _BLOCK = 2048  # rows per formatted block of a CSV file
+# the channel names by code, as fixed-width bytes, and the side code
+_CHANNEL_TEXT = CHANNELS.astype("S")
+_SIDE_CODE = np.int8(CHANNELS.tolist().index(SIDE))
+# an integer >= _TENS[j] has more than j + 1 digits; 2**63 - 1 has 19
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
+# _KEEP[z]: five 4-byte words that clear the first z bytes, a number's leading zeros
+_KEEP = np.where(np.arange(20) >= np.arange(20)[:, None], 255, 0).astype(np.uint8).view("<u4")
 
 
 class _UsageError(Exception):
@@ -133,35 +142,54 @@ def _read_text(path: Path) -> str:
 def _write_csv(path: Path, header: list[str], columns, cfg: RunConfig, comments=()):
     """Write the stamp, comment lines, header, and row i of the columns, comma-separated.
 
-    A column's dtype picks its text: a float is written as ``format_float``
-    writes it, an integer as ``%d``, a string as it is.  Rows are formatted
-    ``_BLOCK`` at a time into bytes, float columns by ``_format_floats`` and
-    the row by one ``%`` per block.
+    A column's dtype picks its text, by :func:`_cells`.  Rows are written
+    ``_BLOCK`` at a time: the block's cells are placed side by side in one
+    uint8 array, with a ``,`` after each cell and a ``\\n`` after the last,
+    and every NUL byte, the cells' padding, is dropped by one
+    ``bytes.translate``.  No cell's text holds a NUL, so every byte of the
+    text is kept.
     """
     head = [f"{TOOL_VERSION} config={config_hash(cfg)}", *comments]
     columns = [np.asarray(c) for c in columns]
-    k, n = len(columns), len(columns[0])
-    line = b",".join(b"%d" if c.dtype.kind in "iu" else b"%s" for c in columns) + b"\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(("".join(f"# {c}\n" for c in head) + ",".join(header) + "\n").encode())
-        for a in range(0, n, _BLOCK):
-            rows = min(_BLOCK, n - a)
-            flat = [None] * (k * rows)
-            for j, col in enumerate(columns):
-                flat[j::k] = _cells(col[a:a + rows])
-            fh.write(line * rows % tuple(flat))
+        for a in range(0, len(columns[0]), _BLOCK):
+            cells = [_cells(c[a:a + _BLOCK]) for c in columns]
+            ends = list(itertools.accumulate(c.shape[1] + 1 for c in cells))
+            text = np.full((len(cells[0]), ends[-1]), ord(","), np.uint8)
+            for cell, end in zip(cells, ends):
+                text[:, end - 1 - cell.shape[1]:end - 1] = cell
+            text[:, -1] = ord("\n")
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
-def _cells(col: np.ndarray) -> list:
-    """A block of a column as ``%`` arguments: floats as text, integers, strings as bytes."""
+def _cells(col: np.ndarray) -> np.ndarray:
+    """A block of a column as a ``(rows, w)`` uint8 array of its text, unused bytes NUL.
+
+    A float is ``format_float``'s text, the ``S24`` of :func:`_format_floats`;
+    an integer is its ``%d`` digits, from 4-digit words of ``_DIGITS``, its
+    leading zeros NUL, and a negative one raises ``ValueError``; a bytes
+    (``S``) column, such as channel names gathered from a table by code, is
+    its own bytes.
+    """
     if col.dtype.kind == "f":
-        return _format_floats(col).tolist()
-    if col.dtype.kind in "iu":
-        return col.tolist()
-    names = col.tolist()
-    text = {name: name.encode() for name in set(names)}
-    return [text[name] for name in names]
+        return _format_floats(col).view(np.uint8).reshape(len(col), -1)
+    if col.dtype.kind not in "iu":
+        return col.view(np.uint8).reshape(len(col), -1)
+    col = np.asarray(col, np.int64)
+    if col.min(initial=0) < 0:
+        raise ValueError("an integer CSV column holds a value outside [0, 2**63)")
+    width = len(str(col.max(initial=0)))
+    digits = 1 + np.searchsorted(_TENS[:width - 1], col, side="right")
+    groups = -(-width // 4)
+    words = np.empty((len(col), groups), "<u4")
+    for j in range(groups - 1, 0, -1):
+        col, low = np.divmod(col, 10000)
+        words[:, j] = _DIGITS[low]
+    words[:, 0] = _DIGITS[col]
+    words &= np.take(_KEEP[:, :groups], 4 * groups - digits, axis=0)
+    return words.view(np.uint8)[:, 4 * groups - width:]
 
 
 def _write_json(path: Path, payload: dict, cfg: RunConfig):
@@ -226,7 +254,8 @@ def _cmd_trajectories(cfg: RunConfig, args) -> int:
     n = cfg.n_traj
     trajs = sample_batch(cfg.model(), cfg.rho0(), cfg.horizon, cfg.master_seed, n, mode=cfg.mode)
     _write_csv(args.out / "trajectories.csv", _TRAJ_HEADER.split(","),
-               [trajs.index, trajs.jump, trajs.time, trajs.channel], cfg, comments=[f"n_traj={n}"])
+               [trajs.index, trajs.jump, trajs.time, _CHANNEL_TEXT[trajs.channel]], cfg,
+               comments=[f"n_traj={n}"])
     counts = np.diff(trajs.offsets)
     # a contiguous copy, so the mean sums in the order that gives its pinned bits
     terminal_pop = np.ascontiguousarray(trajs.terminal[:, 0, 0].real)
@@ -270,12 +299,13 @@ def read_trajectory_csv(path: Path) -> Batch:
     ``len()`` of the table is the file's ``# n_traj=N``, click-free
     trajectories included; its ``jump`` column is each click's rank among its
     trajectory's side clicks, its ``channel`` column a read-only broadcast of
-    side, and it has no terminal states.  One streamed ``np.loadtxt`` call
-    reads every row, the channel as a string ``_CHANNEL_WIDTH`` characters
-    wide, and :func:`_fault` checks the columns.  A file that either of them
-    rejects, or that holds a byte that is not UTF-8, is read again by
-    :func:`_walk`.  The side rows are sorted by (index, time) only if one
-    pass finds them out of that order, as the sampler's own files never are.
+    the side code, and it has no terminal states.  One streamed
+    ``np.loadtxt`` call reads every row, the channel as a string
+    ``_CHANNEL_WIDTH`` characters wide, and :func:`_fault` checks the
+    columns.  A file that either of them rejects, or that holds a byte that
+    is not UTF-8, is read again by :func:`_walk`.  The side rows are sorted
+    by (index, time) only if one pass finds them out of that order, as the
+    sampler's own files never are.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -291,7 +321,7 @@ def read_trajectory_csv(path: Path) -> Batch:
     if not ((step > 0) | ((step == 0) & (np.diff(times) >= 0))).all():
         order = np.lexsort((times, index))
         index, times = index[order], times[order]
-    return Batch(n, index, times, np.broadcast_to(np.array(SIDE, dtype=object), times.shape))
+    return Batch(n, index, times, np.broadcast_to(_SIDE_CODE, times.shape))
 
 
 def _header(path: Path, lines) -> tuple[int, int, str]:

@@ -10,12 +10,15 @@ d_{n+1} = T - v_n alongside the weights.  Integrands here are products of
 exponentials in the times, so the rule converges spectrally.  The caller
 picks the per-axis order; the oracle caps it by its own node budget.
 
-Both rules are kept for the process once built, as read-only arrays: the
-interval rule by its order, and the length-free part of the simplex rule
+Both rules are kept once built, as read-only arrays: the interval rule by
+its order, for the process, and the length-free part of the simplex rule
 (the suffix products u_k ... u_n, the product weights and the Jacobian
-factor prod_k u_k^(k-1)) by (ndim, order).  A call then only scales the
-stored part by its length, in the order of operations of a rule built
-afresh, so a stored rule gives the same bits as a new one.
+factor prod_k u_k^(k-1)) by (ndim, order), within a byte budget of 16 MiB.
+That is above the 11.67 MB the verify battery holds at n_max 8, so no
+battery run rebuilds a rule.  An insert that would pass the budget clears
+the store first, and a part larger than the budget is not kept.  A call
+only scales the stored part by its length, in the order of operations of a
+rule built afresh, so a stored rule gives the same bits as a new one.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = ["gauss_legendre_01", "simplex_nodes"]
 
 _cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _cube: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_CUBE_BUDGET = 16 * 2**20  # bytes the simplex store may hold
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -54,7 +58,8 @@ def simplex_nodes(ndim: int, length: float, order: int):
     last gap up to ``length``), and ``weights`` sums to length**ndim / ndim!.
     The rule has ``order`` nodes per axis, order**ndim in all.  The three
     arrays are new on every call; the length-free part they are scaled from
-    is built on the first call for each (ndim, order) and kept read-only.
+    is built on the first call for each (ndim, order) and kept read-only,
+    within the store's budget.
     """
     if ndim < 0:
         raise ValueError("ndim must be >= 0")
@@ -64,7 +69,8 @@ def simplex_nodes(ndim: int, length: float, order: int):
             np.full((1, 1), float(length)),
             np.ones(1),
         )
-    if (ndim, order) not in _cube:
+    rule = _cube.get((ndim, order))
+    if rule is None:
         x, w = gauss_legendre_01(order)
         grids = np.meshgrid(*([x] * ndim), indexing="ij")
         wgrids = np.meshgrid(*([w] * ndim), indexing="ij")
@@ -74,8 +80,13 @@ def simplex_nodes(ndim: int, length: float, order: int):
         suffix = np.ascontiguousarray(np.cumprod(u[:, ::-1], axis=1)[:, ::-1])
         # the Jacobian's length-free factor prod_{k=2..ndim} u_k^(k-1)
         jac = np.prod(u[:, 1:] ** np.arange(1, ndim), axis=1)
-        _cube[ndim, order] = _read_only(suffix, weight, jac)
-    suffix, weight, jac = _cube[ndim, order]
+        rule = _read_only(suffix, weight, jac)
+        size = sum(a.nbytes for a in rule)
+        if size <= _CUBE_BUDGET:
+            if size + sum(a.nbytes for kept in _cube.values() for a in kept) > _CUBE_BUDGET:
+                _cube.clear()
+            _cube[ndim, order] = rule
+    suffix, weight, jac = rule
     times = float(length) * suffix
     weight = weight * (float(length) ** ndim * jac)
 

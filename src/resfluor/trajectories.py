@@ -45,8 +45,10 @@ trajectory is a pure function of its seed pair, independent of the batch it
 runs in.
 
 A batch is one table of arrays, a :class:`Batch`, and the CLI reads a
-trajectory file's side clicks back into one.  Indexing it makes a
-:class:`Trajectory` view, which builds its (time, channel) records when read.
+trajectory file's side clicks back into one.  Its channel column holds int8
+codes into the one table of names ``CHANNELS``.  Indexing it makes a
+:class:`Trajectory` view, which builds its (time, channel name) records when
+read.
 
 Uniform-draw discipline (fixed so streams are portable): one uniform per
 waiting-time attempt, and in two-channel mode one further uniform per
@@ -74,6 +76,9 @@ __all__ = [
 
 SIDE = "side"
 FORWARD = "forward"
+# the names of the click table's int8 channel codes: CHANNELS[code]
+CHANNELS = np.array([FORWARD, SIDE], dtype=object)
+CHANNELS.flags.writeable = False
 
 _JUMP_RATE_TOL = 1e-14
 # uniforms per refill of a row's tape: four Philox blocks of four words
@@ -122,14 +127,15 @@ class Trajectory:
     def records(self) -> tuple[tuple[float, str], ...]:
         t = self.batch
         a, b = t.offsets[self.row:self.row + 2].tolist()
-        return tuple(zip(t.time[a:b].tolist(), t.channel[a:b].tolist()))
+        return tuple(zip(t.time[a:b].tolist(), CHANNELS.take(t.channel[a:b]).tolist()))
 
 
 class Batch:
     """A click table of ``n_traj`` trajectories; ``batch[k]`` views trajectory k.
 
     One table entry per click, sorted by (trajectory, time): ``index``,
-    ``jump`` (rank in its trajectory), ``time`` and ``channel`` (its name).
+    ``jump`` (rank in its trajectory), ``time`` and ``channel`` (an int8
+    code, the index of its name in ``CHANNELS``).
     It is built from ``owner``, each entry's row from 0; row k owns entries
     ``offsets[k]:offsets[k + 1]``, and a row without a click still counts
     in ``len()``.  A sampled batch holds the state ``terminal[k]`` at the
@@ -163,7 +169,7 @@ class _ModeOps:
     """Survival, click-free evolution and jumps for one observation mode.
 
     The only code that evolves, jumps or renormalises a conditional state.
-    ``channels`` lists the observed channels, the side channel last;
+    ``channels`` holds the observed channels' codes, the side channel last;
     ``jumps`` stacks their jump matrices C_c, the model's ``C_f`` and ``V_s``,
     and ``rate_ops`` their C_c^dag C_c.
     """
@@ -176,7 +182,7 @@ class _ModeOps:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.sg = SemigroupCache(gen)
-        self.channels = np.array(channels, dtype=object)
+        self.channels = np.array([CHANNELS.tolist().index(c) for c in channels], np.int8)
         self.jumps = np.stack(jumps)
         self.rate_ops = np.stack([C.conj().T @ C for C in jumps])
 

@@ -8,7 +8,7 @@ import pytest
 
 from resfluor.config import RunConfig
 from resfluor.model import build_model
-from resfluor.trajectories import SIDE, Batch
+from resfluor.trajectories import CHANNELS, SIDE, Batch
 
 SQ2 = 2.0 ** -0.5
 
@@ -46,7 +46,8 @@ def click_table(clicks) -> Batch:
     lengths = [len(c) for c in clicks]
     owner = np.repeat(np.arange(len(lengths)), lengths)
     time = np.concatenate([np.zeros(0), *clicks])
-    return Batch(len(lengths), owner, time, np.full(len(time), SIDE))
+    side = np.full(len(time), CHANNELS.tolist().index(SIDE), np.int8)
+    return Batch(len(lengths), owner, time, side)
 
 
 @pytest.fixture(scope="session")

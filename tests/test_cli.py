@@ -25,7 +25,7 @@ from resfluor.events import (
     zero_photons,
 )
 from resfluor.renewal import renewal_test
-from resfluor.trajectories import Batch, sample_batch
+from resfluor.trajectories import CHANNELS, Batch, sample_batch
 
 _BLOCK = resfluor.cli._BLOCK
 SMALL = {"grid_stop": 2.0, "grid_num": 11, "n_traj": 40, "horizon": 5.0}
@@ -348,15 +348,29 @@ def test_output_files_keep_their_bytes(tmp_path):
 
 @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 def test_block_writer_matches_the_row_by_row_text(tmp_path, n):
+    # integers of 1 to 19 digits, channel names gathered by code and floats on
+    # _format_floats' slow path, each column's text next to the others' in a row
     rng = np.random.default_rng(n)
+    ints = np.resize([0, 9, 10, 9999, 10**4, 10**8 + 1, 2**63 - 1], n)
+    codes = rng.permutation(np.arange(n) % 2).astype(np.int8)
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-8, 18, n)
+    floats[::3] = np.resize([-0.0, 5e-324, 1e-5, 1e16, np.inf, -np.inf, np.nan], len(floats[::3]))
     columns = [np.arange(n), rng.integers(0, 9, n), rng.exponential(size=n),
-               np.array(["side", "forward"], dtype=object)[rng.integers(0, 2, n)]]
+               resfluor.cli._CHANNEL_TEXT[codes], ints,
+               rng.integers(0, 10 ** rng.integers(1, 19, n)), floats]
+    assert n < 2 or set(CHANNELS[codes]) == {"side", "forward"}
     cfg = RunConfig()
     path = tmp_path / "out" / "table.csv"
-    resfluor.cli._write_csv(path, ["a", "b", "t", "c"], columns, cfg, comments=["note"])
-    rows = ["%d,%d,%.17g,%s" % row for row in zip(*(c.tolist() for c in columns))]
-    head = [f"# {TOOL_VERSION} config={config_hash(cfg)}", "# note", "a,b,t,c"]
+    resfluor.cli._write_csv(path, ["a", "b", "t", "c", "i", "j", "x"], columns, cfg,
+                            comments=["note"])
+    values = [c.tolist() for c in columns]
+    values[3] = CHANNELS[codes].tolist()
+    rows = ["%d,%d,%.17g,%s,%d,%d,%.17g" % row for row in zip(*values)]
+    head = [f"# {TOOL_VERSION} config={config_hash(cfg)}", "# note", "a,b,t,c,i,j,x"]
     assert path.read_text() == "\n".join(head + rows) + "\n"
+    if n:
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*63\)"):
+            resfluor.cli._write_csv(path, ["a"], [np.arange(n) - 1], cfg)
 
 
 def test_vectorised_float_text_is_format_float_text():
@@ -387,7 +401,7 @@ def test_trajectory_views_read_the_click_table_and_the_file(tmp_path):
     rc = RunConfig.from_json(cfg.read_text())
     batch = sample_batch(rc.model(), rc.rho0(), rc.horizon, rc.master_seed, rc.n_traj,
                          mode="two-channel")
-    names = batch.channel.tolist()
+    names = CHANNELS[batch.channel].tolist()
     assert {"side", "forward"} <= set(names) and len(rows) == len(names)
     for k, tr in enumerate(batch):
         a, b = batch.offsets[k], batch.offsets[k + 1]
@@ -396,7 +410,7 @@ def test_trajectory_views_read_the_click_table_and_the_file(tmp_path):
         assert len(tr) == len(tr.records) == b - a
         assert np.array([t for t, _ in tr.records]).tobytes() == batch.time[a:b].tobytes()
         for c in ("side", "forward"):
-            assert batch.time[a:b][batch.channel[a:b] == c].tolist() == [
+            assert batch.time[a:b][CHANNELS[batch.channel[a:b]] == c].tolist() == [
                 t for t, n in tr.records if n == c]
         assert rows[a:b] == [f"{k},{j},{'%.17g' % t},{c}" for j, (t, c) in enumerate(tr.records)]
         assert (batch.time[a:b] < rc.horizon).all() and tr.row == k
@@ -531,7 +545,7 @@ def _columns(table: Batch) -> list[bytes]:
 
 def _side_rows(batch: Batch) -> Batch:
     """The table of a batch's side clicks, each ranked among its trajectory's side clicks."""
-    side = batch.channel == "side"
+    side = CHANNELS[batch.channel] == "side"
     return Batch(len(batch), batch.index[side], batch.time[side], batch.channel[side])
 
 
@@ -548,6 +562,12 @@ def test_reader_returns_each_trajectorys_side_times(tmp_path, mode):
     got = read_trajectory_csv(traj)
     assert isinstance(got, Batch) and got.terminal is None
     assert len(got) == rc.n_traj
+    # the channel column holds int8 codes into CHANNELS; records hold names
+    assert trajs.channel.dtype == got.channel.dtype == np.int8
+    names = set(CHANNELS[trajs.channel])
+    assert names == ({"side"} if mode == "side-only" else {"side", "forward"})
+    assert (CHANNELS[got.channel] == "side").all()
+    assert {c for t in (trajs, got) for tr in t for _, c in tr.records} == names
     for k, b in enumerate(expected):
         a = got.time[got.offsets[k]:got.offsets[k + 1]]
         assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()

@@ -73,3 +73,19 @@ def test_simplex_rule_has_the_same_bytes_from_an_empty_and_a_warm_store(monkeypa
             monkeypatch.setattr(resfluor.quadrature, "_cube", {})
             for length in sequence:
                 assert [a.tobytes() for a in simplex_nodes(ndim, length, order)] == cold[length]
+
+
+def test_simplex_store_keeps_to_its_budget(monkeypatch):
+    # parts of 96, 1,152, 8,640 and 12,800 bytes against a 9,000-byte budget:
+    # the store clears before an insert would pass it, keeps no part larger
+    # than it, and a rule built again after a clear has the bytes it had
+    monkeypatch.setattr(resfluor.quadrature, "_cube", {})
+    monkeypatch.setattr(resfluor.quadrature, "_CUBE_BUDGET", 9_000)
+    first, sizes = {}, []
+    for ndim, order in [(1, 4), (2, 6), (3, 6), (2, 20), (1, 4), (3, 6), (2, 6), (2, 20)]:
+        rule = [a.tobytes() for a in simplex_nodes(ndim, 1.3, order)]
+        assert first.setdefault((ndim, order), rule) == rule
+        store = resfluor.quadrature._cube
+        sizes.append(sum(a.nbytes for part in store.values() for a in part))
+        assert sizes[-1] <= 9_000 and (2, 20) not in store
+    assert sizes == [96, 1248, 8640, 8640, 8736, 8736, 1152, 1152]

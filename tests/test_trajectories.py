@@ -19,7 +19,8 @@ from resfluor.linalg import (
 )
 from resfluor.model import build_model, no_count_map, no_side_count_map
 from resfluor.renewal import theoretical_cdf
-from resfluor.trajectories import SeedSpec, sample_batch, sample_trajectory, waiting_time_cap
+from resfluor.trajectories import (CHANNELS, SeedSpec, sample_batch, sample_trajectory,
+                                   waiting_time_cap)
 from resfluor.trajectories import _TAPE, _ModeOps, _UniformTape, _philox_doubles
 import resfluor.semigroup as semigroup
 import resfluor.trajectories as trajectories
@@ -183,7 +184,7 @@ def test_side_click_leaves_the_ground_state_exactly(monkeypatch):
 
     def spy(self, rhos, pick):
         post = real_jump(self, rhos, pick)
-        seen.append(post[self.channels[pick] == "side"])
+        seen.append(post[CHANNELS[self.channels[pick]] == "side"])
         modes.append(len(self.channels))
         return post
 
@@ -664,7 +665,7 @@ def test_a_batch_is_freed_without_the_cycle_collector(sym_model):
         batch = sample_batch(sym_model, ground_state(), 10.0, 5, 50)
         ref, views, tr = weakref.ref(batch), list(batch), batch[3]
         a, b = batch.offsets[3:5]
-        table = tuple(zip(batch.time[a:b].tolist(), batch.channel[a:b].tolist()))
+        table = tuple(zip(batch.time[a:b].tolist(), CHANNELS[batch.channel[a:b]].tolist()))
         del batch
         # a live view keeps its batch and still reads the table
         assert ref() is not None
